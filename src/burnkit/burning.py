@@ -6,25 +6,29 @@ is ignited, provided ``b_t`` was still unburned at the end of step ``t-1``.
 A source reached by older fire exactly at its own step is a valid placement;
 strictly earlier is not.
 
-Two execution engines are kept permanently: ``simulate`` evaluates the
-closed-form ``min_i (i + d(b_i, v))`` over per-source BFS distances and also
-computes the responsible-source sets, while ``frontier_burn_times`` runs a
-literal event-driven frontier expansion.  They must agree; the test suite
-cross-checks them on random instances.
+One step-wise frontier kernel runs that process.  ``frontier_burn_times``,
+``simulate`` (which adds the responsible-source sets in one pass over the
+burn-order DAG) and the sequence repair used by the solvers and the lift all
+drive it.  The test suite cross-checks it against the closed form
+``min_i (i + d(b_i, v))`` over per-source BFS distances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .graph import Graph, UnknownVertexError
+from .graph import Graph, UnknownVertexError, _IndexedView
 
-_UNREACHED = 1 << 60
+_UNBURNED = 1 << 60
 
 
 class BurnError(Exception):
     """Base class for burning-process errors."""
+
+
+class MalformedSequenceError(BurnError, ValueError):
+    """A burning sequence is empty or repeats a label."""
 
 
 class InvalidSequenceError(BurnError):
@@ -54,7 +58,7 @@ class BurningSequence:
 
     def __post_init__(self):
         if len(set(self.sources)) != len(self.sources):
-            raise ValueError("burning sequence labels must be distinct")
+            raise MalformedSequenceError("burning sequence labels must be distinct")
 
     @classmethod
     def of(cls, sources: Iterable[str]) -> "BurningSequence":
@@ -90,89 +94,111 @@ class BurningSchedule:
         return not self.unburned
 
 
-def _resolve_sources(g: Graph, sequence: BurningSequence | Sequence[str]) -> list[str]:
+def _source_indices(view: _IndexedView, sequence: BurningSequence | Sequence[str]) -> list[int]:
     sources = list(sequence)
     if not sources:
-        raise ValueError("burning sequence is empty")
+        raise MalformedSequenceError("burning sequence is empty")
     for b in sources:
-        if b not in g:
+        if b not in view.index:
             raise UnknownVertexError(f"unknown vertex {b!r} in burning sequence")
-    return sources
+    return [view.index[b] for b in sources]
+
+
+def _burn(
+    view: _IndexedView, steps: int, choose: Callable[[int, list[int]], int | None]
+) -> tuple[list[int], list[int], list[int]]:
+    """The burning process itself, the one frontier loop of the package.
+
+    At step ``t`` the fire spreads one hop, then ``choose(t, time)`` names the
+    vertex ignited at ``t``; ``None`` ends the process early.  Returns
+    ``time`` (vertex -> burn step, ``_UNBURNED`` if never reached), the burned
+    vertices in burn order, and the ignited vertex of each step.  Raises
+    :class:`InvalidSequenceError` when the chosen vertex burned before ``t``.
+    """
+    adj = view.adj
+    time = [_UNBURNED] * len(adj)
+    order: list[int] = []
+    placed: list[int] = []
+    frontier: list[int] = []
+    for t in range(1, steps + 1):
+        new = []
+        for u in frontier:
+            for w in adj[u]:
+                if time[w] > t:
+                    time[w] = t
+                    new.append(w)
+        b = choose(t, time)
+        if b is None:
+            break
+        if time[b] < t:
+            responsible = _responsible(view, time, order, placed)
+            step = {view.labels[v]: i for i, v in enumerate(placed)}
+            cause = min(responsible[b], key=step.__getitem__)
+            raise InvalidSequenceError(t, view.labels[b], time[b], cause)
+        if time[b] > t:
+            time[b] = t
+            new.append(b)
+        placed.append(b)
+        order += new
+        frontier = new
+    return time, order, placed
+
+
+def _responsible(
+    view: _IndexedView, time: list[int], order: list[int], placed: list[int]
+) -> list[frozenset[str] | None]:
+    """Responsible-source sets of the vertices in ``order``, in one pass.
+
+    A source's fire reaches ``v`` at its burn time exactly when it reaches a
+    neighbour burned one step earlier, so ``v`` inherits those neighbours'
+    sets, plus itself when it is ignited in place.  Every placed vertex
+    burned at its own step, which the process checked.
+    """
+    adj, labels = view.adj, view.labels
+    own = {b: frozenset((labels[b],)) for b in placed}
+    resp: list[frozenset[str] | None] = [None] * len(adj)
+    for v in order:
+        prev = time[v] - 1
+        r = own.get(v)
+        for u in adj[v]:
+            if time[u] == prev:
+                s = resp[u]
+                if r is None:
+                    r = s
+                elif s is not r:
+                    r = r | s
+        resp[v] = r
+    return resp
 
 
 def frontier_burn_times(
     g: Graph, sequence: BurningSequence | Sequence[str]
 ) -> dict[str, int]:
-    """Event-driven engine: literal step-by-step frontier expansion.
-
-    Returns the map vertex -> burn step for all vertices burned within
-    ``len(sequence)`` steps.  Raises :class:`InvalidSequenceError` exactly when
-    a source is burned strictly before its own step.
+    """Map vertex -> burn step for all vertices burned within ``len(sequence)``
+    steps, in burn order.  Raises :class:`InvalidSequenceError` exactly when a
+    source is burned strictly before its own step.
     """
-    sources = _resolve_sources(g, sequence)
     view = g.indexed()
-    idx = view.index
-    adj = view.adj
-    burned_at: dict[int, int] = {}
-    placed_at: dict[int, int] = {}
-    frontier: list[int] = []
-    for t, label in enumerate(sources, start=1):
-        b = idx[label]
-        new: list[int] = []
-        for u in frontier:
-            for w in adj[u]:
-                if w not in burned_at:
-                    burned_at[w] = t
-                    new.append(w)
-        prior = burned_at.get(b)
-        if prior is not None and prior < t:
-            cause = sources[placed_at[b] - 1] if b in placed_at else None
-            raise InvalidSequenceError(t, label, prior, cause)
-        if prior is None:
-            burned_at[b] = t
-            new.append(b)
-        placed_at[b] = t
-        frontier = new
-    return {view.labels[i]: t for i, t in burned_at.items()}
+    sources = _source_indices(view, sequence)
+    time, order, _ = _burn(view, len(sources), lambda t, _time: sources[t - 1])
+    labels = view.labels
+    return {labels[v]: time[v] for v in order}
 
 
 def simulate(g: Graph, sequence: BurningSequence | Sequence[str]) -> BurningSchedule:
-    """Closed-form engine: burn times and responsible sets from per-source BFS."""
-    sources = _resolve_sources(g, sequence)
+    """Burn times, responsible-source sets and the unburned set of a sequence."""
     view = g.indexed()
-    idx = view.index
+    sources = _source_indices(view, sequence)
     k = len(sources)
-    n = len(view.labels)
-    src_idx = [idx[b] for b in sources]
-    pos = {b: i for i, b in enumerate(src_idx, start=1)}
-
-    best = [_UNREACHED] * n
-    resp: list[list[str] | None] = [None] * n
-    for i, (label, s) in enumerate(zip(sources, src_idx), start=1):
-        dist = view.bfs(s)
-        for v in range(n):
-            d = dist[v]
-            if d < 0:
-                continue
-            t = i + d
-            if t < best[v]:
-                best[v] = t
-                resp[v] = [label]
-            elif t == best[v]:
-                resp[v].append(label)
-            # validity: fire arriving at a later source strictly before its step
-            j = pos.get(v)
-            if j is not None and j > i and t < j:
-                raise InvalidSequenceError(j, sources[j - 1], t, label)
-
+    time, order, placed = _burn(view, k, lambda t, _time: sources[t - 1])
+    resp = _responsible(view, time, order, placed)
     burn_time: dict[str, int] = {}
     responsible: dict[str, frozenset[str]] = {}
     unburned: list[str] = []
-    for v in range(n):
-        label = view.labels[v]
-        if best[v] <= k:
-            burn_time[label] = best[v]
-            responsible[label] = frozenset(resp[v])
+    for v, label in enumerate(view.labels):
+        if time[v] <= k:
+            burn_time[label] = time[v]
+            responsible[label] = resp[v]
         else:
             unburned.append(label)
     return BurningSchedule(
@@ -181,6 +207,35 @@ def simulate(g: Graph, sequence: BurningSequence | Sequence[str]) -> BurningSche
         responsible=responsible,
         unburned=frozenset(unburned),
     )
+
+
+def _repair_sequence(g: Graph, intended: Sequence[str | None], horizon: int) -> list[str]:
+    """Valid sequence of at most ``horizon`` sources from an intended source
+    list (``None`` or a missing entry means no preference) whose fire, placed
+    or not, reaches every vertex by the horizon.
+
+    At each step the intended source is kept if it is still placeable;
+    otherwise the smallest unburned vertex is ignited, else the smallest
+    vertex burned exactly at that step.  Coverage is preserved because the
+    fire that burned a skipped source is ahead of its schedule.  The sequence
+    ends early once every vertex burned before the current step.
+    """
+    view = g.indexed()
+    want = [None if v is None else view.index[v] for v in intended]
+
+    def choose(t: int, time: list[int]) -> int | None:
+        b = want[t - 1] if t <= len(want) else None
+        if b is not None and time[b] >= t:
+            return b
+        # index order equals lexicographic label order
+        if _UNBURNED in time:
+            return time.index(_UNBURNED)
+        if t in time:
+            return time.index(t)
+        return None
+
+    _, _, placed = _burn(view, horizon, choose)
+    return [view.labels[b] for b in placed]
 
 
 def is_burning_sequence(g: Graph, sequence: BurningSequence | Sequence[str]) -> bool:

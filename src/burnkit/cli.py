@@ -33,7 +33,6 @@ from .graph import Graph, GraphError, degree_histogram, is_connected, read_graph
 from .lift import LiftError, build_Hd, project_sequence, subgraph_for
 from .reduction import ReductionError, audit_sequence, build_H, witness_sources
 from .solvers import (
-    BudgetExceededError,
     SolverError,
     burning_number_exact,
     burning_number_naive,
@@ -463,9 +462,6 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except BudgetExceededError as exc:
-        print(f"error\t{type(exc).__name__}\t{exc}", file=sys.stderr)
-        return 1
     except _ERRORS as exc:
         print(f"error\t{type(exc).__name__}\t{exc}", file=sys.stderr)
         return 1

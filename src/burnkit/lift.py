@@ -15,6 +15,7 @@ from typing import Sequence
 from .burning import (
     BurningSequence,
     InvalidSequenceError,
+    _repair_sequence,
     frontier_burn_times,
     is_burning_sequence,
 )
@@ -121,51 +122,6 @@ def _unburned_after(g: Graph, sources: Sequence[str]) -> list[str]:
     return sorted(set(g.vertices) - set(times))
 
 
-def _greedy_repair(g: Graph, intended: Sequence[str], horizon: int) -> list[str]:
-    """Valid sequence of length <= horizon from an intended source list whose
-    fire, placed or not, reaches every vertex by the horizon.
-
-    A source already burned when its step arrives is replaced by the smallest
-    still-unburned vertex; if everything is burned the sequence ends early.
-    """
-    view = g.indexed()
-    idx, adj, labels = view.index, view.adj, view.labels
-    n = len(labels)
-    burned_at: dict[int, int] = {}
-    placed: set[int] = set()
-    frontier: list[int] = []
-    out: list[str] = []
-    for t in range(1, horizon + 1):
-        new = []
-        for u in frontier:
-            for w in adj[u]:
-                if w not in burned_at:
-                    burned_at[w] = t
-                    new.append(w)
-        b = None
-        if t <= len(intended):
-            cand = idx[intended[t - 1]]
-            if cand not in placed and burned_at.get(cand, t) >= t:
-                b = cand
-        if b is None:
-            b = next((v for v in range(n) if v not in burned_at), None)
-        if b is None:
-            # a vertex burned exactly at t was unburned at the end of t-1
-            b = next(
-                (v for v in range(n) if burned_at.get(v) == t and v not in placed),
-                None,
-            )
-        if b is None:
-            break  # every vertex burned strictly before step t: done early
-        if b not in burned_at:
-            burned_at[b] = t
-            new.append(b)
-        placed.add(b)
-        out.append(labels[b])
-        frontier = new
-    return out
-
-
 def lift_sequence(lifted: LiftedGraph, sequence: BurningSequence | Sequence[str]) -> BurningSequence:
     """Play a base sequence inside copy 1; every clique twin burns one step
     later, so appending one still-unburned vertex (if any) completes H_d."""
@@ -213,7 +169,7 @@ def project_sequence(
         if is_burning_sequence(target, projected):
             return BurningSequence.of(projected)
         # distance shrink broke a placement; coverage is still guaranteed
-        return BurningSequence.of(_greedy_repair(target, projected, p))
+        return BurningSequence.of(_repair_sequence(target, projected, p))
 
     first_seen: dict[str, int] = {}
     duplicate_positions = []
@@ -233,7 +189,7 @@ def project_sequence(
         deduped = list(dict.fromkeys(projected))
         if is_burning_sequence(target, deduped):
             return BurningSequence.of(deduped)
-        return BurningSequence.of(_greedy_repair(target, deduped, p))
+        return BurningSequence.of(_repair_sequence(target, deduped, p))
 
     shortened = projected[:-1]
     if is_burning_sequence(target, shortened):
@@ -246,4 +202,4 @@ def project_sequence(
         completed = shortened + [leftovers[0]]
         if is_burning_sequence(target, completed):
             return BurningSequence.of(completed)
-    return BurningSequence.of(_greedy_repair(target, projected, p))
+    return BurningSequence.of(_repair_sequence(target, projected, p))

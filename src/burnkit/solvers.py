@@ -11,7 +11,8 @@ the cover decision equals the sequence decision; the test suite additionally
 asserts agreement with the exhaustive oracle on small graphs.
 
 ``burning_number_naive`` is that oracle: exhaustive depth-first enumeration of
-every valid source sequence using the frontier engine.
+every valid source sequence, with its own undoable frontier spread rather
+than the burning kernel it is compared against.
 
 ``vertex_cover_exact`` is a branch-and-bound with pendant reduction,
 max-degree branching, and a greedy-matching lower bound.
@@ -23,7 +24,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .burning import BurningSequence, is_burning_sequence
+from .burning import BurningSequence, _repair_sequence, is_burning_sequence
 from .graph import Graph
 from .generators import cycle_graph, path_graph
 
@@ -176,48 +177,6 @@ def _cover_search(
     return search(tuple(range(k - 1, -1, -1)), 0, [])
 
 
-def _repair_to_sequence(g: Graph, centers: list[str | None], k: int) -> list[str]:
-    """Turn a ball cover (position -> intended center) into a valid sequence.
-
-    Intended centers already burned strictly before their step are replaced by
-    the lexicographically smallest placeable vertex; coverage is preserved
-    because the fire that burned the center is ahead of its schedule.
-    """
-    view = g.indexed()
-    idx, adj, labels = view.index, view.adj, view.labels
-    burned_at: dict[int, int] = {}
-    frontier: list[int] = []
-    out: list[str] = []
-    placed: set[int] = set()
-    n = len(labels)
-    for t in range(1, k + 1):
-        new = []
-        for u in frontier:
-            for w in adj[u]:
-                if w not in burned_at:
-                    burned_at[w] = t
-                    new.append(w)
-        want = centers[t - 1]
-        b = idx[want] if want is not None else None
-        if b is None or b in placed or burned_at.get(b, t) < t:
-            # index order equals lexicographic label order
-            b = next((v for v in range(n) if v not in burned_at), None)
-            if b is None:
-                b = next(
-                    (v for v in range(n) if burned_at.get(v) == t and v not in placed),
-                    None,
-                )
-            if b is None:
-                raise SolverError("no placeable source; cover was not minimal")
-        if b not in burned_at:
-            burned_at[b] = t
-            new.append(b)
-        placed.add(b)
-        out.append(labels[b])
-        frontier = new
-    return out
-
-
 def burning_number_exact(g: Graph, node_budget: int = 10_000_000) -> SolveResult:
     """Exact burning number with a validated witness sequence."""
     n = g.vertex_count
@@ -248,7 +207,10 @@ def burning_number_exact(g: Graph, node_budget: int = 10_000_000) -> SolveResult
                 labels = g.indexed().labels
                 for r, x in found:
                     centers[k - r - 1] = labels[x]
-                seq = BurningSequence.of(_repair_to_sequence(g, centers, k))
+                repaired = _repair_sequence(g, centers, k)
+                if len(repaired) < k:
+                    raise SolverError("no placeable source; cover was not minimal")
+                seq = BurningSequence.of(repaired)
                 if not is_burning_sequence(g, seq):
                     raise SolverError("internal: repaired witness failed validation")
                 elapsed = time.monotonic() - start

@@ -133,61 +133,137 @@ def _random_valid_sequence(g, rng):
     return seq
 
 
+def closed_form(g, seq):
+    """Slow oracle: the per-source closed form ``T(v) = min_i (i + d(b_i, v))``.
+
+    Returns ``(burn_time, responsible, unburned)`` as :func:`simulate` reports
+    them.  A sequence is invalid at the earliest step ``j`` whose source some
+    earlier source's fire reaches before ``j``; the error names the arrival
+    time and, among the sources arriving then, the one placed earliest.
+    """
+    dist = [bfs_distances(g, b) for b in seq]
+
+    def arrivals(v, steps):
+        return {
+            i: i + dist[i - 1][v]
+            for i in range(1, steps + 1)
+            if dist[i - 1].get(v) is not None
+        }
+
+    for j, b in enumerate(seq, start=1):
+        arr = arrivals(b, j - 1)
+        first = min(arr.values(), default=j)
+        if first < j:
+            cause = min(i for i, t in arr.items() if t == first)
+            raise InvalidSequenceError(j, b, first, seq[cause - 1])
+    k = len(seq)
+    burn_time, responsible, unburned = {}, {}, set()
+    for v in g.vertices:
+        arr = arrivals(v, k)
+        first = min(arr.values(), default=k + 1)
+        if first > k:
+            unburned.add(v)
+            continue
+        burn_time[v] = first
+        responsible[v] = frozenset(seq[i - 1] for i, t in arr.items() if t == first)
+    return burn_time, responsible, frozenset(unburned)
+
+
+def _error_fields(engine, g, seq):
+    with pytest.raises(InvalidSequenceError) as info:
+        engine(g, seq)
+    exc = info.value
+    return exc.step, exc.source, exc.burned_step, exc.cause
+
+
+_PATH = ["a1", "p", "q", "x", "a2", "c1", "c2", "c3", "a3", "d1", "d2", "d3", "a4"]
+
+
+@pytest.mark.parametrize(
+    "edges, seq, fields",
+    [
+        # x is reached by a1's fire at step 4 but by a2's already at step 3
+        (list(zip(_PATH, _PATH[1:])), ["a1", "a2", "a3", "a4", "x"], (5, "x", 3, "a2")),
+        # the process fails at step 3, before the later source w is due
+        (
+            [("a1", "x"), ("a1", "w"), ("a1", "p"), ("p", "q"), ("q", "b")],
+            ["a1", "b", "x", "w"],
+            (3, "x", 2, "a1"),
+        ),
+        # a duplicate is burned by its own first placement and by a's fire
+        ([("a", "b")], ["a", "b", "b"], (3, "b", 2, "a")),
+    ],
+)
+def test_invalid_sequence_error_fields(edges, seq, fields):
+    """Both engines report the earliest bad step, the source's true burn
+    time, and the earliest-placed source responsible for it."""
+    g = Graph(edges)
+    for engine in (closed_form, simulate, frontier_burn_times):
+        assert _error_fields(engine, g, seq) == fields
+
+
 @given(st.integers(min_value=0, max_value=500))
 @settings(max_examples=80, deadline=None)
 def test_engines_agree(seed):
+    """Burn times of both engines equal the closed form, on a valid sequence
+    and on each of its prefixes."""
     import random
 
     n = random.Random(seed).randint(2, 10)
     g = random_connected_graph(n, seed)
     seq = _random_valid_sequence(g, seed)
-    sch = simulate(g, seq)
-    times = frontier_burn_times(g, seq)
-    assert times == sch.burn_time
+    for end in range(1, len(seq) + 1):
+        burn_time, _, _ = closed_form(g, seq[:end])
+        assert simulate(g, seq[:end]).burn_time == burn_time
+        assert frontier_burn_times(g, seq[:end]) == burn_time
 
 
 @given(st.integers(min_value=0, max_value=500))
 @settings(max_examples=60, deadline=None)
 def test_engines_agree_on_invalidity(seed):
-    """Appending a vertex that is already burned makes both engines raise."""
+    """Appending a vertex that is already burned, or drawing sources at
+    random (repeats allowed), makes both engines raise exactly when the
+    closed form does, with the same error fields."""
     import random
 
-    n = random.Random(seed).randint(2, 10)
+    r = random.Random(seed)
+    n = r.randint(2, 10)
     g = random_connected_graph(n, seed)
     seq = _random_valid_sequence(g, seed)
-    sch = simulate(g, seq)
-    already = sorted(v for v in sch.burn_time if v not in seq)
-    if not already:
-        return
-    bad = list(seq) + [already[0]]
-    with pytest.raises(InvalidSequenceError):
-        simulate(g, bad)
-    with pytest.raises(InvalidSequenceError):
-        frontier_burn_times(g, bad)
+    burn_time, _, _ = closed_form(g, seq)
+    already = sorted(v for v in burn_time if v not in seq)
+    candidates = [[r.choice(g.vertices) for _ in range(r.randint(1, n + 2))]]
+    if already:
+        candidates.append(list(seq) + [already[0]])
+    for bad in candidates:
+        try:
+            burn_time, _, _ = closed_form(g, bad)
+        except InvalidSequenceError as exc:
+            fields = (exc.step, exc.source, exc.burned_step, exc.cause)
+            assert _error_fields(simulate, g, bad) == fields
+            assert _error_fields(frontier_burn_times, g, bad) == fields
+        else:
+            assert bad is candidates[0]  # an appended burned vertex is invalid
+            assert simulate(g, bad).burn_time == burn_time
+            assert frontier_burn_times(g, bad) == burn_time
 
 
 @given(st.integers(min_value=0, max_value=500))
 @settings(max_examples=60, deadline=None)
 def test_responsible_sets_match_definition(seed):
     """S_v is exactly the set of sources whose fire arrives at v at its burn
-    time, reconstructed here from per-source BFS distances."""
+    time, and the unburned set is what no fire reaches, on a valid sequence
+    and on each of its prefixes."""
     import random
 
     n = random.Random(seed).randint(2, 9)
     g = random_connected_graph(n, seed)
     seq = _random_valid_sequence(g, seed)
-    sch = simulate(g, seq)
-    per_source = {b: bfs_distances(g, b) for b in seq}
-    for v in g.vertices:
-        arrivals = {b: i + per_source[b][v] for i, b in enumerate(seq, start=1)}
-        earliest = min(arrivals.values())
-        if earliest > len(seq):
-            assert v in sch.unburned
-            continue
-        assert sch.burn_time[v] == earliest
-        assert sch.responsible[v] == frozenset(
-            b for b, t in arrivals.items() if t == earliest
-        )
+    for end in range(1, len(seq) + 1):
+        _, responsible, unburned = closed_form(g, seq[:end])
+        sch = simulate(g, seq[:end])
+        assert sch.responsible == responsible
+        assert sch.unburned == unburned
 
 
 @given(st.integers(min_value=0, max_value=500))

@@ -77,6 +77,26 @@ def test_burn_reports_invalid(tmp_path, capsys):
     seq_file.write_text("v1\nv3\nv2\n", encoding="utf-8")
     report = parse_report(run(capsys, "burn", str(graph_file), str(seq_file)))
     assert report["valid"] == "false"
+    assert report["reason"] == (
+        "source 'v2' placed at step 3 was already burned at step 2 by fire from 'v1'"
+    )
+    # v4 is reached by v1's fire at step 4 but by v5's already at step 3
+    graph_file.write_text(write_graph(path_graph(13)), encoding="utf-8")
+    seq_file.write_text("v1\nv5\nv9\nv13\nv4\n", encoding="utf-8")
+    report = parse_report(run(capsys, "burn", str(graph_file), str(seq_file)))
+    assert report["reason"] == (
+        "source 'v4' placed at step 5 was already burned at step 3 by fire from 'v5'"
+    )
+
+
+@pytest.mark.parametrize("text", ["v1\nv2\nv1\n", "# no sources\n"])
+def test_burn_malformed_sequence_is_a_domain_error(tmp_path, capsys, text):
+    graph_file = tmp_path / "p3.g"
+    graph_file.write_text(write_graph(path_graph(3)), encoding="utf-8")
+    seq_file = tmp_path / "bad.seq"
+    seq_file.write_text(text, encoding="utf-8")
+    assert main(["burn", str(graph_file), str(seq_file)]) == 1
+    assert capsys.readouterr().err.startswith("error\tMalformedSequenceError\t")
 
 
 def test_full_pipeline_files(tmp_path, capsys, k4_file):
