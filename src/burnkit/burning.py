@@ -7,9 +7,11 @@ A source reached by older fire exactly at its own step is a valid placement;
 strictly earlier is not.
 
 One step-wise frontier kernel runs that process.  ``frontier_burn_times``,
-``simulate`` (which adds the responsible-source sets in one pass over the
-burn-order DAG) and the sequence repair used by the solvers and the lift all
-drive it.  The test suite cross-checks it against the closed form
+``is_burning_sequence``, ``simulate`` (which adds the responsible-source sets
+in one pass over the burn-order DAG) and the sequence repair used by the
+solvers and the lift all drive it.  The kernel only stops at an invalid
+placement; the functions that raise :class:`InvalidSequenceError` work out
+its ``cause``, and ``is_burning_sequence`` never does.  The test suite cross-checks it against the closed form
 ``min_i (i + d(b_i, v))`` over per-source BFS distances.
 """
 
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .graph import Graph, UnknownVertexError, _IndexedView
+from .graph import Graph, UnknownVertexError
 
 _UNBURNED = 1 << 60
 
@@ -94,28 +96,28 @@ class BurningSchedule:
         return not self.unburned
 
 
-def _source_indices(view: _IndexedView, sequence: BurningSequence | Sequence[str]) -> list[int]:
+def _source_indices(g: Graph, sequence: BurningSequence | Sequence[str]) -> list[int]:
     sources = list(sequence)
     if not sources:
         raise MalformedSequenceError("burning sequence is empty")
     for b in sources:
-        if b not in view.index:
+        if b not in g.index:
             raise UnknownVertexError(f"unknown vertex {b!r} in burning sequence")
-    return [view.index[b] for b in sources]
+    return [g.index[b] for b in sources]
 
 
 def _burn(
-    view: _IndexedView, steps: int, choose: Callable[[int, list[int]], int | None]
+    g: Graph, steps: int, choose: Callable[[int, list[int]], int | None]
 ) -> tuple[list[int], list[int], list[int]]:
     """The burning process itself, the one frontier loop of the package.
 
     At step ``t`` the fire spreads one hop, then ``choose(t, time)`` names the
-    vertex ignited at ``t``; ``None`` ends the process early.  Returns
+    vertex ignited at ``t``; ``None`` ends the process early, and so does a
+    vertex that burned before ``t``, which is then not placed.  Returns
     ``time`` (vertex -> burn step, ``_UNBURNED`` if never reached), the burned
-    vertices in burn order, and the ignited vertex of each step.  Raises
-    :class:`InvalidSequenceError` when the chosen vertex burned before ``t``.
+    vertices in burn order, and the ignited vertex of each step.
     """
-    adj = view.adj
+    adj = g.adj
     time = [_UNBURNED] * len(adj)
     order: list[int] = []
     placed: list[int] = []
@@ -128,13 +130,8 @@ def _burn(
                     time[w] = t
                     new.append(w)
         b = choose(t, time)
-        if b is None:
+        if b is None or time[b] < t:
             break
-        if time[b] < t:
-            responsible = _responsible(view, time, order, placed)
-            step = {view.labels[v]: i for i, v in enumerate(placed)}
-            cause = min(responsible[b], key=step.__getitem__)
-            raise InvalidSequenceError(t, view.labels[b], time[b], cause)
         if time[b] > t:
             time[b] = t
             new.append(b)
@@ -144,8 +141,14 @@ def _burn(
     return time, order, placed
 
 
+def _burn_sequence(g: Graph, sources: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """:func:`_burn` of a fixed source list; it stopped at an invalid
+    placement exactly when fewer than ``len(sources)`` sources are placed."""
+    return _burn(g, len(sources), lambda t, _time: sources[t - 1])
+
+
 def _responsible(
-    view: _IndexedView, time: list[int], order: list[int], placed: list[int]
+    g: Graph, time: list[int], order: list[int], placed: list[int]
 ) -> list[frozenset[str] | None]:
     """Responsible-source sets of the vertices in ``order``, in one pass.
 
@@ -154,7 +157,7 @@ def _responsible(
     sets, plus itself when it is ignited in place.  Every placed vertex
     burned at its own step, which the process checked.
     """
-    adj, labels = view.adj, view.labels
+    adj, labels = g.adj, g.labels
     own = {b: frozenset((labels[b],)) for b in placed}
     resp: list[frozenset[str] | None] = [None] * len(adj)
     for v in order:
@@ -171,6 +174,22 @@ def _responsible(
     return resp
 
 
+def _invalid(
+    g: Graph,
+    sources: list[int],
+    time: list[int],
+    placed: list[int],
+    resp: list[frozenset[str] | None],
+) -> InvalidSequenceError:
+    """The error for the first source that :func:`_burn_sequence` rejected;
+    ``resp`` holds the responsible sets of the burned prefix.  The cause is
+    the earliest-placed source responsible for the rejected one."""
+    b = sources[len(placed)]
+    step = {g.labels[v]: i for i, v in enumerate(placed)}
+    cause = min(resp[b], key=step.__getitem__)
+    return InvalidSequenceError(len(placed) + 1, g.labels[b], time[b], cause)
+
+
 def frontier_burn_times(
     g: Graph, sequence: BurningSequence | Sequence[str]
 ) -> dict[str, int]:
@@ -178,24 +197,26 @@ def frontier_burn_times(
     steps, in burn order.  Raises :class:`InvalidSequenceError` exactly when a
     source is burned strictly before its own step.
     """
-    view = g.indexed()
-    sources = _source_indices(view, sequence)
-    time, order, _ = _burn(view, len(sources), lambda t, _time: sources[t - 1])
-    labels = view.labels
+    sources = _source_indices(g, sequence)
+    time, order, placed = _burn_sequence(g, sources)
+    if len(placed) < len(sources):
+        raise _invalid(g, sources, time, placed, _responsible(g, time, order, placed))
+    labels = g.labels
     return {labels[v]: time[v] for v in order}
 
 
 def simulate(g: Graph, sequence: BurningSequence | Sequence[str]) -> BurningSchedule:
     """Burn times, responsible-source sets and the unburned set of a sequence."""
-    view = g.indexed()
-    sources = _source_indices(view, sequence)
+    sources = _source_indices(g, sequence)
     k = len(sources)
-    time, order, placed = _burn(view, k, lambda t, _time: sources[t - 1])
-    resp = _responsible(view, time, order, placed)
+    time, order, placed = _burn_sequence(g, sources)
+    resp = _responsible(g, time, order, placed)
+    if len(placed) < k:
+        raise _invalid(g, sources, time, placed, resp)
     burn_time: dict[str, int] = {}
     responsible: dict[str, frozenset[str]] = {}
     unburned: list[str] = []
-    for v, label in enumerate(view.labels):
+    for v, label in enumerate(g.labels):
         if time[v] <= k:
             burn_time[label] = time[v]
             responsible[label] = resp[v]
@@ -220,8 +241,7 @@ def _repair_sequence(g: Graph, intended: Sequence[str | None], horizon: int) -> 
     fire that burned a skipped source is ahead of its schedule.  The sequence
     ends early once every vertex burned before the current step.
     """
-    view = g.indexed()
-    want = [None if v is None else view.index[v] for v in intended]
+    want = [None if v is None else g.index[v] for v in intended]
 
     def choose(t: int, time: list[int]) -> int | None:
         b = want[t - 1] if t <= len(want) else None
@@ -234,8 +254,8 @@ def _repair_sequence(g: Graph, intended: Sequence[str | None], horizon: int) -> 
             return time.index(t)
         return None
 
-    _, _, placed = _burn(view, horizon, choose)
-    return [view.labels[b] for b in placed]
+    _, _, placed = _burn(g, horizon, choose)
+    return [g.labels[b] for b in placed]
 
 
 def is_burning_sequence(g: Graph, sequence: BurningSequence | Sequence[str]) -> bool:
@@ -244,10 +264,11 @@ def is_burning_sequence(g: Graph, sequence: BurningSequence | Sequence[str]) -> 
     if len(set(sources)) != len(sources):
         return False
     try:
-        times = frontier_burn_times(g, sources)
-    except (InvalidSequenceError, UnknownVertexError, ValueError):
+        indices = _source_indices(g, sources)
+    except (UnknownVertexError, MalformedSequenceError):
         return False
-    return len(times) == g.vertex_count
+    _, order, placed = _burn_sequence(g, indices)
+    return len(placed) == len(indices) and len(order) == g.vertex_count
 
 
 def last_step_set(schedule: BurningSchedule) -> frozenset[str]:

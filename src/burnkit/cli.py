@@ -51,6 +51,10 @@ class _UsageError(Exception):
     pass
 
 
+class MetaFormatError(ReductionError):
+    """A reduce meta file lacks x, y or m, or has a malformed line."""
+
+
 class _Report:
     def __init__(self, timings: bool):
         self.lines: list[tuple[str, object]] = []
@@ -182,15 +186,25 @@ def _meta_text(inst) -> str:
 
 def _parse_meta(path: str) -> dict:
     meta: dict = {"edges": []}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip() or line.startswith("#"):
             continue
         key, _, value = line.partition("\t")
         if key == "gprime-edge":
-            u, v = value.split()
-            meta["edges"].append((u, v))
+            ends = value.split()
+            if len(ends) != 2:
+                raise MetaFormatError(f"line {lineno}: expected two labels, got {value!r}")
+            meta["edges"].append((ends[0], ends[1]))
         else:
             meta[key] = value
+    missing = [key for key in ("x", "y", "m") if key not in meta]
+    if missing:
+        raise MetaFormatError(f"missing key(s): {', '.join(missing)}")
+    try:
+        meta["m"] = int(meta["m"])
+    except ValueError:
+        raise MetaFormatError(f"m must be an integer, got {meta['m']!r}") from None
     return meta
 
 
@@ -226,7 +240,7 @@ def _cmd_witness(args, rep: _Report) -> int:
     gprime = Graph(meta["edges"])
     result = vertex_cover_exact(gprime, node_budget=args.budget)
     sources = witness_sources(
-        result.witness, meta["x"], meta["y"], int(meta["m"]), meta["edges"]
+        result.witness, meta["x"], meta["y"], meta["m"], meta["edges"]
     )
     _write_file(args.output, write_sequence(sources))
     rep.add("k_prime", result.value)

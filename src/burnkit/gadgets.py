@@ -323,6 +323,8 @@ def make_Tail() -> GadgetHandle:
 
 
 def _c_parts(m: int, name: str):
+    if m < 4:
+        raise InvalidParamsError(f"C-gadget needs m >= 4, got {m}")
     vm2 = f"{name}vm2"
     edges: list[tuple[str, str]] = []
     p_marks: dict[int, dict[str, Landmark]] = {}
@@ -365,15 +367,11 @@ def _c_parts(m: int, name: str):
 
 def make_C(m: int) -> GadgetHandle:
     """Chained P-gadgets closed through a Tail: 2m^2 - 2m - 1 vertices."""
-    if m < 4:
-        raise InvalidParamsError(f"C-gadget needs m >= 4, got {m}")
     edges, landmarks = _c_parts(m, "")
     return GadgetHandle(Graph(edges), landmarks)
 
 
 def make_C_witness(m: int) -> BurningSequence:
     """Length-m burning sequence for make_C(m): gadget middles, large to small."""
-    if m < 4:
-        raise InvalidParamsError(f"C-gadget needs m >= 4, got {m}")
     _, landmarks = _c_parts(m, "")
     return BurningSequence.of(landmarks["middles"])

@@ -1,13 +1,19 @@
 """Labeled simple undirected graphs with BFS, structural predicates, and edge-list I/O.
 
-Vertices are string labels.  Graphs are immutable after construction, so every
-read operation is safe to call concurrently.  All iteration orders are
-canonical (lexicographic on labels) to keep downstream output diffable.
+Vertices are string labels.  A graph is one integer core: the sorted label
+table ``labels``, the map ``index`` from label to position, and ``adj``, the
+sorted tuple of neighbour indices of each vertex.  Index order equals
+lexicographic label order, so sorted indices are sorted labels; canonical
+edge order and the repair tie-breaks rely on it.  Every label-keyed query
+reads the core.  Graphs are immutable after construction, so every read
+operation is safe to call concurrently.  All iteration orders are canonical
+(lexicographic on labels) to keep downstream output diffable.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left, bisect_right
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -24,24 +30,88 @@ class GraphFormatError(GraphError):
     """Edge-list text is malformed (bad line, self-loop, duplicate edge)."""
 
 
-class _IndexedView:
-    """Integer-indexed adjacency snapshot used by BFS-heavy code paths.
+class Graph:
+    """Immutable simple undirected graph over string-labeled vertices.
 
-    Label-keyed dicts are convenient but slow for repeated traversals on
-    large graphs; this view is built once per graph (lazily) and reused.
+    ``labels`` is the sorted label table, ``index`` maps a label to its
+    position in it, and ``adj[i]`` is the sorted tuple of the neighbour
+    indices of ``labels[i]``.  No self-loops, no parallel edges, symmetric
+    adjacency.
     """
 
-    __slots__ = ("labels", "index", "adj")
+    __slots__ = ("labels", "index", "adj", "_edge_count")
 
-    def __init__(self, g: "Graph"):
-        self.labels: list[str] = list(g.vertices)
-        self.index: dict[str, int] = {v: i for i, v in enumerate(self.labels)}
-        self.adj: list[list[int]] = [
-            [self.index[w] for w in g.neighbors(v)] for v in self.labels
-        ]
+    def __init__(self, edges: Iterable[tuple[str, str]], vertices: Iterable[str] = ()):
+        if not isinstance(edges, (list, tuple)):
+            edges = list(edges)  # read twice, and again on the error path
+        labels = tuple(sorted(set(vertices).union(*edges)))
+        index = dict(zip(labels, range(len(labels))))
+        adj: list = [[] for _ in labels]
+        for u, v in edges:
+            a, b = index[u], index[v]
+            adj[a].append(b)
+            adj[b].append(a)
+        for a, nbrs in enumerate(adj):
+            nbrs.sort()
+            adj[a] = tuple(nbrs)
+        # a self-loop or a parallel edge repeats an entry of some tuple
+        if any(len(set(nbrs)) != len(nbrs) for nbrs in adj):
+            _reject_first_bad_edge(edges)
+        self.labels: tuple[str, ...] = labels
+        self.index: dict[str, int] = index
+        self.adj: list[tuple[int, ...]] = adj
+        self._edge_count = len(edges)
+
+    @property
+    def vertices(self) -> tuple[str, ...]:
+        return self.labels
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.labels)
+
+    @property
+    def edge_count(self) -> int:
+        return self._edge_count
+
+    def __contains__(self, v: str) -> bool:
+        return v in self.index
+
+    def _at(self, v: str) -> int:
+        try:
+            return self.index[v]
+        except KeyError:
+            raise UnknownVertexError(f"unknown vertex {v!r}") from None
+
+    def neighbors(self, v: str) -> tuple[str, ...]:
+        labels = self.labels
+        return tuple([labels[w] for w in self.adj[self._at(v)]])
+
+    def degree(self, v: str) -> int:
+        return len(self.adj[self._at(v)])
+
+    def has_edge(self, u: str, v: str) -> bool:
+        a, b = self.index.get(u), self.index.get(v)
+        if a is None or b is None:
+            return False
+        nbrs = self.adj[a]
+        i = bisect_left(nbrs, b)
+        return i < len(nbrs) and nbrs[i] == b
+
+    def edges(self) -> Iterator[tuple[str, str]]:
+        """Edges in canonical order: smaller endpoint first, sorted."""
+        labels = self.labels
+        for a, nbrs in enumerate(self.adj):
+            u = labels[a]
+            for b in nbrs[bisect_right(nbrs, a):]:
+                yield (u, labels[b])
+
+    def indexed(self) -> "Graph":
+        """The integer view (``labels``, ``index``, ``adj``): the graph itself."""
+        return self
 
     def bfs(self, src: int) -> list[int]:
-        """Hop distances from ``src``; -1 marks unreachable vertices."""
+        """Hop distances from index ``src``; -1 marks unreachable vertices."""
         dist = [-1] * len(self.labels)
         dist[src] = 0
         queue = deque((src,))
@@ -55,75 +125,36 @@ class _IndexedView:
                     queue.append(w)
         return dist
 
-
-class Graph:
-    """Immutable simple undirected graph over string-labeled vertices.
-
-    Invariants enforced at construction: no self-loops, no parallel edges,
-    symmetric adjacency, sorted neighbor lists.
-    """
-
-    __slots__ = ("_adj", "_vertices", "_edge_count", "_view")
-
-    def __init__(self, edges: Iterable[tuple[str, str]], vertices: Iterable[str] = ()):
-        adj: dict[str, set[str]] = {v: set() for v in vertices}
-        n_edges = 0
-        for u, v in edges:
-            if u == v:
-                raise GraphFormatError(f"self-loop at {u!r}")
-            if u in adj and v in adj[u]:
-                raise GraphFormatError(f"duplicate edge {u!r} {v!r}")
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-            n_edges += 1
-        self._adj: dict[str, tuple[str, ...]] = {
-            v: tuple(sorted(adj[v])) for v in sorted(adj)
-        }
-        self._vertices: tuple[str, ...] = tuple(self._adj)
-        self._edge_count = n_edges
-        self._view: _IndexedView | None = None
-
-    @property
-    def vertices(self) -> tuple[str, ...]:
-        return self._vertices
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self._vertices)
-
-    @property
-    def edge_count(self) -> int:
-        return self._edge_count
-
-    def __contains__(self, v: str) -> bool:
-        return v in self._adj
-
-    def neighbors(self, v: str) -> tuple[str, ...]:
-        try:
-            return self._adj[v]
-        except KeyError:
-            raise UnknownVertexError(f"unknown vertex {v!r}") from None
-
-    def degree(self, v: str) -> int:
-        return len(self.neighbors(v))
-
-    def has_edge(self, u: str, v: str) -> bool:
-        return u in self._adj and v in self._adj[u]
-
-    def edges(self) -> Iterator[tuple[str, str]]:
-        """Edges in canonical order: smaller endpoint first, sorted."""
-        for u in self._vertices:
-            for v in self._adj[u]:
-                if u < v:
-                    yield (u, v)
-
-    def indexed(self) -> _IndexedView:
-        if self._view is None:
-            self._view = _IndexedView(self)
-        return self._view
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Graph({self.vertex_count} vertices, {self.edge_count} edges)"
+
+
+# perfbench's tracer rebinds the module name ``Graph`` to a wrapper function;
+# code that needs the class itself goes through this alias.
+_Graph = Graph
+
+
+def _reject_first_bad_edge(edges: Iterable[tuple[str, str]]):
+    """Raise for the first self-loop or repeated edge in input order."""
+    seen: set[tuple[str, str]] = set()
+    for u, v in edges:
+        if u == v:
+            raise GraphFormatError(f"self-loop at {u!r}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise GraphFormatError(f"duplicate edge {u!r} {v!r}")
+        seen.add(key)
+
+
+def _from_core(labels: tuple[str, ...], adj: list[tuple[int, ...]], edge_count: int) -> Graph:
+    """A graph from a sorted label table and a valid sorted int adjacency,
+    trusted as given: no sort, no duplicate scan."""
+    g = object.__new__(_Graph)
+    g.labels = labels
+    g.index = dict(zip(labels, range(len(labels))))
+    g.adj = adj
+    g._edge_count = edge_count
+    return g
 
 
 @dataclass(frozen=True)
@@ -142,11 +173,9 @@ class DistanceMap:
 
 def bfs_distances(g: Graph, src: str) -> DistanceMap:
     """Exact hop distances from ``src`` to every reachable vertex."""
-    if src not in g:
-        raise UnknownVertexError(f"unknown vertex {src!r}")
-    view = g.indexed()
-    raw = view.bfs(view.index[src])
-    dist = {view.labels[i]: d for i, d in enumerate(raw) if d >= 0}
+    raw = g.bfs(g._at(src))
+    labels = g.labels
+    dist = {labels[i]: d for i, d in enumerate(raw) if d >= 0}
     return DistanceMap(source=src, dist=dist)
 
 
@@ -161,26 +190,21 @@ def eccentricity(g: Graph, src: str) -> int:
 def is_connected(g: Graph) -> bool:
     if g.vertex_count == 0:
         return True
-    view = g.indexed()
-    return all(d >= 0 for d in view.bfs(0))
+    return all(d >= 0 for d in g.bfs(0))
 
 
 def degree_histogram(g: Graph) -> dict[int, int]:
-    hist: dict[int, int] = {}
-    for v in g.vertices:
-        d = g.degree(v)
-        hist[d] = hist.get(d, 0) + 1
-    return dict(sorted(hist.items()))
+    return dict(sorted(Counter(map(len, g.adj)).items()))
 
 
 def is_regular(g: Graph, d: int) -> bool:
-    return all(g.degree(v) == d for v in g.vertices)
+    return all(len(nbrs) == d for nbrs in g.adj)
 
 
-def _check_label(label: str) -> str:
-    if not label or label.startswith("#") or any(c.isspace() for c in label):
-        raise GraphFormatError(f"label not representable in edge-list format: {label!r}")
-    return label
+def _label_ok(label: str) -> bool:
+    # split() keeps a label whole exactly when it is non-empty and has no
+    # character for which str.isspace() holds
+    return label.split() == [label] and not label.startswith("#")
 
 
 def read_graph(text: str) -> Graph:
@@ -211,12 +235,15 @@ def read_graph(text: str) -> Graph:
 
 def write_graph(g: Graph) -> str:
     """Canonical edge-list text: edges sorted, smaller endpoint first."""
-    lines = []
-    for u, v in g.edges():
-        lines.append(f"{_check_label(u)} {_check_label(v)}")
-    for v in g.vertices:
-        if g.degree(v) == 0:
+    labels, adj = g.labels, g.adj
+    if not all(_label_ok(v) for v, nbrs in zip(labels, adj) if nbrs):
+        # name the label that the canonical edge order reaches first
+        bad = next(v for edge in g.edges() for v in edge if not _label_ok(v))
+        raise GraphFormatError(f"label not representable in edge-list format: {bad!r}")
+    for v, nbrs in zip(labels, adj):
+        if not nbrs:
             raise GraphFormatError(
                 f"isolated vertex {v!r} cannot be represented in edge-list format"
             )
+    lines = [f"{u} {v}" for u, v in g.edges()]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -10,6 +10,7 @@ d' = 3 the result lives on the base graph itself (copy prefix stripped).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .burning import (
@@ -19,7 +20,7 @@ from .burning import (
     frontier_burn_times,
     is_burning_sequence,
 )
-from .graph import Graph, is_connected, is_regular
+from .graph import Graph, _from_core, is_connected, is_regular
 
 
 class LiftError(Exception):
@@ -60,7 +61,14 @@ def _copy_label(j: int, v: str) -> str:
 
 
 def build_Hd(base: Graph, d: int) -> LiftedGraph:
-    """d - 2 clique-joined copies of a connected cubic base; d-regular."""
+    """d - 2 clique-joined copies of a connected cubic base; d-regular.
+
+    Built on the base's integer core.  Every label of copy ``j`` starts with
+    ``copy<j>:`` and no such prefix is a prefix of another, so each copy is
+    one contiguous block of the sorted label table, in base order within.
+    The blocks follow the sorted prefixes, so ``copy10:`` comes before
+    ``copy1:``.
+    """
     if d < 4:
         raise BadDegreeError(f"lift needs d >= 4 (H_3 is the base itself), got {d}")
     if not is_connected(base):
@@ -68,18 +76,29 @@ def build_Hd(base: Graph, d: int) -> LiftedGraph:
     if not is_regular(base, 3):
         raise NotCubicBaseError("base graph must be cubic")
     copies = d - 2
-    edges: list[tuple[str, str]] = []
-    for j in range(1, copies + 1):
-        for u, v in base.edges():
-            edges.append((_copy_label(j, u), _copy_label(j, v)))
-    cliques: dict[str, tuple[str, ...]] = {}
-    for v in base.vertices:
-        clique = tuple(_copy_label(j, v) for j in range(1, copies + 1))
-        cliques[v] = clique
-        for a in range(copies):
-            for b in range(a + 1, copies):
-                edges.append((clique[a], clique[b]))
-    return LiftedGraph(base=base, d=d, graph=Graph(edges), cliques=cliques)
+    n = base.vertex_count
+    blocks = sorted(range(1, copies + 1), key=lambda j: _copy_label(j, ""))
+    start = {j: k * n for k, j in enumerate(blocks)}
+    labels = tuple(
+        chain.from_iterable(map(_copy_label(j, "").__add__, base.labels) for j in blocks)
+    )
+    # Vertex i of block k: its clique twins in earlier blocks, its base
+    # neighbours shifted into block k, its twins in later blocks; that is
+    # sorted.  The base is cubic, so its adjacency has three columns.
+    twins = [range(start[j], start[j] + n) for j in blocks]
+    columns = list(zip(*base.adj))
+    adj: list[tuple[int, ...]] = []
+    for k, j in enumerate(blocks):
+        own = [map(start[j].__add__, column) for column in columns]
+        adj += zip(*twins[:k], *own, *twins[k + 1 :])
+    edge_count = copies * base.edge_count + n * copies * (copies - 1) // 2
+    copy_labels = [labels[start[j] : start[j] + n] for j in range(1, copies + 1)]
+    return LiftedGraph(
+        base=base,
+        d=d,
+        graph=_from_core(labels, adj, edge_count),
+        cliques=dict(zip(base.labels, zip(*copy_labels))),
+    )
 
 
 def split_label(label: str) -> tuple[int, str]:

@@ -35,6 +35,10 @@ class SolverError(Exception):
     pass
 
 
+class EmptyGraphError(SolverError, ValueError):
+    """The burning number of a graph with no vertices is undefined."""
+
+
 class TooLargeError(SolverError):
     """Instance exceeds the guard of an exhaustive solver."""
 
@@ -89,8 +93,7 @@ class _BudgetUp(Exception):
 
 
 def _all_pairs(g: Graph) -> list[list[int]]:
-    view = g.indexed()
-    return [view.bfs(s) for s in range(len(view.labels))]
+    return [g.bfs(s) for s in range(g.vertex_count)]
 
 
 def _ball_masks(dist: list[list[int]], r: int) -> list[int]:
@@ -181,7 +184,7 @@ def burning_number_exact(g: Graph, node_budget: int = 10_000_000) -> SolveResult
     """Exact burning number with a validated witness sequence."""
     n = g.vertex_count
     if n == 0:
-        raise ValueError("empty graph")
+        raise EmptyGraphError("empty graph")
     start = time.monotonic()
     dist = _all_pairs(g)
     budget = _Budget(node_budget)
@@ -204,7 +207,7 @@ def burning_number_exact(g: Graph, node_budget: int = 10_000_000) -> SolveResult
                 raise BudgetExceededError(k, None, budget.nodes) from None
             if found is not None:
                 centers: list[str | None] = [None] * k
-                labels = g.indexed().labels
+                labels = g.labels
                 for r, x in found:
                     centers[k - r - 1] = labels[x]
                 repaired = _repair_sequence(g, centers, k)
@@ -224,12 +227,11 @@ def burning_number_naive(g: Graph, max_vertices: int = 12) -> SolveResult:
     """Exhaustive oracle: enumerate all valid source sequences, shortest first."""
     n = g.vertex_count
     if n == 0:
-        raise ValueError("empty graph")
+        raise EmptyGraphError("empty graph")
     if n > max_vertices:
         raise TooLargeError(f"{n} vertices exceeds the naive guard of {max_vertices}")
     start = time.monotonic()
-    view = g.indexed()
-    adj, labels = view.adj, view.labels
+    adj, labels = g.adj, g.labels
     nodes = 0
 
     def extend(t: int, k: int, burned_at: dict[int, int], frontier: list[int], acc: list[int]):
@@ -347,9 +349,8 @@ def _greedy_matching(adj: dict[int, set[int]]) -> int:
 def vertex_cover_exact(g: Graph, node_budget: int = 10_000_000) -> SolveResult:
     """Minimum vertex cover by branch-and-bound with a validated witness."""
     start = time.monotonic()
-    view = g.indexed()
-    labels = view.labels
-    base: dict[int, set[int]] = {v: set(ws) for v, ws in enumerate(view.adj)}
+    labels = g.labels
+    base: dict[int, set[int]] = {v: set(ws) for v, ws in enumerate(g.adj)}
     budget = _Budget(node_budget)
     best: list[int] | None = None
 

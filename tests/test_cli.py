@@ -99,6 +99,45 @@ def test_burn_malformed_sequence_is_a_domain_error(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error\tMalformedSequenceError\t")
 
 
+@pytest.mark.parametrize("naive", [False, True])
+def test_solve_burn_empty_graph_is_a_domain_error(tmp_path, capsys, naive):
+    graph_file = tmp_path / "empty.g"
+    graph_file.write_text("", encoding="utf-8")
+    argv = ["solve-burn", str(graph_file)] + (["--naive"] if naive else [])
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error\tEmptyGraphError\tempty graph\n"
+
+
+_META = "m\t4\nx\tx\ny\ty\ngprime-edge\ta x\ngprime-edge\tx y\ngprime-edge\ty b\n"
+
+
+@pytest.mark.parametrize(
+    "drop, add, reason",
+    [
+        ("x\tx\n", "", "missing key(s): x"),
+        ("y\ty\n", "", "missing key(s): y"),
+        ("m\t4\n", "", "missing key(s): m"),
+        ("", "gprime-edge\tb\n", "line 7: expected two labels, got 'b'"),
+        ("", "gprime-edge\tb c d\n", "line 7: expected two labels, got 'b c d'"),
+        ("m\t4\n", "m\tfour\n", "m must be an integer, got 'four'"),
+    ],
+)
+def test_witness_malformed_meta_is_a_domain_error(tmp_path, capsys, drop, add, reason):
+    meta_file = tmp_path / "h.meta"
+    meta_file.write_text(_META, encoding="utf-8")
+    run(capsys, "witness", str(meta_file))
+    meta_file.write_text(_META.replace(drop, "") + add, encoding="utf-8")
+    assert main(["witness", str(meta_file)]) == 1
+    assert capsys.readouterr().err == f"error\tMetaFormatError\t{reason}\n"
+
+
+def test_witness_meta_with_small_m_is_a_domain_error(tmp_path, capsys):
+    meta_file = tmp_path / "h.meta"
+    meta_file.write_text(_META.replace("m\t4", "m\t3"), encoding="utf-8")
+    assert main(["witness", str(meta_file)]) == 1
+    assert capsys.readouterr().err.startswith("error\tInvalidParamsError\t")
+
+
 def test_full_pipeline_files(tmp_path, capsys, k4_file):
     h_file = tmp_path / "h.g"
     run(capsys, "reduce", k4_file, "-o", str(h_file))

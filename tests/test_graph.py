@@ -97,7 +97,76 @@ def test_write_rejects_isolated_vertex():
         write_graph(Graph([], vertices=["a"]))
 
 
+def test_write_names_first_bad_label_in_edge_order():
+    # "c c" comes first in label order, "d d" in canonical edge order
+    g = Graph([("c c", "e"), ("a", "d d")], vertices=["#z"])
+    with pytest.raises(GraphFormatError, match="label not representable in edge-list format: 'd d'"):
+        write_graph(g)
+    with pytest.raises(GraphFormatError, match="isolated vertex '#z'"):
+        write_graph(Graph([("a", "b")], vertices=["#z"]))
+
+
 _labels = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=3)
+
+
+class ReferenceGraph:
+    """Slow reference: the label-keyed dict of neighbour sets."""
+
+    def __init__(self, edges, vertices=()):
+        adj = {v: set() for v in vertices}
+        n_edges = 0
+        for u, v in edges:
+            if u == v:
+                raise GraphFormatError(f"self-loop at {u!r}")
+            if u in adj and v in adj[u]:
+                raise GraphFormatError(f"duplicate edge {u!r} {v!r}")
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+            n_edges += 1
+        self.adj = {v: tuple(sorted(adj[v])) for v in sorted(adj)}
+        self.vertices = tuple(self.adj)
+        self.edge_count = n_edges
+
+    def edges(self):
+        for u in self.vertices:
+            for v in self.adj[u]:
+                if u < v:
+                    yield (u, v)
+
+
+def _outcome(make, edges, vertices):
+    try:
+        return make(edges, vertices=vertices)
+    except GraphFormatError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# few labels, so that repeated edges and self-loops are common
+_few_labels = st.text(alphabet="ab1:", min_size=1, max_size=2)
+
+
+@given(st.lists(st.tuples(_few_labels, _few_labels), max_size=30), st.lists(_few_labels, max_size=6))
+@settings(max_examples=300)
+def test_graph_core_matches_reference(edges, vertices):
+    g = _outcome(Graph, edges, vertices)
+    ref = _outcome(ReferenceGraph, edges, vertices)
+    if isinstance(ref, str):
+        assert g == ref
+        return
+    assert g.vertices == ref.vertices
+    assert g.edge_count == ref.edge_count
+    assert list(g.edges()) == list(ref.edges())
+    probes = ref.vertices + ("zz", "")
+    for v in ref.vertices:
+        assert g.neighbors(v) == ref.adj[v]
+        assert g.degree(v) == len(ref.adj[v])
+        assert g.labels[g.index[v]] == v
+        assert all(g.labels[w] in ref.adj[v] for w in g.adj[g.index[v]])
+    for u in probes:
+        for v in probes:
+            assert g.has_edge(u, v) == (u in ref.adj and v in ref.adj[u])
+    with pytest.raises(UnknownVertexError):
+        g.neighbors("zz")
 
 
 @st.composite

@@ -6,7 +6,7 @@ import pytest
 
 from burnkit.burning import is_burning_sequence, last_step_set, simulate, uniquely_burned_set
 from burnkit.generators import random_cubic
-from burnkit.graph import bfs_distances, is_connected, is_regular
+from burnkit.graph import Graph, bfs_distances, is_connected, is_regular
 from burnkit.lift import (
     BadDegreeError,
     InputNotValidError,
@@ -34,6 +34,37 @@ def test_build_hd_shapes(k4):
             assert len(clique) == d - 2
             for a, b in itertools.combinations(clique, 2):
                 assert lifted.graph.has_edge(a, b)
+
+
+def reference_hd(base, d):
+    """Slow reference: H_d as the string edge list of its definition."""
+    copies = d - 2
+    edges = []
+    for j in range(1, copies + 1):
+        for u, v in base.edges():
+            edges.append((f"copy{j}:{u}", f"copy{j}:{v}"))
+    cliques = {}
+    for v in base.vertices:
+        clique = tuple(f"copy{j}:{v}" for j in range(1, copies + 1))
+        cliques[v] = clique
+        edges += itertools.combinations(clique, 2)
+    return Graph(edges), cliques
+
+
+@pytest.mark.parametrize("d", [4, 5, 12])
+def test_build_hd_matches_reference(k4, k33, prism, d):
+    # at d = 12, copy10: sorts before copy1:, so index order is not (copy, base index)
+    for base in (k4, k33, prism, random_cubic(16, 3)):
+        lifted = build_Hd(base, d)
+        ref, cliques = reference_hd(base, d)
+        g = lifted.graph
+        assert g.vertices == ref.vertices
+        assert g.edge_count == ref.edge_count
+        assert list(g.edges()) == list(ref.edges())
+        assert g.index == ref.index
+        assert g.adj == ref.adj
+        assert all(g.neighbors(v) == ref.neighbors(v) for v in ref.vertices)
+        assert lifted.cliques == cliques
 
 
 def test_build_hd_rejects_bad_inputs(k4):
