@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .graph import Graph, UnknownVertexError
+from .graph import Graph, UnknownVertexError, _data_lines
 
 _UNBURNED = 1 << 60
 
@@ -174,20 +174,20 @@ def _responsible(
     return resp
 
 
-def _invalid(
-    g: Graph,
-    sources: list[int],
-    time: list[int],
-    placed: list[int],
-    resp: list[frozenset[str] | None],
-) -> InvalidSequenceError:
-    """The error for the first source that :func:`_burn_sequence` rejected;
-    ``resp`` holds the responsible sets of the burned prefix.  The cause is
-    the earliest-placed source responsible for the rejected one."""
-    b = sources[len(placed)]
-    step = {g.labels[v]: i for i, v in enumerate(placed)}
-    cause = min(resp[b], key=step.__getitem__)
-    return InvalidSequenceError(len(placed) + 1, g.labels[b], time[b], cause)
+def _valid_burn(
+    g: Graph, sequence: BurningSequence | Sequence[str]
+) -> tuple[list[int], list[int], list[int]]:
+    """:func:`_burn_sequence` of a sequence; at an invalid placement it raises
+    :class:`InvalidSequenceError` naming the earliest-placed responsible source."""
+    sources = _source_indices(g, sequence)
+    time, order, placed = _burn_sequence(g, sources)
+    if len(placed) < len(sources):
+        resp = _responsible(g, time, order, placed)
+        b = sources[len(placed)]
+        step = {g.labels[v]: i for i, v in enumerate(placed)}
+        cause = min(resp[b], key=step.__getitem__)
+        raise InvalidSequenceError(len(placed) + 1, g.labels[b], time[b], cause)
+    return time, order, placed
 
 
 def frontier_burn_times(
@@ -197,22 +197,23 @@ def frontier_burn_times(
     steps, in burn order.  Raises :class:`InvalidSequenceError` exactly when a
     source is burned strictly before its own step.
     """
-    sources = _source_indices(g, sequence)
-    time, order, placed = _burn_sequence(g, sources)
-    if len(placed) < len(sources):
-        raise _invalid(g, sources, time, placed, _responsible(g, time, order, placed))
+    time, order, _ = _valid_burn(g, sequence)
     labels = g.labels
     return {labels[v]: time[v] for v in order}
 
 
+def _first_unburned(g: Graph, sequence: BurningSequence | Sequence[str]) -> str | None:
+    """The smallest label (index order is label order) a sequence leaves
+    unburned, or None; raises like :func:`frontier_burn_times`."""
+    time, order, _ = _valid_burn(g, sequence)
+    return g.labels[time.index(_UNBURNED)] if len(order) < len(time) else None
+
+
 def simulate(g: Graph, sequence: BurningSequence | Sequence[str]) -> BurningSchedule:
     """Burn times, responsible-source sets and the unburned set of a sequence."""
-    sources = _source_indices(g, sequence)
-    k = len(sources)
-    time, order, placed = _burn_sequence(g, sources)
+    time, order, placed = _valid_burn(g, sequence)
+    k = len(placed)
     resp = _responsible(g, time, order, placed)
-    if len(placed) < k:
-        raise _invalid(g, sources, time, placed, resp)
     burn_time: dict[str, int] = {}
     responsible: dict[str, frozenset[str]] = {}
     unburned: list[str] = []
@@ -287,13 +288,7 @@ def uniquely_burned_set(schedule: BurningSchedule) -> frozenset[str]:
 
 def read_sequence(text: str) -> BurningSequence:
     """Parse sequence text: one vertex label per line, '#' comments allowed."""
-    sources = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        sources.append(stripped)
-    return BurningSequence.of(sources)
+    return BurningSequence.of(stripped for _, stripped in _data_lines(text))
 
 
 def write_sequence(sequence: BurningSequence | Sequence[str]) -> str:

@@ -30,7 +30,7 @@ from .burning import (
 from .gadgets import GadgetError, GadgetHandle
 from .generators import cycle_graph, path_graph, random_cubic
 from .graph import Graph, GraphError, degree_histogram, is_connected, read_graph, write_graph
-from .lift import LiftError, build_Hd, project_sequence, subgraph_for
+from .lift import LiftError, build_Hd, project_sequence
 from .reduction import ReductionError, audit_sequence, build_H, witness_sources
 from .solvers import (
     SolverError,
@@ -342,10 +342,10 @@ def _cmd_project(args, rep: _Report) -> int:
     seq = read_sequence(Path(args.sequence).read_text(encoding="utf-8"))
     projected = project_sequence(lifted, seq, args.dprime)
     _write_file(args.output, write_sequence(projected))
-    target = subgraph_for(lifted, args.dprime)
     rep.add("input_length", len(seq))
     rep.add("output_length", len(projected))
-    rep.add("target_vertices", target.vertex_count)
+    # H_d' is d' - 2 copies of the base; d' = 3 is the base itself
+    rep.add("target_vertices", (args.dprime - 2) * g.vertex_count)
     rep.timing("project")
     return 0
 

@@ -198,6 +198,17 @@ def _btp_parts(h: int, l1: int, l2: int, name: str):
     return edges, landmarks
 
 
+def _btp_half(label: str, l1: int) -> tuple[str, bool]:
+    """``(head, in a_half)`` of a BTP label ``<head>:bt:<ab|ba>:<level>:<i>`` or
+    ``<head>:t:<i>:<l|r|aq|ap>:<pos>``; the head may contain ``:``.  ``a_half``
+    is the ``bt:ab`` tree plus each T-gadget's ``half_pq``: ``ap`` and ``l``/``r``
+    above level l1."""
+    head, kind, side, column, pos = label.rsplit(":", 4)
+    if kind == "bt":
+        return head, side == "ab"
+    return head, column == "ap" or (column in ("l", "r") and int(pos) > l1)
+
+
 def make_BTP(h: int, l1: int, l2: int) -> GadgetHandle:
     """Two BT(h) trees whose paired leaves are joined by 2^h T-gadgets."""
     if h < 1 or l1 < 1 or l2 < 2:
@@ -322,9 +333,17 @@ def make_Tail() -> GadgetHandle:
 # C-gadget
 
 
-def _c_parts(m: int, name: str):
+def _c_middles(m: int, name: str) -> tuple[str, ...]:
+    """C(m)'s length-m witness from labels alone: the middle majors of P_m
+    (2m - 2 majors: a_(m-1)), P_(m-1) .. P_4 (a_i), then PT3, PT2, PT1."""
     if m < 4:
         raise InvalidParamsError(f"C-gadget needs m >= 4, got {m}")
+    middles = [f"{name}p{i}:a{min(i, m - 1)}" for i in range(m, 3, -1)]
+    return tuple(middles + [f"{name}tail:v{j}" for j in (7, 3, 1)])
+
+
+def _c_parts(m: int, name: str):
+    middles = _c_middles(m, name)
     vm2 = f"{name}vm2"
     edges: list[tuple[str, str]] = []
     p_marks: dict[int, dict[str, Landmark]] = {}
@@ -350,16 +369,12 @@ def _c_parts(m: int, name: str):
     trunk_prime = trunk[: -len(tail_marks["spine"])]
     trunk_prime += [tail_marks["v9"], tail_marks["v8"], tail_marks["r"], tail_marks["v1"]]
 
-    # middles of P_m (a_(m-1): even major count), P_(m-1) .. P_4, PT3, PT2, PT1
-    middles = [p_marks[i]["middle"] for i in range(m, 3, -1)]
-    middles += [tail_marks["v7"], tail_marks["v3"], tail_marks["v1"]]
-
     landmarks: dict[str, Landmark] = {
         "v1": tail_marks["v1"],
         "v_m2": vm2,
         "trunk": tuple(trunk),
         "trunk_prime": tuple(trunk_prime),
-        "middles": tuple(middles),
+        "middles": middles,
         "ends": (vm2,),
     }
     return edges, landmarks
@@ -373,5 +388,4 @@ def make_C(m: int) -> GadgetHandle:
 
 def make_C_witness(m: int) -> BurningSequence:
     """Length-m burning sequence for make_C(m): gadget middles, large to small."""
-    _, landmarks = _c_parts(m, "")
-    return BurningSequence.of(landmarks["middles"])
+    return BurningSequence.of(_c_middles(m, ""))

@@ -15,6 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator
 
 
@@ -134,15 +135,15 @@ class Graph:
 _Graph = Graph
 
 
-def _reject_first_bad_edge(edges: Iterable[tuple[str, str]]):
-    """Raise for the first self-loop or repeated edge in input order."""
+def _reject_first_bad_edge(edges: Iterable[tuple[str, str]], where: Iterable[str] = repeat("")):
+    """Raise for the first self-loop or repeated edge in input order, prefixed by its ``where``."""
     seen: set[tuple[str, str]] = set()
-    for u, v in edges:
+    for (u, v), at in zip(edges, where):
         if u == v:
-            raise GraphFormatError(f"self-loop at {u!r}")
+            raise GraphFormatError(f"{at}self-loop at {u!r}")
         key = (u, v) if u < v else (v, u)
         if key in seen:
-            raise GraphFormatError(f"duplicate edge {u!r} {v!r}")
+            raise GraphFormatError(f"{at}duplicate edge {u!r} {v!r}")
         seen.add(key)
 
 
@@ -207,30 +208,34 @@ def _label_ok(label: str) -> bool:
     return label.split() == [label] and not label.startswith("#")
 
 
+def _data_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) of each line that is not blank or a '#' comment."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, stripped
+
+
 def read_graph(text: str) -> Graph:
     """Parse edge-list text: one edge per line, two whitespace-separated labels.
 
     Lines starting with '#' are comments; blank lines are skipped.  The vertex
-    set is the union of the endpoints.
+    set is the union of the endpoints.  On a fault, the edges read so far are
+    replayed with their line numbers to name the first bad line.
     """
     edges: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    where = (f"line {n}: " for n, _ in _data_lines(text))  # read on an error path only
+    for lineno, stripped in _data_lines(text):
         parts = stripped.split()
         if len(parts) != 2:
+            _reject_first_bad_edge(edges, where)
             raise GraphFormatError(f"line {lineno}: expected two labels, got {stripped!r}")
-        u, v = parts
-        if u == v:
-            raise GraphFormatError(f"line {lineno}: self-loop at {u!r}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphFormatError(f"line {lineno}: duplicate edge {u!r} {v!r}")
-        seen.add(key)
-        edges.append((u, v))
-    return Graph(edges)
+        edges.append((parts[0], parts[1]))
+    try:
+        return Graph(edges)
+    except GraphFormatError:
+        _reject_first_bad_edge(edges, where)
+        raise
 
 
 def write_graph(g: Graph) -> str:

@@ -16,8 +16,8 @@ from typing import Sequence
 from .burning import (
     BurningSequence,
     InvalidSequenceError,
+    _first_unburned,
     _repair_sequence,
-    frontier_burn_times,
     is_burning_sequence,
 )
 from .graph import Graph, _from_core, is_connected, is_regular
@@ -136,11 +136,6 @@ def subgraph_for(lifted: LiftedGraph, d_prime: int) -> Graph:
     return build_Hd(lifted.base, d_prime).graph
 
 
-def _unburned_after(g: Graph, sources: Sequence[str]) -> list[str]:
-    times = frontier_burn_times(g, sources)
-    return sorted(set(g.vertices) - set(times))
-
-
 def lift_sequence(lifted: LiftedGraph, sequence: BurningSequence | Sequence[str]) -> BurningSequence:
     """Play a base sequence inside copy 1; every clique twin burns one step
     later, so appending one still-unburned vertex (if any) completes H_d."""
@@ -148,9 +143,9 @@ def lift_sequence(lifted: LiftedGraph, sequence: BurningSequence | Sequence[str]
     if not is_burning_sequence(lifted.base, sources):
         raise InputNotValidError("sequence does not burn the base graph")
     lifted_sources = [_copy_label(1, v) for v in sources]
-    leftovers = _unburned_after(lifted.graph, lifted_sources)
-    if leftovers:
-        lifted_sources.append(leftovers[0])
+    leftover = _first_unburned(lifted.graph, lifted_sources)
+    if leftover is not None:
+        lifted_sources.append(leftover)
     result = BurningSequence.of(lifted_sources)
     if not is_burning_sequence(lifted.graph, result):
         raise LiftError("internal: lifted sequence failed validation")
@@ -211,14 +206,14 @@ def project_sequence(
         return BurningSequence.of(_repair_sequence(target, deduped, p))
 
     shortened = projected[:-1]
-    if is_burning_sequence(target, shortened):
-        return BurningSequence.of(shortened)
     try:
-        leftovers = _unburned_after(target, shortened)
+        leftover = _first_unburned(target, shortened)
     except InvalidSequenceError:
-        leftovers = []
-    if leftovers:
-        completed = shortened + [leftovers[0]]
+        pass
+    else:
+        if leftover is None:
+            return BurningSequence.of(shortened)
+        completed = shortened + [leftover]
         if is_burning_sequence(target, completed):
             return BurningSequence.of(completed)
     return BurningSequence.of(_repair_sequence(target, projected, p))

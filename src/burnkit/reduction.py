@@ -5,17 +5,26 @@ replaced by a path p-x-y-q), then every edge of G' becomes a BTP-gadget and a
 Y-gadget plus C-gadget annexe hangs off x and y, yielding a connected cubic
 graph H whose burning number equals beta(G') + cn' + 3.
 
-Label scheme (frozen; audits rely on it being prefix-exact):
-  core vertices of G'      g:<label>
-  BTP for edge (u, v)      btp:<u>:<v>:bt:<side>:<level>:<index>
-                           btp:<u>:<v>:t:<i>:<column>:<pos>
-  Y-gadget                 y:z, y:px:a1, ...
-  C-gadget                 c:p<i>:a<j>, c:tail:v<j>, c:vm2
+Label scheme of H (frozen).  Provenance is decoded from it, never stored: a
+label's owner is the G' vertex whose domain holds it.
+
+  g:<u>                            core vertex u of G'      u
+  btp:<u>:<v>:bt:ab:<level>:<i>    BTP of G' edge (u, v),   u
+  btp:<u>:<v>:bt:ba:<level>:<i>    u < v: two trees and     v
+  btp:<u>:<v>:t:<i>:ap:<pos>       2^h T-gadgets            u
+  btp:<u>:<v>:t:<i>:aq:<pos>                                v
+  btp:<u>:<v>:t:<i>:<l|r>:<pos>                             u if pos > l1, else v
+  y:px:*, y:py:* / y:pz:*, y:z     Y-gadget                 x, y / none
+  c:*                              C-gadget                 none
+
+The BTP half rule is ``gadgets._btp_half``.  G labels may contain ``:``; two G'
+edges with one BTP head would repeat every BTP edge, which ``Graph`` rejects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -28,7 +37,8 @@ from .burning import (
     simulate,
     uniquely_burned_set,
 )
-from .gadgets import Landmark, _btp_parts, _c_parts, _y_parts, check_btp_inequalities
+from .gadgets import Landmark, _btp_half, _btp_parts, _c_middles, _c_parts, _y_parts
+from .gadgets import check_btp_inequalities
 from .graph import Graph, is_connected, is_regular
 
 
@@ -171,7 +181,8 @@ def double_subdivide(
 
 @dataclass
 class ReductionInstance:
-    """H plus full provenance: G, G', parameters, origins, and domains."""
+    """H plus G, G', parameters and landmarks; :meth:`owner_of` decodes
+    provenance from H's labels, and ``domains``/``outside_domains`` group by it."""
 
     g: Graph
     g_prime: Graph
@@ -180,32 +191,42 @@ class ReductionInstance:
     subdivided_edge: tuple[str, str]
     x: str
     y: str
-    origin: dict[str, str]
-    domains: dict[str, frozenset[str]]
     btp_landmarks: dict[tuple[str, str], dict[str, Landmark]]
     y_landmarks: dict[str, Landmark]
     c_landmarks: dict[str, Landmark]
-    _owner_of: dict[str, str] | None = field(default=None, repr=False)
 
     def core_label(self, v: str) -> str:
         return f"g:{v}"
 
-    @property
-    def outside_domains(self) -> frozenset[str]:
-        inside = set()
-        for dom in self.domains.values():
-            inside |= dom
-        return frozenset(set(self.h_graph.vertices) - inside)
+    @cached_property
+    def _btp_edges(self) -> dict[str, tuple[str, str]]:
+        return {f"btp:{u}:{v}": (u, v) for u, v in self.btp_landmarks}
 
     def owner_of(self, h_vertex: str) -> str | None:
-        """The G' vertex whose domain contains ``h_vertex``, if any."""
-        if self._owner_of is None:
-            rev: dict[str, str] = {}
-            for u, dom in self.domains.items():
-                for v in dom:
-                    rev[v] = u
-            self._owner_of = rev
-        return self._owner_of.get(h_vertex)
+        """The G' vertex whose domain contains ``h_vertex``, decoded from its
+        label (see the label scheme above); None outside every domain or H."""
+        if h_vertex not in self.h_graph.index:
+            return None
+        if h_vertex.startswith("g:"):
+            return h_vertex[2:]
+        if h_vertex.startswith("btp:"):
+            head, first = _btp_half(h_vertex, self.params.l1)
+            u, v = self._btp_edges[head]
+            return u if first else v
+        return {"y:px:": self.x, "y:py:": self.y}.get(h_vertex[:5])
+
+    @property
+    def domains(self) -> dict[str, frozenset[str]]:
+        """The vertices of H owned by each G' vertex, keyed in G' order."""
+        groups: dict[str, list[str]] = {u: [] for u in self.g_prime.vertices}
+        for v in self.h_graph.labels:
+            if (owner := self.owner_of(v)) is not None:
+                groups[owner].append(v)
+        return {u: frozenset(group) for u, group in groups.items()}
+
+    @property
+    def outside_domains(self) -> frozenset[str]:
+        return frozenset(v for v in self.h_graph.labels if self.owner_of(v) is None)
 
 
 def build_H(g: Graph, edge: tuple[str, str] | None = None) -> ReductionInstance:
@@ -215,15 +236,11 @@ def build_H(g: Graph, edge: tuple[str, str] | None = None) -> ReductionInstance:
     if g.vertex_count < 4 or not is_regular(g, 3):
         raise NotCubicError("input graph must be cubic on at least 4 vertices")
     g_prime, x, y = double_subdivide(g, edge)
-    sub_edge = tuple(
-        e for e in g.edges() if e not in set(g_prime.edges())
-    )[0]
+    sub_edge = next(e for e in g.edges() if not g_prime.has_edge(*e))
     params = choose_params(g_prime.vertex_count)
 
     core = {v: f"g:{v}" for v in g_prime.vertices}
     edges: list[tuple[str, str]] = []
-    origin: dict[str, str] = {c: f"core:{v}" for v, c in core.items()}
-    halves: dict[tuple[str, str], frozenset[str]] = {}  # (vertex, other end) -> half
     btp_landmarks: dict[tuple[str, str], dict[str, Landmark]] = {}
 
     for u, v in g_prime.edges():
@@ -231,53 +248,25 @@ def build_H(g: Graph, edge: tuple[str, str] | None = None) -> ReductionInstance:
         edges += marks_edges
         edges.append((core[u], marks["r_ab"]))
         edges.append((core[v], marks["r_ba"]))
-        halves[(u, v)] = frozenset(marks["a_half"])
-        halves[(v, u)] = frozenset(marks["b_half"])
         btp_landmarks[(u, v)] = marks
-        for w in halves[(u, v)]:
-            origin[w] = f"btp:{u}:{v}"
-        for w in halves[(v, u)]:
-            origin[w] = f"btp:{u}:{v}"
 
     y_edges, y_marks = _y_parts(params.d1, params.d2, "y:")
     edges += y_edges
     edges.append((core[x], y_marks["x_a"]))
     edges.append((core[y], y_marks["y_a"]))
-    for marks_set in ("px", "py", "pz"):
-        for w in y_marks[marks_set]:
-            origin[w] = "y"
-    origin[y_marks["z"]] = "y"
 
     c_edges, c_marks = _c_parts(params.m, "c:")
     edges += c_edges
     edges.append((y_marks["z_b"], c_marks["v_m2"]))
-    for a, b in c_edges:
-        origin.setdefault(a, "c")
-        origin.setdefault(b, "c")
-
-    h_graph = Graph(edges)
-
-    domains: dict[str, frozenset[str]] = {}
-    for u in g_prime.vertices:
-        dom = {core[u]}
-        for w in g_prime.neighbors(u):
-            dom |= halves[(u, w)]
-        if u == x:
-            dom |= set(y_marks["px"])
-        elif u == y:
-            dom |= set(y_marks["py"])
-        domains[u] = frozenset(dom)
 
     return ReductionInstance(
         g=g,
         g_prime=g_prime,
-        h_graph=h_graph,
+        h_graph=Graph(edges),
         params=params,
         subdivided_edge=sub_edge,
         x=x,
         y=y,
-        origin=origin,
-        domains=domains,
         btp_landmarks=btp_landmarks,
         y_landmarks=y_marks,
         c_landmarks=c_marks,
@@ -309,10 +298,9 @@ def witness_sources(
     uncovered = [(u, v) for u, v in gprime_edges if u not in q and v not in q]
     if uncovered:
         raise NotACoverError(uncovered)
-    _, c_marks = _c_parts(m, "c:")
     sources = [f"g:{first}"]
     sources += [f"g:{v}" for v in sorted(q - {first})]
-    sources += list(c_marks["middles"])
+    sources += _c_middles(m, "c:")
     return sources
 
 

@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import pytest
 
+from burnkit import gadgets
+from burnkit.burning import is_burning_sequence, read_sequence
 from burnkit.cli import export_dot, main
 from burnkit.gadgets import make_T
 from burnkit.generators import complete_graph, path_graph
-from burnkit.graph import read_graph, write_graph
+from burnkit.graph import Graph, read_graph, write_graph
+from burnkit.lift import build_Hd
 from burnkit.solvers import burning_number_exact, vertex_cover_exact
 
 
@@ -138,6 +141,34 @@ def test_witness_meta_with_small_m_is_a_domain_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error\tInvalidParamsError\t")
 
 
+def test_witness_meta_with_huge_m_builds_no_gadget(tmp_path, capsys, monkeypatch):
+    """witness reads the C(m) middles off the label scheme: no gadget edges."""
+
+    def no_gadget(*args):
+        raise AssertionError("witness built a gadget")
+
+    monkeypatch.setattr(gadgets, "_p_parts", no_gadget)
+    meta_file = tmp_path / "h.meta"
+    meta_file.write_text(_META.replace("m\t4", "m\t2000"), encoding="utf-8")
+    seq_file = tmp_path / "w.seq"
+    report = parse_report(run(capsys, "witness", str(meta_file), "-o", str(seq_file)))
+    assert int(report["length"]) == int(report["k_prime"]) + 2000
+    middles = seq_file.read_text(encoding="utf-8").split()[-2000:]
+    assert middles[:2] == ["c:p2000:a1999", "c:p1999:a1999"]
+    assert middles[-4:] == ["c:p4:a4", "c:tail:v7", "c:tail:v3", "c:tail:v1"]
+
+
+def test_reduce_rejects_colliding_btp_heads(tmp_path, capsys):
+    k4 = complete_graph(4)
+    rename = dict(zip(k4.vertices, ("a", "a:b", "b:c", "c")))
+    graph_file = tmp_path / "g.g"
+    graph_file.write_text(
+        write_graph(Graph([(rename[u], rename[v]) for u, v in k4.edges()])), encoding="utf-8"
+    )
+    assert main(["reduce", str(graph_file), "-o", str(tmp_path / "h.g")]) == 1
+    assert capsys.readouterr().err.startswith("error\tGraphFormatError\tduplicate edge ")
+
+
 def test_full_pipeline_files(tmp_path, capsys, k4_file):
     h_file = tmp_path / "h.g"
     run(capsys, "reduce", k4_file, "-o", str(h_file))
@@ -165,6 +196,22 @@ def test_lift_project_pipeline(tmp_path, capsys, k4_file):
             "-o", str(proj_file))
     )
     assert int(report["output_length"]) <= int(report["input_length"])
+
+
+def test_project_between_lifts(tmp_path, capsys, k4_file):
+    h5_file = tmp_path / "h5.g"
+    run(capsys, "lift", k4_file, "--d", "5", "-o", str(h5_file))
+    seq_file = tmp_path / "h5.seq"
+    run(capsys, "solve-burn", str(h5_file), "-o", str(seq_file))
+    proj_file = tmp_path / "proj.seq"
+    report = parse_report(
+        run(capsys, "project", k4_file, str(seq_file), "--d", "5", "--dprime", "4",
+            "-o", str(proj_file))
+    )
+    h4 = build_Hd(complete_graph(4), 4).graph
+    assert report["target_vertices"] == str(h4.vertex_count) == "8"
+    assert int(report["output_length"]) <= int(report["input_length"])
+    assert is_burning_sequence(h4, read_sequence(proj_file.read_text(encoding="utf-8")))
 
 
 def test_stats(capsys, k4_file):

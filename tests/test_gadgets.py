@@ -6,6 +6,9 @@ from burnkit.burning import is_burning_sequence, simulate
 from burnkit.gadgets import (
     InvalidParamsError,
     ParamInequalityError,
+    _c_middles,
+    _p_parts,
+    _tail_parts,
     make_BT,
     make_BTP,
     make_C,
@@ -248,6 +251,22 @@ def test_c_witness_truncation_fails():
 def test_c_rejects_bad_params():
     with pytest.raises(InvalidParamsError):
         make_C(3)
+
+
+def test_c_middles_from_labels_match_gadget():
+    """The middles written from the label scheme are the middle majors of the
+    P-gadgets and PT3, PT2, PT1 of the built gadget."""
+    for m in range(4, 13):
+        p_middles = [
+            _p_parts(2 * m - 2 if i == m else 2 * i - 1, f"p{i}:")[1]["middle"]
+            for i in range(m, 3, -1)
+        ]
+        tail = _tail_parts("tail:")[1]
+        expected = tuple(p_middles + [tail["v7"], tail["v3"], tail["v1"]])
+        assert _c_middles(m, "") == make_C(m)["middles"] == expected
+        assert _c_middles(m, "c:") == tuple("c:" + v for v in expected)
+    with pytest.raises(InvalidParamsError):
+        _c_middles(3, "c:")
 
 
 def test_count_sweeps():

@@ -169,6 +169,63 @@ def test_graph_core_matches_reference(edges, vertices):
         g.neighbors("zz")
 
 
+def reference_read_graph(text):
+    """Slow reference: the line-by-line parse with its own duplicate set."""
+    edges = []
+    seen = set()
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split()
+        if len(parts) != 2:
+            raise GraphFormatError(f"line {lineno}: expected two labels, got {stripped!r}")
+        u, v = parts
+        if u == v:
+            raise GraphFormatError(f"line {lineno}: self-loop at {u!r}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise GraphFormatError(f"line {lineno}: duplicate edge {u!r} {v!r}")
+        seen.add(key)
+        edges.append((u, v))
+    return Graph(edges)
+
+
+def _read_outcome(read, text):
+    try:
+        g = read(text)
+    except GraphFormatError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return g.vertices, list(g.edges()), g.edge_count
+
+
+# edge lines over few labels (so repeats and self-loops are common), plus
+# blank, comment, indented and malformed lines
+_line = st.one_of(
+    st.tuples(_few_labels, _few_labels).map(" ".join),
+    st.tuples(_few_labels, _few_labels).map("\t ".join),
+    st.sampled_from(["", "  ", "# c", "  #x y", "a", "a b c", "#", "b\u3000a"]),
+)
+
+
+@given(st.lists(_line, max_size=25))
+@settings(max_examples=400)
+def test_read_graph_matches_reference(lines):
+    text = "\n".join(lines)
+    assert _read_outcome(read_graph, text) == _read_outcome(reference_read_graph, text)
+
+
+def test_read_graph_reports_first_bad_line():
+    # a duplicate on line 2 comes before the malformed line 5
+    text = "a b\nb a\nc d\n\na b c\n"
+    with pytest.raises(GraphFormatError, match="^line 2: duplicate edge 'b' 'a'$"):
+        read_graph(text)
+    with pytest.raises(GraphFormatError, match="^line 3: expected two labels, got 'a b c'$"):
+        read_graph("a b\n# x\na b c\nc c\n")
+    with pytest.raises(GraphFormatError, match="^line 2: self-loop at 'c'$"):
+        read_graph("a b\n c c \na b c\n")
+
+
 @st.composite
 def random_graphs(draw):
     n = draw(st.integers(min_value=2, max_value=8))

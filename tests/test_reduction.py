@@ -5,7 +5,14 @@ import pytest
 from burnkit.burning import frontier_burn_times, is_burning_sequence
 from burnkit.gadgets import make_BTP
 from burnkit.generators import complete_graph, random_cubic
-from burnkit.graph import Graph, bfs_distances, degree_histogram, is_connected, is_regular
+from burnkit.graph import (
+    Graph,
+    GraphFormatError,
+    bfs_distances,
+    degree_histogram,
+    is_connected,
+    is_regular,
+)
 from burnkit.reduction import (
     EdgeNotFoundError,
     MissingXYError,
@@ -110,15 +117,54 @@ def test_domains_partition(k4_instance):
     assert outside == expected
 
 
-def test_origin_map(k4_instance):
-    inst = k4_instance
-    assert inst.origin[inst.core_label(inst.x)] == f"core:{inst.x}"
+def _reference_owners(inst):
+    """Slow reference: every owned vertex of H and its owner, assembled from
+    the gadget landmarks (cores, BTP a_half/b_half, the Y-gadget's P_x/P_y)."""
+    owner = {inst.core_label(u): u for u in inst.g_prime.vertices}
+    for (u, v), marks in inst.btp_landmarks.items():
+        owner.update(dict.fromkeys(marks["a_half"], u))
+        owner.update(dict.fromkeys(marks["b_half"], v))
+    owner.update(dict.fromkeys(inst.y_landmarks["px"], inst.x))
+    owner.update(dict.fromkeys(inst.y_landmarks["py"], inst.y))
+    return owner
+
+
+def _relabelled_k4(names):
+    rename = dict(zip(complete_graph(4).vertices, names))
+    return Graph([(rename[u], rename[v]) for u, v in complete_graph(4).edges()])
+
+
+# G labels with ':' whose BTP heads btp:<u>:<v> stay distinct
+_COLON_LABELS = ("a:b", "c", ":d", "e:")
+
+
+@pytest.mark.parametrize("which", ["k4", "prism", "colon_k4"])
+def test_owner_of_matches_landmarks(which, k4_instance, prism):
+    if which == "k4":
+        inst = k4_instance
+    else:
+        inst = build_H(prism if which == "prism" else _relabelled_k4(_COLON_LABELS))
+    ref = _reference_owners(inst)
+    labels = inst.h_graph.labels
+    assert [inst.owner_of(v) for v in labels] == [ref.get(v) for v in labels]
+    grouped = {u: set() for u in inst.g_prime.vertices}
+    for v, u in ref.items():
+        grouped[u].add(v)
+    assert list(inst.domains.items()) == [(u, frozenset(d)) for u, d in grouped.items()]
+    assert inst.outside_domains == frozenset(labels) - ref.keys()
     u, v = next(iter(inst.btp_landmarks))
-    some_tip = inst.btp_landmarks[(u, v)]["tips_ab"][0]
-    assert inst.origin[some_tip] == f"btp:{u}:{v}"
-    assert inst.origin[inst.y_landmarks["z"]] == "y"
-    assert inst.origin[inst.c_landmarks["v_m2"]] == "c"
-    assert set(inst.origin) == set(inst.h_graph.vertices)
+    for absent in ("g:nope", f"btp:{u}:{v}:t:0:l:999", f"btp:{u}:{v}:bt:ab:99:0", "y:px:a999"):
+        assert inst.owner_of(absent) is None
+
+
+def test_colliding_btp_heads_are_rejected():
+    """G' edges (a, b:c) and (a:b, c) would share the BTP head btp:a:b:c, so
+    H would repeat every BTP edge; build_H rejects such a G."""
+    g = _relabelled_k4(("a", "a:b", "b:c", "c"))
+    g_prime, _, _ = double_subdivide(g)
+    assert g_prime.has_edge("a", "b:c") and g_prime.has_edge("a:b", "c")
+    with pytest.raises(GraphFormatError, match="duplicate edge"):
+        build_H(g)
 
 
 def test_x_to_cycle_entry_distance(k4_instance):
