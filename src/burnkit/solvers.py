@@ -14,8 +14,20 @@ asserts agreement with the exhaustive oracle on small graphs.
 every valid source sequence, with its own undoable frontier spread rather
 than the burning kernel it is compared against.
 
-``vertex_cover_exact`` is a branch-and-bound with pendant reduction,
-max-degree branching, and a greedy-matching lower bound.
+``vertex_cover_exact`` is a branch-and-bound with pendant reduction and
+max-degree branching, run on an explicit stack.  Vertices are deleted from
+one residual graph in place and restored from an undo trail on backtrack,
+so a node costs O(degree) plus a few C-level scans of the degree list, and
+no node copies the graph.  It prunes with the larger of a degree bound and
+a greedy path/odd-cycle packing.  The bound does not change the cover: the
+answer is the first leaf of optimal size in DFS order, and every node on
+the path to it has bound <= optimum < incumbent, so it is never pruned.
+The test suite keeps the former copying solver as an oracle and checks
+equal covers.
+
+On a budget stop both solvers report the best bounds they have: the vertex
+cover search the root bound and its incumbent, the burning-number search
+the current k and the length of a farthest-first ball-cover sequence.
 """
 
 from __future__ import annotations
@@ -60,6 +72,8 @@ class BudgetExceededError(SolverError):
 class SolveStats:
     nodes: int
     elapsed: float
+    prunes: int = 0
+    reductions: int = 0
 
 
 @dataclass(frozen=True)
@@ -204,7 +218,8 @@ def burning_number_exact(g: Graph, node_budget: int = 10_000_000) -> SolveResult
             try:
                 found = _cover_search(n, k, dist, balls, max_ball, budget)
             except _BudgetUp:
-                raise BudgetExceededError(k, None, budget.nodes) from None
+                upper = _ball_cover_upper_bound(g, dist)
+                raise BudgetExceededError(k, upper, budget.nodes) from None
             if found is not None:
                 centers: list[str | None] = [None] * k
                 labels = g.labels
@@ -221,6 +236,36 @@ def burning_number_exact(g: Graph, node_budget: int = 10_000_000) -> SolveResult
         k += 1
         if k > n:
             raise SolverError("internal: no burning sequence up to length n")
+
+
+def _ball_cover_upper_bound(g: Graph, dist: list[list[int]]) -> int:
+    """Length of a burning sequence built from a farthest-first ball cover.
+
+    Farthest-first traversal (smallest index among the farthest) orders the
+    vertices so that the first c of them cover the graph with balls of some
+    radius r(c).  Those c centers placed first, each with at least r(c)
+    steps of spread left, burn the graph in c + r(c) steps; the shortest of
+    these is at most 3b - 2 (Bonato & Kamali, TAMC 2019).  The repair turns
+    it into a valid sequence, which is checked.
+    """
+    n = g.vertex_count
+    gap = [n if d < 0 else d for d in dist[0]]  # n: not reached by any center
+    order = [0]
+    length, count = n, n
+    while True:
+        radius = max(gap)
+        if len(order) + radius < length:
+            length, count = len(order) + radius, len(order)
+        if radius == 0:
+            break
+        far = gap.index(radius)
+        order.append(far)
+        gap = [a if b < 0 or a <= b else b for a, b in zip(gap, dist[far])]
+    labels = g.labels
+    seq = _repair_sequence(g, [labels[v] for v in order[:count]], length)
+    if not is_burning_sequence(g, seq):
+        raise SolverError("internal: ball-cover sequence failed validation")
+    return len(seq)
 
 
 def burning_number_naive(g: Graph, max_vertices: int = 12) -> SolveResult:
@@ -331,73 +376,172 @@ def path_cycle_graph(n: int, kind: str) -> Graph:
     return path_graph(n) if kind == "path" else cycle_graph(n)
 
 
-def _greedy_matching(adj: dict[int, set[int]]) -> int:
-    used: set[int] = set()
-    size = 0
-    for u in sorted(adj):
-        if u in used:
+def _take(nbrs: list[set[int]], deg: list[int], trail: list[int], v: int):
+    """Put ``v`` in the cover: delete it from the residual graph in place."""
+    for w in nbrs[v]:
+        nbrs[w].discard(v)
+        deg[w] -= 1
+    deg[v] = 0
+    trail.append(v)
+
+
+def _undo(nbrs: list[set[int]], deg: list[int], trail: list[int], mark: int):
+    """Restore the vertices taken since ``len(trail)`` was ``mark``, last first.
+
+    A taken vertex keeps its neighbour set: every vertex taken after it has
+    already dropped it from its own set, so nothing touches that set until it
+    is restored, and it is exact again then.
+    """
+    while len(trail) > mark:
+        v = trail.pop()
+        ws = nbrs[v]
+        for w in ws:
+            nbrs[w].add(v)
+            deg[w] += 1
+        deg[v] = len(ws)
+
+
+def _take_pendants(nbrs: list[set[int]], deg: list[int], trail: list[int]):
+    """Take the neighbour of the smallest degree-1 vertex while one exists."""
+    while 1 in deg:
+        (u,) = nbrs[deg.index(1)]
+        _take(nbrs, deg, trail, u)
+
+
+def _degree_bound(deg: list[int]) -> int:
+    """The fewest vertices whose degrees, largest first, sum to the edge count."""
+    m = sum(deg) >> 1
+    taken = count = 0
+    for d in range(max(deg, default=0), 0, -1):
+        c = deg.count(d)
+        if taken + c * d >= m:
+            return count - ((taken - m) // d)
+        taken += c * d
+        count += c
+    return count
+
+
+def _packing_bound(nbrs: list[set[int]], deg: list[int], need: float) -> int:
+    """Cover vertices needed by a greedy packing of disjoint paths and cycles.
+
+    Each path starts at the smallest unpacked vertex and grows at both ends,
+    always to the unpacked neighbour with the fewest unpacked neighbours.  A
+    path of L vertices needs L // 2 cover vertices.  When L is odd and an end
+    is adjacent to a path vertex at an even distance of at least 2, the path
+    splits into an odd cycle and an even path, which need (L + 1) // 2; a
+    closed odd cycle is the case where the end meets the other end.  The
+    parts are disjoint, so their needs add up.  Counting stops once the sum
+    reaches ``need``.
+    """
+    n = len(deg)
+    # position in its path; a path's positions lie within n of its base, so
+    # the ranges of two paths are disjoint, and -1 (unpacked) is below all
+    pos = [-1] * n
+    free = deg[:]  # unpacked neighbours of each vertex
+    total = 0
+    for s in range(n):
+        if pos[s] >= 0 or not deg[s]:
             continue
-        for v in sorted(adj[u]):
-            if v not in used and v != u:
-                used.add(u)
-                used.add(v)
-                size += 1
-                break
-    return size
+        base = (2 * s + 1) * n
+        pos[s] = base
+        for x in nbrs[s]:
+            free[x] -= 1
+        for step in (1, -1):
+            end, p = s, base
+            while free[end]:
+                nxt, low = -1, n
+                for w in nbrs[end]:
+                    if pos[w] < 0 and free[w] < low:
+                        nxt, low = w, free[w]
+                p += step
+                pos[nxt] = p
+                for x in nbrs[nxt]:
+                    free[x] -= 1
+                end = nxt
+            if step == 1:
+                tail, hi = end, p
+        head, lo = end, p  # the backward growth ran last
+        total += (hi - lo + 1) >> 1
+        if (hi - lo) & 1 == 0 and hi > lo:
+            for w in nbrs[tail]:
+                q = pos[w]
+                if lo <= q <= hi - 2 and (hi - q) & 1 == 0:
+                    total += 1
+                    break
+            else:
+                for w in nbrs[head]:
+                    q = pos[w]
+                    if lo + 2 <= q <= hi and (q - lo) & 1 == 0:
+                        total += 1
+                        break
+        if total >= need:
+            break
+    return total
+
+
+def _lower_bound(nbrs: list[set[int]], deg: list[int], need: float = math.inf) -> int:
+    """A lower bound on the minimum vertex cover of the residual graph: the
+    larger of the degree and packing bounds, or any value of at least
+    ``need`` once one of them reaches it."""
+    bound = _degree_bound(deg)
+    if bound >= need:
+        return bound
+    return max(bound, _packing_bound(nbrs, deg, need))
 
 
 def vertex_cover_exact(g: Graph, node_budget: int = 10_000_000) -> SolveResult:
-    """Minimum vertex cover by branch-and-bound with a validated witness."""
+    """Minimum vertex cover by branch-and-bound with a validated witness.
+
+    Each search node takes the pendant neighbours first (smallest degree-1
+    vertex first).  A node with no edge left is a leaf; one whose lower
+    bound leaves no room below the incumbent is pruned.  Otherwise it
+    branches on the smallest vertex of maximum degree v: first "take v",
+    then "take the neighbours of v" in sorted order.
+    """
     start = time.monotonic()
     labels = g.labels
-    base: dict[int, set[int]] = {v: set(ws) for v, ws in enumerate(g.adj)}
+    nbrs = [set(ws) for ws in g.adj]
+    deg = [len(ws) for ws in nbrs]
+    trail: list[int] = []  # the vertices taken so far: the partial cover
+    # one (trail mark, branch vertex) per open node whose second branch is
+    # still to come
+    pending: list[tuple[int, int]] = []
     budget = _Budget(node_budget)
     best: list[int] | None = None
-
-    def remove_vertex(adj: dict[int, set[int]], v: int):
-        for w in adj.pop(v, set()):
-            adj[w].discard(v)
-
-    def bnb(adj: dict[int, set[int]], chosen: list[int]):
-        nonlocal best
-        budget.tick()
-        adj = {v: set(ws) for v, ws in adj.items()}
-        chosen = list(chosen)
-        while True:
-            isolated = [v for v, ws in adj.items() if not ws]
-            for v in isolated:
-                del adj[v]
-            pendant = next((v for v in sorted(adj) if len(adj[v]) == 1), None)
-            if pendant is None:
-                break
-            u = next(iter(adj[pendant]))
-            chosen.append(u)
-            remove_vertex(adj, u)
-        if not adj:
-            if best is None or len(chosen) < len(best):
-                best = sorted(chosen)
-            return
-        if best is not None and len(chosen) + _greedy_matching(adj) >= len(best):
-            return
-        v = max(sorted(adj), key=lambda u: len(adj[u]))
-        with_v = {u: set(ws) for u, ws in adj.items()}
-        remove_vertex(with_v, v)
-        bnb(with_v, chosen + [v])
-        neighbors = sorted(adj[v])
-        without_v = {u: set(ws) for u, ws in adj.items()}
-        for w in neighbors:
-            remove_vertex(without_v, w)
-        bnb(without_v, chosen + neighbors)
-
+    prunes = reductions = 0
     try:
-        bnb(base, [])
+        while True:
+            budget.tick()
+            mark = len(trail)
+            _take_pendants(nbrs, deg, trail)
+            reductions += len(trail) - mark
+            top = max(deg, default=0)
+            if top == 0:
+                if best is None or len(trail) < len(best):
+                    best = sorted(trail)
+            elif best is not None and _lower_bound(nbrs, deg, room := len(best) - len(trail)) >= room:
+                prunes += 1
+            else:
+                v = deg.index(top)
+                pending.append((len(trail), v))
+                _take(nbrs, deg, trail, v)
+                continue
+            if not pending:
+                break
+            mark, v = pending.pop()
+            _undo(nbrs, deg, trail, mark)
+            for w in sorted(nbrs[v]):
+                _take(nbrs, deg, trail, w)
     except _BudgetUp:
+        _undo(nbrs, deg, trail, 0)
+        _take_pendants(nbrs, deg, trail)
+        lower = len(trail) + _lower_bound(nbrs, deg)
         upper = len(best) if best is not None else None
-        raise BudgetExceededError(_greedy_matching(base), upper, budget.nodes) from None
+        raise BudgetExceededError(lower, upper, budget.nodes) from None
     assert best is not None
     cover = frozenset(labels[v] for v in best)
     for u, v in g.edges():
         if u not in cover and v not in cover:
             raise SolverError("internal: witness is not a vertex cover")
     elapsed = time.monotonic() - start
-    return SolveResult(len(cover), cover, SolveStats(budget.nodes, elapsed))
+    return SolveResult(len(cover), cover, SolveStats(budget.nodes, elapsed, prunes, reductions))

@@ -23,6 +23,7 @@ from burnkit.solvers import (
     path_cycle_witness,
     vertex_cover_exact,
 )
+from burnkit.graph import Graph
 from burnkit.reduction import double_subdivide
 
 
@@ -86,6 +87,18 @@ def test_budget_exceeded_carries_lower_bound():
     with pytest.raises(BudgetExceededError) as info:
         burning_number_exact(g, node_budget=0)
     assert info.value.lower_bound >= 1
+
+
+def test_budget_stop_reports_ball_cover_upper_bound():
+    # b(random_cubic(80, 1)) = 6: an unbudgeted solve takes 290,334 nodes
+    cases = [(cycle_graph(n), ceil_sqrt(n)) for n in (10, 25, 49, 80)]
+    cases.append((random_cubic(80, 1), 6))
+    for g, b in cases:
+        for budget in (0, 1):
+            with pytest.raises(BudgetExceededError) as info:
+                burning_number_exact(g, node_budget=budget)
+            assert info.value.upper_bound is not None
+            assert info.value.lower_bound <= b <= info.value.upper_bound
 
 
 def test_path_cycle_numbers():
@@ -172,6 +185,47 @@ def test_vc_budget():
         vertex_cover_exact(random_cubic(16, 1), node_budget=1)
 
 
+def test_vc_budget_stop_bounds_bracket_the_optimum():
+    g = random_cubic(16, 1)
+    beta = vertex_cover_exact(g).value
+    stops = 0
+    for budget in range(1, 41):
+        try:
+            vertex_cover_exact(g, node_budget=budget)
+        except BudgetExceededError as stop:
+            stops += 1
+            assert stop.lower_bound <= beta
+            assert stop.upper_bound is None or beta <= stop.upper_bound
+    assert stops > 0
+
+
+def _triangles(t):
+    return Graph([(f"t{i}{x}", f"t{i}{y}") for i in range(t) for x, y in ("ab", "bc", "ca")])
+
+
+def test_vc_disjoint_triangles_prune_to_a_path():
+    result = vertex_cover_exact(_triangles(300))
+    assert result.value == 600
+    assert result.stats.nodes <= 1000
+
+
+def test_vc_search_depth_is_not_bounded_by_recursion():
+    assert vertex_cover_exact(_triangles(1200)).value == 2400
+
+
+def test_vc_empty_graph():
+    result = vertex_cover_exact(Graph([]))
+    assert result.value == 0
+    assert result.witness == frozenset()
+
+
+def test_vc_counters_repeat():
+    g = random_cubic(40, 3)
+    a, b = vertex_cover_exact(g).stats, vertex_cover_exact(g).stats
+    assert (a.nodes, a.prunes, a.reductions) == (b.nodes, b.prunes, b.reductions)
+    assert a.prunes > 0 and a.reductions > 0
+
+
 def test_vc_witness_is_cover():
     for seed in range(5):
         g = random_cubic(12, seed)
@@ -210,3 +264,105 @@ def test_vc_agrees_with_brute_force(seed):
     n = random.Random(seed).randint(2, 8)
     g = random_connected_graph(n, seed)
     assert vertex_cover_exact(g).value == _brute_force_vc(g)
+
+
+def _greedy_matching(adj):
+    used = set()
+    size = 0
+    for u in sorted(adj):
+        if u in used:
+            continue
+        for v in sorted(adj[u]):
+            if v not in used and v != u:
+                used.add(u)
+                used.add(v)
+                size += 1
+                break
+    return size
+
+
+def reference_vertex_cover(g):
+    """The copying branch-and-bound that ``vertex_cover_exact`` replaced, kept
+    as the oracle: same pendant reduction, branching rule and branch order,
+    a new adjacency dict per node and a greedy-matching bound."""
+    base = {v: set(ws) for v, ws in enumerate(g.adj)}
+    best = None
+
+    def remove_vertex(adj, v):
+        for w in adj.pop(v, set()):
+            adj[w].discard(v)
+
+    def bnb(adj, chosen):
+        nonlocal best
+        adj = {v: set(ws) for v, ws in adj.items()}
+        chosen = list(chosen)
+        while True:
+            isolated = [v for v, ws in adj.items() if not ws]
+            for v in isolated:
+                del adj[v]
+            pendant = next((v for v in sorted(adj) if len(adj[v]) == 1), None)
+            if pendant is None:
+                break
+            u = next(iter(adj[pendant]))
+            chosen.append(u)
+            remove_vertex(adj, u)
+        if not adj:
+            if best is None or len(chosen) < len(best):
+                best = sorted(chosen)
+            return
+        if best is not None and len(chosen) + _greedy_matching(adj) >= len(best):
+            return
+        v = max(sorted(adj), key=lambda u: len(adj[u]))
+        with_v = {u: set(ws) for u, ws in adj.items()}
+        remove_vertex(with_v, v)
+        bnb(with_v, chosen + [v])
+        neighbors = sorted(adj[v])
+        without_v = {u: set(ws) for u, ws in adj.items()}
+        for w in neighbors:
+            remove_vertex(without_v, w)
+        bnb(without_v, chosen + neighbors)
+
+    bnb(base, [])
+    return frozenset(g.labels[v] for v in best)
+
+
+def _suffixed(g, suffix):
+    return [(u + suffix, v + suffix) for u, v in g.edges()], [v + suffix for v in g.vertices]
+
+
+@st.composite
+def _vc_graphs(draw):
+    kind = draw(st.sampled_from(["connected", "cubic", "union", "isolated", "empty"]))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    if kind == "connected":
+        return random_connected_graph(draw(st.integers(min_value=1, max_value=14)), seed)
+    if kind == "cubic":
+        return random_cubic(draw(st.sampled_from(range(12, 25, 2))), seed)
+    if kind == "union":
+        # suffixes interleave the parts in index order
+        edges, vertices = [], []
+        for i in range(draw(st.integers(min_value=2, max_value=3))):
+            part = random_connected_graph(draw(st.integers(min_value=1, max_value=8)), seed + i)
+            e, v = _suffixed(part, "abc"[i])
+            edges += e
+            vertices += v
+        return Graph(edges, vertices)
+    if kind == "isolated":
+        g = random_connected_graph(draw(st.integers(min_value=1, max_value=10)), seed)
+        extra = [f"v{i}z" for i in range(draw(st.integers(min_value=1, max_value=4)))]
+        return Graph(list(g.edges()), list(g.vertices) + extra)
+    return Graph([])
+
+
+@given(_vc_graphs())
+@settings(max_examples=150, deadline=None)
+def test_vc_matches_reference(g):
+    result = vertex_cover_exact(g)
+    assert result.witness == reference_vertex_cover(g)
+    assert result.value == len(result.witness)
+
+
+@pytest.mark.parametrize("n", [60, 72, 88])
+def test_vc_matches_reference_on_cubic(n):
+    g = random_cubic(n, 1)
+    assert vertex_cover_exact(g).witness == reference_vertex_cover(g)
