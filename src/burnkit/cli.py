@@ -1,9 +1,10 @@
 """Batch command-line front end.
 
-Every subcommand is a thin shell over a library operation; reports are
-``key<TAB>value`` lines on stdout and are byte-identical across runs on
-identical inputs (timings only appear under ``--timings``, in a separate
-trailing section).
+Every subcommand is one entry of ``_COMMANDS``, a thin shell over a library
+operation; ``main`` builds the parser from the table and does the shared
+work once.  Reports are ``key<TAB>value`` lines on stdout and are
+byte-identical across runs on identical inputs (timings only appear under
+``--timings``, in a separate trailing section).
 
 Exit codes: 0 success, 1 domain error (error name echoed on stderr),
 2 usage error.
@@ -13,9 +14,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 import time
 from pathlib import Path
+from typing import Callable, Iterable, NamedTuple
 
 from . import gadgets
 from .burning import (
@@ -27,7 +30,7 @@ from .burning import (
     uniquely_burned_set,
     write_sequence,
 )
-from .gadgets import GadgetError, GadgetHandle
+from .gadgets import GadgetError, GadgetHandle, InvalidParamsError
 from .generators import cycle_graph, path_graph, random_cubic
 from .graph import Graph, GraphError, degree_histogram, is_connected, read_graph, write_graph
 from .lift import LiftError, build_Hd, project_sequence
@@ -39,12 +42,10 @@ from .solvers import (
     vertex_cover_exact,
 )
 
-_ERRORS = (GraphError, BurnError, GadgetError, ReductionError, SolverError, LiftError)
-
-_GADGET_ARITY = {
-    "T": 2, "BT": 1, "BTP": 3, "P": 1, "Y": 2, "Tail": 0, "C": 1,
-    "path": 1, "cycle": 1, "cubic": 1,
-}
+# UnicodeDecodeError: an input file that is not UTF-8
+_ERRORS = (
+    GraphError, BurnError, GadgetError, ReductionError, SolverError, LiftError, UnicodeDecodeError
+)
 
 
 class _UsageError(Exception):
@@ -55,35 +56,8 @@ class MetaFormatError(ReductionError):
     """A reduce meta file lacks x, y or m, or has a malformed line."""
 
 
-class _Report:
-    def __init__(self, timings: bool):
-        self.lines: list[tuple[str, object]] = []
-        self.timing_lines: list[tuple[str, float]] = []
-        self.show_timings = timings
-        self._t0 = time.monotonic()
-
-    def add(self, key: str, value: object):
-        self.lines.append((key, value))
-
-    def add_input(self, path: str):
-        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
-        self.lines.append(("input", digest))
-
-    def timing(self, key: str):
-        self.timing_lines.append((key, time.monotonic() - self._t0))
-        self._t0 = time.monotonic()
-
-    def emit(self):
-        for key, value in self.lines:
-            print(f"{key}\t{value}")
-        if self.show_timings and self.timing_lines:
-            print("# timings")
-            for key, value in self.timing_lines:
-                print(f"{key}\t{value:.3f}s")
-
-
-def _read_graph_file(path: str) -> Graph:
-    return read_graph(Path(path).read_text(encoding="utf-8"))
+def _text(path: str) -> str:
+    return Path(path).read_text(encoding="utf-8")
 
 
 def _write_file(path: str | None, text: str):
@@ -91,17 +65,12 @@ def _write_file(path: str | None, text: str):
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _fmt_landmark(value) -> str:
-    if isinstance(value, str):
-        return value
-    return ",".join(value)
-
-
 def _write_landmarks(path: str | None, landmarks: dict):
-    if not path:
-        return
-    lines = [f"{name}\t{_fmt_landmark(value)}" for name, value in sorted(landmarks.items())]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines = [
+        f"{name}\t{value if isinstance(value, str) else ','.join(value)}"
+        for name, value in sorted(landmarks.items())
+    ]
+    _write_file(path, "\n".join(lines) + "\n")
 
 
 def export_dot(g: Graph, landmarks: dict | None = None) -> str:
@@ -124,54 +93,52 @@ def export_dot(g: Graph, landmarks: dict | None = None) -> str:
     return "\n".join(out) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# subcommands
+def _generated(make, *params, **kwargs) -> Graph:
+    """``make(*params, **kwargs)``, its ValueError on bad parameters a domain error."""
+    try:
+        return make(*params, **kwargs)
+    except ValueError as exc:
+        raise InvalidParamsError(str(exc)) from None
 
 
-def _cmd_gen_gadget(args, rep: _Report) -> int:
-    kind = args.kind
-    if len(args.params) != _GADGET_ARITY[kind]:
+# kind -> (parameter count, constructor of a GadgetHandle or a Graph from the
+# integer parameters and --seed)
+_GADGETS = {
+    "T": (2, lambda p, seed: gadgets.make_T(*p)),
+    "BT": (1, lambda p, seed: gadgets.make_BT(*p)),
+    "BTP": (3, lambda p, seed: gadgets.make_BTP(*p)),
+    "P": (1, lambda p, seed: gadgets.make_P(*p)),
+    "Y": (2, lambda p, seed: gadgets.make_Y(*p)),
+    "Tail": (0, lambda p, seed: gadgets.make_Tail()),
+    "C": (1, lambda p, seed: gadgets.make_C(*p)),
+    "path": (1, lambda p, seed: _generated(path_graph, *p)),
+    "cycle": (1, lambda p, seed: _generated(cycle_graph, *p)),
+    "cubic": (1, lambda p, seed: _generated(random_cubic, *p, seed=seed)),
+}
+
+
+# runners: each takes the parsed arguments and yields its report items
+
+
+def _gen_gadget(args):
+    arity, make = _GADGETS[args.kind]
+    if len(args.params) != arity:
         raise _UsageError(
-            f"gen-gadget {kind} takes {_GADGET_ARITY[kind]} parameter(s), "
-            f"got {len(args.params)}"
+            f"gen-gadget {args.kind} takes {arity} parameter(s), got {len(args.params)}"
         )
     try:
         params = [int(p) for p in args.params]
     except ValueError:
         raise _UsageError(f"gadget parameters must be integers: {args.params}") from None
-    handle: GadgetHandle | None = None
-    if kind == "T":
-        handle = gadgets.make_T(*params)
-    elif kind == "BT":
-        handle = gadgets.make_BT(*params)
-    elif kind == "BTP":
-        handle = gadgets.make_BTP(*params)
-    elif kind == "P":
-        handle = gadgets.make_P(*params)
-    elif kind == "Y":
-        handle = gadgets.make_Y(*params)
-    elif kind == "Tail":
-        handle = gadgets.make_Tail(*params)
-    elif kind == "C":
-        handle = gadgets.make_C(*params)
-    elif kind == "path":
-        g = path_graph(*params)
-    elif kind == "cycle":
-        g = cycle_graph(*params)
-    elif kind == "cubic":
-        g = random_cubic(params[0], seed=args.seed)
-    else:
-        raise GadgetError(f"unknown gadget kind {kind!r}")
-    if handle is not None:
-        g = handle.graph
-        _write_landmarks(args.landmarks, handle.landmarks)
+    g = make(params, args.seed)
+    if isinstance(g, GadgetHandle):
+        _write_landmarks(args.landmarks, g.landmarks)
+        g = g.graph
     _write_file(args.output, write_graph(g))
-    rep.add("kind", kind)
-    rep.add("params", ",".join(map(str, params)))
-    rep.add("vertices", g.vertex_count)
-    rep.add("edges", g.edge_count)
-    rep.timing("generate")
-    return 0
+    yield "kind", args.kind
+    yield "params", ",".join(map(str, params))
+    yield "vertices", g.vertex_count
+    yield "edges", g.edge_count
 
 
 def _meta_text(inst) -> str:
@@ -184,10 +151,9 @@ def _meta_text(inst) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_meta(path: str) -> dict:
+def _parse_meta(text: str) -> dict:
     meta: dict = {"edges": []}
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         key, _, value = line.partition("\t")
@@ -208,12 +174,14 @@ def _parse_meta(path: str) -> dict:
     return meta
 
 
-def _cmd_reduce(args, rep: _Report) -> int:
-    g = _read_graph_file(args.graph)
-    inst = build_H(g)
+def _meta_path(args) -> str:
+    return args.meta or str(Path(args.output).with_suffix(".meta"))
+
+
+def _reduce(args):
+    inst = build_H(read_graph(_text(args.graph)))
     _write_file(args.output, write_graph(inst.h_graph))
-    meta_path = args.meta or str(Path(args.output).with_suffix(".meta"))
-    _write_file(meta_path, _meta_text(inst))
+    _write_file(_meta_path(args), _meta_text(inst))
     if args.landmarks:
         marks: dict = {
             "x": inst.core_label(inst.x),
@@ -227,252 +195,248 @@ def _cmd_reduce(args, rep: _Report) -> int:
         for u, dom in sorted(inst.domains.items()):
             marks[f"dom:{u}"] = tuple(sorted(dom))
         _write_landmarks(args.landmarks, marks)
-    for k, v in inst.params.as_dict().items():
-        rep.add(k, v)
-    rep.add("vertices", inst.h_graph.vertex_count)
-    rep.add("edges", inst.h_graph.edge_count)
-    rep.timing("reduce")
-    return 0
+    yield from inst.params.as_dict().items()
+    yield "vertices", inst.h_graph.vertex_count
+    yield "edges", inst.h_graph.edge_count
 
 
-def _cmd_witness(args, rep: _Report) -> int:
-    meta = _parse_meta(args.meta)
-    gprime = Graph(meta["edges"])
-    result = vertex_cover_exact(gprime, node_budget=args.budget)
-    sources = witness_sources(
-        result.witness, meta["x"], meta["y"], meta["m"], meta["edges"]
-    )
+def _witness(args):
+    meta = _parse_meta(_text(args.meta))
+    result = vertex_cover_exact(Graph(meta["edges"]), node_budget=args.budget)
+    sources = witness_sources(result.witness, meta["x"], meta["y"], meta["m"], meta["edges"])
     _write_file(args.output, write_sequence(sources))
-    rep.add("k_prime", result.value)
-    rep.add("length", len(sources))
-    rep.add("cover", ",".join(sorted(result.witness)))
-    rep.timing("witness")
-    return 0
+    yield "k_prime", result.value
+    yield "length", len(sources)
+    yield "cover", ",".join(sorted(result.witness))
 
 
-def _cmd_burn(args, rep: _Report) -> int:
-    g = _read_graph_file(args.graph)
-    seq = read_sequence(Path(args.sequence).read_text(encoding="utf-8"))
-    rep.add("length", len(seq))
+def _burn(args):
+    g = read_graph(_text(args.graph))
+    seq = read_sequence(_text(args.sequence))
+    yield "length", len(seq)
     try:
         schedule = simulate(g, seq)
     except InvalidSequenceError as exc:
-        rep.add("valid", "false")
-        rep.add("reason", str(exc))
-        rep.timing("burn")
-        return 0
-    rep.add("valid", "true")
-    rep.add("complete", "true" if schedule.complete else "false")
-    rep.add("unburned", len(schedule.unburned))
+        yield "valid", "false"
+        yield "reason", str(exc)
+        return
+    yield "valid", "true"
+    yield "complete", "true" if schedule.complete else "false"
+    yield "unburned", len(schedule.unburned)
     if schedule.complete:
         bl = last_step_set(schedule)
         ub = uniquely_burned_set(schedule)
-        rep.add("complete_at", schedule.k)
-        rep.add("last_step_size", len(bl))
-        rep.add("uniquely_burned_size", len(ub))
-        rep.add("bl_ub_overlap", len(bl & ub))
-    rep.timing("burn")
-    return 0
+        yield "complete_at", schedule.k
+        yield "last_step_size", len(bl)
+        yield "uniquely_burned_size", len(ub)
+        yield "bl_ub_overlap", len(bl & ub)
 
 
-def _cmd_solve_burn(args, rep: _Report) -> int:
-    g = _read_graph_file(args.graph)
+def _solve_burn(args):
+    g = read_graph(_text(args.graph))
     if args.naive:
         result = burning_number_naive(g)
     else:
         result = burning_number_exact(g, node_budget=args.budget)
-    rep.add("value", result.value)
-    rep.add("witness", ",".join(result.witness))
-    rep.add("nodes", result.stats.nodes)
     _write_file(args.output, write_sequence(result.witness))
-    rep.timing("solve")
-    return 0
+    yield "value", result.value
+    yield "witness", ",".join(result.witness)
+    yield "nodes", result.stats.nodes
 
 
-def _cmd_solve_vc(args, rep: _Report) -> int:
-    g = _read_graph_file(args.graph)
-    result = vertex_cover_exact(g, node_budget=args.budget)
-    rep.add("value", result.value)
-    rep.add("cover", ",".join(sorted(result.witness)))
-    rep.add("nodes", result.stats.nodes)
+def _solve_vc(args):
+    result = vertex_cover_exact(read_graph(_text(args.graph)), node_budget=args.budget)
     _write_file(args.output, "\n".join(sorted(result.witness)) + "\n")
-    rep.timing("solve")
-    return 0
+    yield "value", result.value
+    yield "cover", ",".join(sorted(result.witness))
+    yield "nodes", result.stats.nodes
 
 
-def _cmd_audit(args, rep: _Report) -> int:
-    g = _read_graph_file(args.graph)
-    inst = build_H(g)
-    seq = read_sequence(Path(args.sequence).read_text(encoding="utf-8"))
-    report = audit_sequence(inst, seq)
-    rep.add("k", report.k)
-    rep.add("start_block", f"{report.start_range[0]}..{report.start_range[1]}")
-    rep.add("middle_block", f"{report.middle_range[0]}..{report.middle_range[1]}")
-    rep.add("end_block", f"{report.end_range[0]}..{report.end_range[1]}")
-    rep.add("owners", ",".join(sorted(report.owners)))
-    rep.add("represented", len(report.represented))
-    rep.add("unrepresented", len(report.unrepresented))
+def _audit(args):
+    inst = build_H(read_graph(_text(args.graph)))
+    report = audit_sequence(inst, read_sequence(_text(args.sequence)))
+    yield "k", report.k
+    yield "start_block", f"{report.start_range[0]}..{report.start_range[1]}"
+    yield "middle_block", f"{report.middle_range[0]}..{report.middle_range[1]}"
+    yield "end_block", f"{report.end_range[0]}..{report.end_range[1]}"
+    yield "owners", ",".join(sorted(report.owners))
+    yield "represented", len(report.represented)
+    yield "unrepresented", len(report.unrepresented)
     for name in ("start", "middle", "end"):
         locs = report.block_locations[name]
         inside = sum(1 for _, where in locs if where == "inside")
-        rep.add(f"{name}_inside", inside)
-        rep.add(f"{name}_outside", len(locs) - inside)
-    rep.add("valid", "true" if report.valid else "false")
-    rep.add("complete", "true" if report.complete else "false")
-    rep.add("bl_ub_overlap", len(report.bl_ub))
-    rep.timing("audit")
-    return 0
+        yield f"{name}_inside", inside
+        yield f"{name}_outside", len(locs) - inside
+    yield "valid", "true" if report.valid else "false"
+    yield "complete", "true" if report.complete else "false"
+    yield "bl_ub_overlap", len(report.bl_ub)
 
 
-def _cmd_lift(args, rep: _Report) -> int:
-    g = _read_graph_file(args.graph)
+def _lift(args):
+    g = read_graph(_text(args.graph))
     lifted = build_Hd(g, args.d)
     _write_file(args.output, write_graph(lifted.graph))
-    rep.add("base_vertices", g.vertex_count)
-    rep.add("d", args.d)
-    rep.add("vertices", lifted.graph.vertex_count)
-    rep.add("edges", lifted.graph.edge_count)
-    rep.timing("lift")
-    return 0
+    yield "base_vertices", g.vertex_count
+    yield "d", args.d
+    yield "vertices", lifted.graph.vertex_count
+    yield "edges", lifted.graph.edge_count
 
 
-def _cmd_project(args, rep: _Report) -> int:
-    g = _read_graph_file(args.graph)
+def _project(args):
+    g = read_graph(_text(args.graph))
     lifted = build_Hd(g, args.d)
-    seq = read_sequence(Path(args.sequence).read_text(encoding="utf-8"))
+    seq = read_sequence(_text(args.sequence))
     projected = project_sequence(lifted, seq, args.dprime)
     _write_file(args.output, write_sequence(projected))
-    rep.add("input_length", len(seq))
-    rep.add("output_length", len(projected))
+    yield "input_length", len(seq)
+    yield "output_length", len(projected)
     # H_d' is d' - 2 copies of the base; d' = 3 is the base itself
-    rep.add("target_vertices", (args.dprime - 2) * g.vertex_count)
-    rep.timing("project")
-    return 0
+    yield "target_vertices", (args.dprime - 2) * g.vertex_count
 
 
-def _cmd_stats(args, rep: _Report) -> int:
-    g = _read_graph_file(args.graph)
-    rep.add("vertices", g.vertex_count)
-    rep.add("edges", g.edge_count)
-    rep.add("connected", "true" if is_connected(g) else "false")
+def _stats(args):
+    g = read_graph(_text(args.graph))
     hist = degree_histogram(g)
-    rep.add("degree_histogram", ",".join(f"{d}:{c}" for d, c in hist.items()))
-    rep.add("regular", str(next(iter(hist))) if len(hist) == 1 else "no")
-    rep.timing("stats")
-    return 0
+    yield "vertices", g.vertex_count
+    yield "edges", g.edge_count
+    yield "connected", "true" if is_connected(g) else "false"
+    yield "degree_histogram", ",".join(f"{d}:{c}" for d, c in hist.items())
+    yield "regular", str(next(iter(hist))) if len(hist) == 1 else "no"
 
 
-def _cmd_dot(args, rep: _Report) -> int:
-    g = _read_graph_file(args.graph)
-    landmarks = None
+def _dot(args):
+    g = read_graph(_text(args.graph))
+    landmarks = {}
     if args.landmarks:
-        landmarks = {}
-        for line in Path(args.landmarks).read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            name, _, value = line.partition("\t")
-            landmarks[name] = tuple(value.split(","))
+        for line in _text(args.landmarks).splitlines():
+            if line.strip():
+                name, _, value = line.partition("\t")
+                landmarks[name] = tuple(value.split(","))
     text = export_dot(g, landmarks)
     if args.output:
         _write_file(args.output, text)
     else:
         sys.stdout.write(text)
-    rep.timing("dot")
-    return 0
+    return ()
+
+
+class _Command(NamedTuple):
+    help: str
+    run: Callable[[argparse.Namespace], Iterable]  # yields the report items
+    timing: str  # key of the --timings line
+    inputs: tuple  # input file arguments, digested into `input` lines in order
+    args: tuple  # argparse arguments as (flags, keywords) pairs
+    # the output paths; two that name one file are a usage error
+    outputs: Callable[[argparse.Namespace], tuple] = lambda args: ()
+
+
+def _arg(*flags, **kwargs) -> tuple:
+    return flags, kwargs
+
+
+_GRAPH = _arg("graph")
+_SEQUENCE = _arg("sequence")
+_BUDGET = _arg("--budget", type=int, default=10_000_000)
+_COMMANDS = {
+    "gen-gadget": _Command(
+        "emit a gadget graph and its landmarks", _gen_gadget, "generate", (),
+        (
+            _arg("kind", choices=list(_GADGETS)),
+            _arg("params", nargs="*", help="gadget parameters"),
+            _arg("-o", "--output", help="graph file"),
+            _arg("-l", "--landmarks", help="landmark sidecar file"),
+            _arg("--seed", type=int, default=0, help="seed for random kinds"),
+        ),
+        outputs=lambda args: (args.output, args.landmarks),
+    ),
+    "reduce": _Command(
+        "build H from a connected cubic graph", _reduce, "reduce", ("graph",),
+        (
+            _GRAPH,
+            _arg("-o", "--output", required=True, help="H edge-list file"),
+            _arg("-l", "--landmarks", help="landmark/domain sidecar file"),
+            _arg("--meta", help="meta file (default: output stem + .meta)"),
+        ),
+        outputs=lambda args: (args.output, _meta_path(args), args.landmarks),
+    ),
+    "witness": _Command(
+        "constructive witness from a reduce meta file", _witness, "witness", ("meta",),
+        (_arg("meta"), _arg("-o", "--output", help="sequence file"), _BUDGET),
+    ),
+    "burn": _Command(
+        "simulate a burning sequence on a graph", _burn, "burn", ("graph", "sequence"),
+        (_GRAPH, _SEQUENCE),
+    ),
+    "solve-burn": _Command(
+        "exact burning number with witness", _solve_burn, "solve", ("graph",),
+        (
+            _GRAPH,
+            _arg("-o", "--output", help="witness sequence file"),
+            _BUDGET,
+            _arg("--naive", action="store_true", help="use the exhaustive oracle"),
+        ),
+    ),
+    "solve-vc": _Command(
+        "exact minimum vertex cover", _solve_vc, "solve", ("graph",),
+        (_GRAPH, _arg("-o", "--output", help="cover file"), _BUDGET),
+    ),
+    "audit": _Command(
+        "audit a sequence against the reduction of a graph", _audit, "audit",
+        ("graph", "sequence"),
+        (_arg("graph", help="the original cubic graph fed to reduce"), _SEQUENCE),
+    ),
+    "lift": _Command(
+        "build the d-regular lift of a cubic graph", _lift, "lift", ("graph",),
+        (_GRAPH, _arg("--d", type=int, required=True), _arg("-o", "--output", required=True)),
+    ),
+    "project": _Command(
+        "project an H_d sequence onto H_d'", _project, "project", ("graph", "sequence"),
+        (
+            _arg("graph", help="the cubic base graph"),
+            _arg("sequence", help="sequence on H_d labels"),
+            _arg("--d", type=int, required=True),
+            _arg("--dprime", type=int, required=True),
+            _arg("-o", "--output", help="projected sequence file"),
+        ),
+    ),
+    "stats": _Command("structural summary of a graph", _stats, "stats", ("graph",), (_GRAPH,)),
+    "dot": _Command(
+        "DOT export, landmarks styled", _dot, "dot", ("graph",),
+        (
+            _GRAPH,
+            _arg("-l", "--landmarks", help="landmark sidecar to style"),
+            _arg("-o", "--output", help="output file (default stdout)"),
+        ),
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="burnkit", description="graph burning toolkit"
-    )
+    parser = argparse.ArgumentParser(prog="burnkit", description="graph burning toolkit")
     parser.add_argument("--timings", action="store_true", help="append a timing section")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-gadget", help="emit a gadget graph and its landmarks")
-    p.add_argument("kind", choices=["T", "BT", "BTP", "P", "Y", "Tail", "C", "path", "cycle", "cubic"])
-    p.add_argument("params", nargs="*", help="gadget parameters")
-    p.add_argument("-o", "--output", help="graph file")
-    p.add_argument("-l", "--landmarks", help="landmark sidecar file")
-    p.add_argument("--seed", type=int, default=0, help="seed for random kinds")
-    p.set_defaults(func=_cmd_gen_gadget)
-
-    p = sub.add_parser("reduce", help="build H from a connected cubic graph")
-    p.add_argument("graph")
-    p.add_argument("-o", "--output", required=True, help="H edge-list file")
-    p.add_argument("-l", "--landmarks", help="landmark/domain sidecar file")
-    p.add_argument("--meta", help="meta file (default: output stem + .meta)")
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("witness", help="constructive witness from a reduce meta file")
-    p.add_argument("meta")
-    p.add_argument("-o", "--output", help="sequence file")
-    p.add_argument("--budget", type=int, default=10_000_000)
-    p.set_defaults(func=_cmd_witness)
-
-    p = sub.add_parser("burn", help="simulate a burning sequence on a graph")
-    p.add_argument("graph")
-    p.add_argument("sequence")
-    p.set_defaults(func=_cmd_burn)
-
-    p = sub.add_parser("solve-burn", help="exact burning number with witness")
-    p.add_argument("graph")
-    p.add_argument("-o", "--output", help="witness sequence file")
-    p.add_argument("--budget", type=int, default=10_000_000)
-    p.add_argument("--naive", action="store_true", help="use the exhaustive oracle")
-    p.set_defaults(func=_cmd_solve_burn)
-
-    p = sub.add_parser("solve-vc", help="exact minimum vertex cover")
-    p.add_argument("graph")
-    p.add_argument("-o", "--output", help="cover file")
-    p.add_argument("--budget", type=int, default=10_000_000)
-    p.set_defaults(func=_cmd_solve_vc)
-
-    p = sub.add_parser("audit", help="audit a sequence against the reduction of a graph")
-    p.add_argument("graph", help="the original cubic graph fed to reduce")
-    p.add_argument("sequence")
-    p.set_defaults(func=_cmd_audit)
-
-    p = sub.add_parser("lift", help="build the d-regular lift of a cubic graph")
-    p.add_argument("graph")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_lift)
-
-    p = sub.add_parser("project", help="project an H_d sequence onto H_d'")
-    p.add_argument("graph", help="the cubic base graph")
-    p.add_argument("sequence", help="sequence on H_d labels")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--dprime", type=int, required=True)
-    p.add_argument("-o", "--output", help="projected sequence file")
-    p.set_defaults(func=_cmd_project)
-
-    p = sub.add_parser("stats", help="structural summary of a graph")
-    p.add_argument("graph")
-    p.set_defaults(func=_cmd_stats)
-
-    p = sub.add_parser("dot", help="DOT export, landmarks styled")
-    p.add_argument("graph")
-    p.add_argument("-l", "--landmarks", help="landmark sidecar to style")
-    p.add_argument("-o", "--output", help="output file (default stdout)")
-    p.set_defaults(func=_cmd_dot)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flags, kwargs in command.args:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    rep = _Report(args.timings)
-    rep.add("command", args.command)
-    input_attrs = ["graph", "sequence"]
-    if args.command == "witness":
-        input_attrs.append("meta")  # an output path for reduce, an input here
+    args = _build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
+    start = time.monotonic()
+    items: list = [("command", args.command)]
     try:
-        for attr in input_attrs:
-            value = getattr(args, attr, None)
-            if value:
-                rep.add_input(value)
-        code = args.func(args, rep)
+        seen = set()  # outputs are checked before anything is written
+        for path in filter(None, command.outputs(args)):
+            if os.path.realpath(path) in seen:
+                raise _UsageError(f"two outputs name the same file: {path}")
+            seen.add(os.path.realpath(path))
+        for attr in command.inputs:
+            digest = hashlib.sha256(Path(getattr(args, attr)).read_bytes()).hexdigest()
+            items.append(("input", digest[:16]))
+        items += command.run(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -482,8 +446,13 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error\tOSError\t{exc}", file=sys.stderr)
         return 1
-    rep.emit()
-    return code
+    elapsed = time.monotonic() - start
+    for key, value in items:
+        print(f"{key}\t{value}")
+    if args.timings:
+        print("# timings")
+        print(f"{command.timing}\t{elapsed:.3f}s")
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

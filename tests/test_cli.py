@@ -1,12 +1,23 @@
 from __future__ import annotations
 
-import pytest
+import hashlib
+import io
+import itertools
+import re
+import shlex
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
-from burnkit import gadgets
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from burnkit import cli, gadgets
 from burnkit.burning import is_burning_sequence, read_sequence
 from burnkit.cli import export_dot, main
 from burnkit.gadgets import make_T
-from burnkit.generators import complete_graph, path_graph
+from burnkit.generators import complete_graph, path_graph, prism_graph
 from burnkit.graph import Graph, read_graph, write_graph
 from burnkit.lift import build_Hd
 from burnkit.solvers import burning_number_exact, vertex_cover_exact
@@ -272,3 +283,1122 @@ def test_cross_process_determinism(tmp_path):
         files = {f.name: f.read_bytes() for f in sorted(work.iterdir())}
         snapshots.append((out, files))
     assert snapshots[0] == snapshots[1]
+
+
+@pytest.mark.parametrize(
+    "argv, clash",
+    [
+        ("reduce k4.g -o h.meta", "h.meta"),  # the default meta path is h.meta too
+        ("reduce k4.g -o h.g --meta h.g", "h.g"),
+        ("reduce k4.g -o h.g -l h.g", "h.g"),
+        ("reduce k4.g -o h.g --meta m -l ./m", "./m"),
+        ("gen-gadget C 4 -o c.g -l c.g", "c.g"),
+        ("gen-gadget C 4 -o c.g -l sub/../c.g", "sub/../c.g"),
+    ],
+)
+@pytest.mark.usefixtures("k4_file")  # writes k4.g into tmp_path
+def test_coinciding_outputs_are_a_usage_error(tmp_path, monkeypatch, capsys, argv, clash):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv.split()) == 2
+    assert capsys.readouterr() == ("", f"usage error: two outputs name the same file: {clash}\n")
+    assert sorted(tmp_path.rglob("*")) == before  # nothing written
+
+
+# -- error contract fuzz -------------------------------------------------------
+#
+# Every subcommand of the table gets an argv built from its argparse arguments,
+# over small, malformed and non-UTF-8 graph, sequence, meta and landmark files.
+# Graphs have at most 10 vertices, gadget parameters and degrees are at most 6
+# and budgets are small, so that every run is bounded.
+
+_FUZZ_LABELS = st.sampled_from([f"v{i}" for i in range(1, 11)] + ["x", "y"])
+_EDGE_LINES = st.sets(
+    st.tuples(_FUZZ_LABELS, _FUZZ_LABELS).filter(lambda e: e[0] < e[1]).map(" ".join), max_size=15
+).map(sorted)
+_JUNK_LINES = st.lists(
+    st.sampled_from(["", "# comment", "\t", "v1", "v1 v2 v3", "x\ty\tz", "v1 v1", "v2 v1"]),
+    max_size=2,
+)
+_GRAPH_TEXT = st.tuples(_EDGE_LINES, _JUNK_LINES).map(lambda t: t[0] + t[1])
+_SEQUENCE_TEXT = st.tuples(st.lists(_FUZZ_LABELS, max_size=8, unique=True), _JUNK_LINES).map(
+    lambda t: t[0] + t[1]
+)
+_META_TEXT = st.tuples(
+    st.sampled_from(["4", "6", "3", "-1", "four"]),
+    _FUZZ_LABELS,
+    _FUZZ_LABELS,
+    _EDGE_LINES,
+    _JUNK_LINES,
+    st.sets(st.sampled_from(["m", "x", "y"]), max_size=1),  # keys left out
+).map(
+    lambda t: [
+        *(f"{key}\t{value}" for key, value in zip("mxy", t[:3]) if key not in t[5]),
+        *(f"gprime-edge\t{edge}" for edge in t[3]),
+        *t[4],
+    ]
+)
+_LANDMARK_TEXT = st.lists(
+    st.tuples(_FUZZ_LABELS, st.lists(_FUZZ_LABELS, max_size=3).map(",".join)).map("\t".join),
+    max_size=5,
+)
+
+
+def _file_bytes(lines):
+    """Mostly UTF-8 lines; else the lines behind a byte that is not UTF-8, or any bytes."""
+    utf8 = lines.map(lambda ls: ("\n".join(ls) + "\n").encode())
+    return st.one_of(utf8, utf8, utf8, utf8.map(lambda b: b"\xff" + b), st.binary(max_size=12))
+
+
+_CUBIC = [write_graph(complete_graph(4)).encode(), write_graph(prism_graph()).encode()]
+_FILES = {
+    "graph": _file_bytes(_GRAPH_TEXT),
+    # reduce and audit get none: each builds an H of 80,000 vertices or more
+    "cubic graph": st.one_of(_file_bytes(_GRAPH_TEXT), st.sampled_from(_CUBIC)),
+    "sequence": _file_bytes(_SEQUENCE_TEXT),
+    "meta": _file_bytes(_META_TEXT),
+    "landmarks": _file_bytes(_LANDMARK_TEXT),
+}
+_INTS = {
+    "budget": st.sampled_from(["50", "5", "0", "-1"]),
+    "gadget": st.one_of(st.integers(min_value=-1, max_value=6).map(str), st.just("x")),
+    "other": st.sampled_from(["4", "5", "3", "6", "2", "0", "-1"]),  # --d, --dprime, --seed
+}
+
+
+@st.composite
+def _fuzz_argv(draw, name: str, kind: str | None, root: Path) -> list[str]:
+    """An argv for subcommand ``name`` (of gadget ``kind``): every argument it
+    declares, with files written under ``root``; an output may also name an
+    input, an earlier output, or a missing directory."""
+    inputs: list[str] = []
+    outputs: list[str] = []
+
+    def input_file(kind: str) -> str:
+        if kind == "graph" and name not in ("reduce", "audit"):
+            kind = "cubic graph"
+        path = root / f"in{len(inputs)}"
+        path.write_bytes(draw(_FILES[kind]))
+        inputs.append(str(path))
+        return str(path)
+
+    def output_path() -> str:
+        path = str(root / f"out{len(outputs)}")
+        pick = draw(st.sampled_from(["fresh", "fresh", "input", "output", "missing dir"]))
+        if pick == "input" and inputs:
+            path = draw(st.sampled_from(inputs))
+        elif pick == "output" and outputs:
+            path = draw(st.sampled_from(outputs))
+        elif pick == "missing dir":
+            path = str(root / "no" / "dir")
+        outputs.append(path)
+        return path
+
+    argv = [name]
+    for flags, kwargs in cli._COMMANDS[name].args:
+        dest = flags[-1].lstrip("-")
+        option = flags[0].startswith("-")
+        if option and not kwargs.get("required") and draw(st.booleans()):
+            continue
+        if dest == "kind":
+            value = [kind]
+        elif dest == "params":  # mostly as many as the kind takes
+            arity = cli._GADGETS.get(argv[-1], (1,))[0]
+            count = draw(st.sampled_from([arity, arity, arity, arity + 1, max(arity - 1, 0)]))
+            value = draw(st.lists(_INTS["gadget"], min_size=count, max_size=count))
+        elif not option or (dest == "landmarks" and name == "dot"):
+            value = [input_file(dest)]
+        elif dest in ("output", "landmarks", "meta"):
+            value = [output_path()]
+        elif kwargs.get("type") is int:
+            value = [draw(_INTS.get(dest, _INTS["other"]))]
+        else:
+            value = []  # a flag
+        argv += [flags[0], *value] if option else value
+    mutation = draw(st.sampled_from(["none"] * 4 + ["timings", "drop", "unknown"]))
+    if mutation == "timings":
+        argv.insert(0, "--timings")
+    elif mutation == "drop" and len(argv) > 1:
+        del argv[draw(st.integers(min_value=1, max_value=len(argv) - 1))]
+    elif mutation == "unknown":
+        argv.append("--bogus")
+    return argv
+
+
+_ERROR_LINE = re.compile(r"error\t[A-Za-z]+\t[^\n]*\n")
+
+
+@pytest.mark.parametrize(
+    "name, kind",
+    [(name, None) for name in cli._COMMANDS if name != "gen-gadget"]
+    + [("gen-gadget", kind) for kind in [*cli._GADGETS, "Q"]],
+)
+@settings(
+    max_examples=25, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(data=st.data())
+def test_error_contract_fuzz(name, kind, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = data.draw(_fuzz_argv(name, kind, Path(tmp)), label="argv")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, err)
+    assert err == "" or _ERROR_LINE.fullmatch(err) or err.startswith("usage"), (argv, err)
+    assert "Traceback" not in err
+
+
+# -- README sync ---------------------------------------------------------------
+
+
+def _readme_cli_section() -> str:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text[text.index("## CLI") : text.index("## File formats")]
+
+
+def test_readme_commands_parse_with_the_table_parser():
+    parser = cli._build_parser()
+    lines = [line for line in _readme_cli_section().splitlines() if line.startswith("burnkit ")]
+    assert {line.split()[1] for line in lines} == set(cli._COMMANDS)
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line.partition("#")[0])[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+
+
+def test_readme_gadget_kinds_match_the_table():
+    section = _readme_cli_section()
+    listing = section[section.index("`gen-gadget` kinds:") : section.index("(random")]
+    kinds = {}
+    for item in re.findall(r"`([^`]+)`", listing)[1:]:  # [0] is `gen-gadget`
+        kind, *words = item.split()
+        kinds[kind] = len(list(itertools.takewhile(lambda w: not w.startswith("--"), words)))
+    assert kinds == {kind: arity for kind, (arity, _) in cli._GADGETS.items()}
+
+
+# -- golden transcript ---------------------------------------------------------
+#
+# Every subcommand on K4, P3, the prism and C(4), including usage and domain
+# errors, run in order in one directory: exit code, stdout with timing values
+# masked, stderr, and a sha256 prefix of each file the run wrote.  A stdout of
+# more than 12 lines, and every --help text, is kept as a sha256 prefix too.
+# The expectations are literals, so any drift of the CLI's output shows here.
+
+_SETUP = {
+    "k4.g": write_graph(complete_graph(4)).encode(),
+    "p3.g": write_graph(path_graph(3)).encode(),
+    "prism.g": write_graph(prism_graph()).encode(),
+    "bad.seq": b"v1\nv3\nv2\n",
+    "empty.g": b"",
+    "nonutf8.g": b"\xffv1 v2\n",
+    "nonutf8.seq": b"\xffv1\n",
+    "nonutf8.meta": b"\xffm\t4\n",
+    "nonutf8.landmarks": b"\xffx\tv1\n",
+}
+
+_TIMING_VALUE = re.compile(r"\t\d+\.\d{3}s$")
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _transcript(root: Path, argv: str) -> tuple:
+    stamps = {p.name: p.stat().st_mtime_ns for p in root.iterdir()}
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv.split())
+        except SystemExit as exc:
+            code = exc.code
+    head, sep, tail = out.getvalue().partition("# timings\n")
+    timings = "".join(_TIMING_VALUE.sub("\t#s", line) + "\n" for line in tail.splitlines())
+    stdout = head + sep + timings
+    if "--help" in argv or stdout.count("\n") > 12:
+        stdout = "sha256:" + _digest(stdout.encode())
+    written = {
+        p.name: _digest(p.read_bytes())
+        for p in sorted(root.iterdir())
+        if stamps.get(p.name) != p.stat().st_mtime_ns
+    }
+    return argv, code, stdout, err.getvalue(), written
+
+
+def test_golden_transcript(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage and help to the terminal
+    for name, data in _SETUP.items():
+        (tmp_path / name).write_bytes(data)
+    mismatches = [
+        (expected, got)
+        for expected in _GOLDEN
+        if (got := _transcript(tmp_path, expected[0])) != expected
+    ]
+    assert not mismatches
+
+
+_GOLDEN = [
+    (
+        "--help",
+        0,
+        "sha256:ef726b21a8aa1d1c",
+        "",
+        {},
+    ),
+    (
+        "gen-gadget --help",
+        0,
+        "sha256:b2c017f2ce071d42",
+        "",
+        {},
+    ),
+    (
+        "reduce --help",
+        0,
+        "sha256:a208b1457a6ed819",
+        "",
+        {},
+    ),
+    (
+        "witness --help",
+        0,
+        "sha256:bc5d22430d1698f4",
+        "",
+        {},
+    ),
+    (
+        "burn --help",
+        0,
+        "sha256:21606ed589251ec9",
+        "",
+        {},
+    ),
+    (
+        "solve-burn --help",
+        0,
+        "sha256:25a2e9953e03859a",
+        "",
+        {},
+    ),
+    (
+        "solve-vc --help",
+        0,
+        "sha256:3f2e1a3b6bc83a35",
+        "",
+        {},
+    ),
+    (
+        "audit --help",
+        0,
+        "sha256:3d7dc6959e010e36",
+        "",
+        {},
+    ),
+    (
+        "lift --help",
+        0,
+        "sha256:714f444728ea0086",
+        "",
+        {},
+    ),
+    (
+        "project --help",
+        0,
+        "sha256:5c2103225bd3c701",
+        "",
+        {},
+    ),
+    (
+        "stats --help",
+        0,
+        "sha256:962066d1793c952e",
+        "",
+        {},
+    ),
+    (
+        "dot --help",
+        0,
+        "sha256:9ccd59e166e6b67f",
+        "",
+        {},
+    ),
+    (
+        "gen-gadget C 4 -o c4.g -l c4.landmarks",
+        0,
+        "command\tgen-gadget\n"
+        "kind\tC\n"
+        "params\t4\n"
+        "vertices\t23\n"
+        "edges\t34\n",
+        "",
+        {
+            "c4.g": "92f00aa87e1ade1c",
+            "c4.landmarks": "eef583e8880c2569",
+        },
+    ),
+    (
+        "--timings gen-gadget T 2 6 -o t.g -l t.landmarks",
+        0,
+        "command\tgen-gadget\n"
+        "kind\tT\n"
+        "params\t2,6\n"
+        "vertices\t22\n"
+        "edges\t32\n"
+        "# timings\n"
+        "generate\t#s\n",
+        "",
+        {
+            "t.g": "856e7329fec3e3c6",
+            "t.landmarks": "256741a613b69c77",
+        },
+    ),
+    (
+        "gen-gadget BT 3",
+        0,
+        "command\tgen-gadget\n"
+        "kind\tBT\n"
+        "params\t3\n"
+        "vertices\t15\n"
+        "edges\t14\n",
+        "",
+        {},
+    ),
+    (
+        "gen-gadget BTP 6 1 9",
+        0,
+        "command\tgen-gadget\n"
+        "kind\tBTP\n"
+        "params\t6,1,9\n"
+        "vertices\t1662\n"
+        "edges\t2492\n",
+        "",
+        {},
+    ),
+    (
+        "gen-gadget BTP 2 3 4",
+        1,
+        "",
+        "error\tParamInequalityError\tinequality 1 violated: l1 + l2 = 7 must be < 2^(h-2); inequality 2 violated: l2 = 4 must be > l1 + h + 1 = 6\n",
+        {},
+    ),
+    (
+        "gen-gadget P 3",
+        0,
+        "command\tgen-gadget\n"
+        "kind\tP\n"
+        "params\t3\n"
+        "vertices\t4\n"
+        "edges\t5\n",
+        "",
+        {},
+    ),
+    (
+        "gen-gadget Y 3 4",
+        0,
+        "command\tgen-gadget\n"
+        "kind\tY\n"
+        "params\t3,4\n"
+        "vertices\t15\n"
+        "edges\t21\n",
+        "",
+        {},
+    ),
+    (
+        "gen-gadget Tail",
+        0,
+        "command\tgen-gadget\n"
+        "kind\tTail\n"
+        "params\t\n"
+        "vertices\t12\n"
+        "edges\t17\n",
+        "",
+        {},
+    ),
+    (
+        "gen-gadget path 5 -o p5.g",
+        0,
+        "command\tgen-gadget\n"
+        "kind\tpath\n"
+        "params\t5\n"
+        "vertices\t5\n"
+        "edges\t4\n",
+        "",
+        {
+            "p5.g": "6007895c3c112bcc",
+        },
+    ),
+    (
+        "gen-gadget cycle 5",
+        0,
+        "command\tgen-gadget\n"
+        "kind\tcycle\n"
+        "params\t5\n"
+        "vertices\t5\n"
+        "edges\t5\n",
+        "",
+        {},
+    ),
+    (
+        "gen-gadget cubic 8 --seed 3 -o cub.g",
+        0,
+        "command\tgen-gadget\n"
+        "kind\tcubic\n"
+        "params\t8\n"
+        "vertices\t8\n"
+        "edges\t12\n",
+        "",
+        {
+            "cub.g": "939c7f5784b65248",
+        },
+    ),
+    (
+        "gen-gadget T 0 5",
+        1,
+        "",
+        "error\tInvalidParamsError\tT-gadget needs l1 >= 1 and l2 >= 2, got (0, 5)\n",
+        {},
+    ),
+    (
+        "gen-gadget T 1",
+        2,
+        "",
+        "usage error: gen-gadget T takes 2 parameter(s), got 1\n",
+        {},
+    ),
+    (
+        "gen-gadget C x",
+        2,
+        "",
+        "usage error: gadget parameters must be integers: ['x']\n",
+        {},
+    ),
+    (
+        "gen-gadget Q 1",
+        2,
+        "",
+        "usage: burnkit gen-gadget [-h] [-o OUTPUT] [-l LANDMARKS] [--seed SEED]\n"
+        "                          {T,BT,BTP,P,Y,Tail,C,path,cycle,cubic} [params ...]\n"
+        "burnkit gen-gadget: error: argument kind: invalid choice: 'Q' (choose from 'T', 'BT', 'BTP', 'P', 'Y', 'Tail', 'C', 'path', 'cycle', 'cubic')\n",
+        {},
+    ),
+    (
+        "gen-gadget",
+        2,
+        "",
+        "usage: burnkit gen-gadget [-h] [-o OUTPUT] [-l LANDMARKS] [--seed SEED]\n"
+        "                          {T,BT,BTP,P,Y,Tail,C,path,cycle,cubic} [params ...]\n"
+        "burnkit gen-gadget: error: the following arguments are required: kind, params\n",
+        {},
+    ),
+    (
+        "reduce k4.g -o h.g -l h.landmarks",
+        0,
+        "sha256:fb41938ef7d35b9e",
+        "",
+        {
+            "h.g": "724c05d3629cb75d",
+            "h.landmarks": "583e979285faf47e",
+            "h.meta": "58128db96bc2a663",
+        },
+    ),
+    (
+        "witness h.meta -o w.seq",
+        0,
+        "command\twitness\n"
+        "input\t58128db96bc2a663\n"
+        "k_prime\t4\n"
+        "length\t39\n"
+        "cover\tv1,v2,v4,y\n",
+        "",
+        {
+            "w.seq": "73f4a22df8068f38",
+        },
+    ),
+    (
+        "--timings witness h.meta",
+        0,
+        "command\twitness\n"
+        "input\t58128db96bc2a663\n"
+        "k_prime\t4\n"
+        "length\t39\n"
+        "cover\tv1,v2,v4,y\n"
+        "# timings\n"
+        "witness\t#s\n",
+        "",
+        {},
+    ),
+    (
+        "burn h.g w.seq",
+        0,
+        "command\tburn\n"
+        "input\t724c05d3629cb75d\n"
+        "input\t73f4a22df8068f38\n"
+        "length\t39\n"
+        "valid\ttrue\n"
+        "complete\ttrue\n"
+        "unburned\t0\n"
+        "complete_at\t39\n"
+        "last_step_size\t518\n"
+        "uniquely_burned_size\t77732\n"
+        "bl_ub_overlap\t517\n",
+        "",
+        {},
+    ),
+    (
+        "audit k4.g w.seq",
+        0,
+        "sha256:f6fd334e8500710f",
+        "",
+        {},
+    ),
+    (
+        "stats h.g",
+        0,
+        "command\tstats\n"
+        "input\t724c05d3629cb75d\n"
+        "vertices\t80294\n"
+        "edges\t120441\n"
+        "connected\ttrue\n"
+        "degree_histogram\t3:80294\n"
+        "regular\t3\n",
+        "",
+        {},
+    ),
+    (
+        "reduce prism.g -o hp.g --meta prism.meta",
+        0,
+        "sha256:cba95c08b9cf3da8",
+        "",
+        {
+            "hp.g": "66b86757e3442640",
+            "prism.meta": "f9f85e7663b12370",
+        },
+    ),
+    (
+        "witness prism.meta -o wp.seq",
+        0,
+        "command\twitness\n"
+        "input\tf9f85e7663b12370\n"
+        "k_prime\t5\n"
+        "length\t40\n"
+        "cover\ta1,a3,b2,b3,y\n",
+        "",
+        {
+            "wp.seq": "1dfb613683745dc6",
+        },
+    ),
+    (
+        "reduce p3.g -o bad.g",
+        1,
+        "",
+        "error\tNotCubicError\tinput graph must be cubic on at least 4 vertices\n",
+        {},
+    ),
+    (
+        "reduce c4.g -o bad.g",
+        1,
+        "",
+        "error\tNotCubicError\tinput graph must be cubic on at least 4 vertices\n",
+        {},
+    ),
+    (
+        "reduce missing.g -o bad.g",
+        1,
+        "",
+        "error\tOSError\t[Errno 2] No such file or directory: 'missing.g'\n",
+        {},
+    ),
+    (
+        "reduce k4.g",
+        2,
+        "",
+        "usage: burnkit reduce [-h] -o OUTPUT [-l LANDMARKS] [--meta META] graph\n"
+        "burnkit reduce: error: the following arguments are required: -o/--output\n",
+        {},
+    ),
+    (
+        "witness k4.g",
+        1,
+        "",
+        "error\tMetaFormatError\tmissing key(s): x, y, m\n",
+        {},
+    ),
+    (
+        "witness missing.meta",
+        1,
+        "",
+        "error\tOSError\t[Errno 2] No such file or directory: 'missing.meta'\n",
+        {},
+    ),
+    (
+        "audit p3.g bad.seq",
+        1,
+        "",
+        "error\tNotCubicError\tinput graph must be cubic on at least 4 vertices\n",
+        {},
+    ),
+    (
+        "burn p3.g bad.seq",
+        0,
+        "command\tburn\n"
+        "input\td3464c47546e31ee\n"
+        "input\t09826b30ccb5a87c\n"
+        "length\t3\n"
+        "valid\tfalse\n"
+        "reason\tsource 'v2' placed at step 3 was already burned at step 2 by fire from 'v1'\n",
+        "",
+        {},
+    ),
+    (
+        "burn k4.g bad.seq",
+        0,
+        "command\tburn\n"
+        "input\taba4f05cdfc18efd\n"
+        "input\t09826b30ccb5a87c\n"
+        "length\t3\n"
+        "valid\tfalse\n"
+        "reason\tsource 'v2' placed at step 3 was already burned at step 2 by fire from 'v1'\n",
+        "",
+        {},
+    ),
+    (
+        "burn c4.g missing.seq",
+        1,
+        "",
+        "error\tOSError\t[Errno 2] No such file or directory: 'missing.seq'\n",
+        {},
+    ),
+    (
+        "stats k4.g",
+        0,
+        "command\tstats\n"
+        "input\taba4f05cdfc18efd\n"
+        "vertices\t4\n"
+        "edges\t6\n"
+        "connected\ttrue\n"
+        "degree_histogram\t3:4\n"
+        "regular\t3\n",
+        "",
+        {},
+    ),
+    (
+        "stats p3.g",
+        0,
+        "command\tstats\n"
+        "input\td3464c47546e31ee\n"
+        "vertices\t3\n"
+        "edges\t2\n"
+        "connected\ttrue\n"
+        "degree_histogram\t1:2,2:1\n"
+        "regular\tno\n",
+        "",
+        {},
+    ),
+    (
+        "stats prism.g",
+        0,
+        "command\tstats\n"
+        "input\t74576873604e0489\n"
+        "vertices\t6\n"
+        "edges\t9\n"
+        "connected\ttrue\n"
+        "degree_histogram\t3:6\n"
+        "regular\t3\n",
+        "",
+        {},
+    ),
+    (
+        "--timings stats c4.g",
+        0,
+        "command\tstats\n"
+        "input\t92f00aa87e1ade1c\n"
+        "vertices\t23\n"
+        "edges\t34\n"
+        "connected\ttrue\n"
+        "degree_histogram\t2:1,3:22\n"
+        "regular\tno\n"
+        "# timings\n"
+        "stats\t#s\n",
+        "",
+        {},
+    ),
+    (
+        "stats empty.g",
+        0,
+        "command\tstats\n"
+        "input\te3b0c44298fc1c14\n"
+        "vertices\t0\n"
+        "edges\t0\n"
+        "connected\ttrue\n"
+        "degree_histogram\t\n"
+        "regular\tno\n",
+        "",
+        {},
+    ),
+    (
+        "stats missing.g",
+        1,
+        "",
+        "error\tOSError\t[Errno 2] No such file or directory: 'missing.g'\n",
+        {},
+    ),
+    (
+        "--timings stats missing.g",
+        1,
+        "",
+        "error\tOSError\t[Errno 2] No such file or directory: 'missing.g'\n",
+        {},
+    ),
+    (
+        "solve-burn c4.g -o c4.seq",
+        0,
+        "command\tsolve-burn\n"
+        "input\t92f00aa87e1ade1c\n"
+        "value\t4\n"
+        "witness\tp4:a6,tail:v1,p4:a1,tail:v4\n"
+        "nodes\t4\n",
+        "",
+        {
+            "c4.seq": "8b6a01a96fbeccd1",
+        },
+    ),
+    (
+        "burn c4.g c4.seq",
+        0,
+        "command\tburn\n"
+        "input\t92f00aa87e1ade1c\n"
+        "input\t8b6a01a96fbeccd1\n"
+        "length\t4\n"
+        "valid\ttrue\n"
+        "complete\ttrue\n"
+        "unburned\t0\n"
+        "complete_at\t4\n"
+        "last_step_size\t10\n"
+        "uniquely_burned_size\t23\n"
+        "bl_ub_overlap\t10\n",
+        "",
+        {},
+    ),
+    (
+        "solve-burn --naive p3.g",
+        0,
+        "command\tsolve-burn\n"
+        "input\td3464c47546e31ee\n"
+        "value\t2\n"
+        "witness\tv1,v3\n"
+        "nodes\t3\n",
+        "",
+        {},
+    ),
+    (
+        "solve-burn k4.g",
+        0,
+        "command\tsolve-burn\n"
+        "input\taba4f05cdfc18efd\n"
+        "value\t2\n"
+        "witness\tv1,v2\n"
+        "nodes\t1\n",
+        "",
+        {},
+    ),
+    (
+        "solve-burn prism.g --budget 5",
+        0,
+        "command\tsolve-burn\n"
+        "input\t74576873604e0489\n"
+        "value\t3\n"
+        "witness\ta1,b2,b3\n"
+        "nodes\t1\n",
+        "",
+        {},
+    ),
+    (
+        "solve-burn empty.g",
+        1,
+        "",
+        "error\tEmptyGraphError\tempty graph\n",
+        {},
+    ),
+    (
+        "solve-vc k4.g -o k4.cover",
+        0,
+        "command\tsolve-vc\n"
+        "input\taba4f05cdfc18efd\n"
+        "value\t3\n"
+        "cover\tv1,v2,v4\n"
+        "nodes\t5\n",
+        "",
+        {
+            "k4.cover": "5d7d5a36c07de90c",
+        },
+    ),
+    (
+        "solve-vc prism.g",
+        0,
+        "command\tsolve-vc\n"
+        "input\t74576873604e0489\n"
+        "value\t4\n"
+        "cover\ta1,a3,b2,b3\n"
+        "nodes\t5\n",
+        "",
+        {},
+    ),
+    (
+        "solve-vc p3.g",
+        0,
+        "command\tsolve-vc\n"
+        "input\td3464c47546e31ee\n"
+        "value\t1\n"
+        "cover\tv2\n"
+        "nodes\t1\n",
+        "",
+        {},
+    ),
+    (
+        "solve-vc c4.g --budget 1",
+        1,
+        "",
+        "error\tBudgetExceededError\tbudget exhausted after 2 nodes (12 <= value)\n",
+        {},
+    ),
+    (
+        "lift k4.g --d 4 -o h4.g",
+        0,
+        "command\tlift\n"
+        "input\taba4f05cdfc18efd\n"
+        "base_vertices\t4\n"
+        "d\t4\n"
+        "vertices\t8\n"
+        "edges\t16\n",
+        "",
+        {
+            "h4.g": "7a86c57dfb15c605",
+        },
+    ),
+    (
+        "solve-burn h4.g -o h4.seq",
+        0,
+        "command\tsolve-burn\n"
+        "input\t7a86c57dfb15c605\n"
+        "value\t3\n"
+        "witness\tcopy1:v1,copy2:v2,copy2:v3\n"
+        "nodes\t1\n",
+        "",
+        {
+            "h4.seq": "cdcd01d7990dd1b1",
+        },
+    ),
+    (
+        "project k4.g h4.seq --d 4 --dprime 3 -o proj.seq",
+        0,
+        "command\tproject\n"
+        "input\taba4f05cdfc18efd\n"
+        "input\tcdcd01d7990dd1b1\n"
+        "input_length\t3\n"
+        "output_length\t2\n"
+        "target_vertices\t4\n",
+        "",
+        {
+            "proj.seq": "105b2c8d7bdd4642",
+        },
+    ),
+    (
+        "lift prism.g --d 5 -o h5p.g",
+        0,
+        "command\tlift\n"
+        "input\t74576873604e0489\n"
+        "base_vertices\t6\n"
+        "d\t5\n"
+        "vertices\t18\n"
+        "edges\t45\n",
+        "",
+        {
+            "h5p.g": "74d0abad0e585584",
+        },
+    ),
+    (
+        "lift p3.g --d 4 -o bad.g",
+        1,
+        "",
+        "error\tNotCubicBaseError\tbase graph must be cubic\n",
+        {},
+    ),
+    (
+        "lift k4.g --d 2 -o bad.g",
+        1,
+        "",
+        "error\tBadDegreeError\tlift needs d >= 4 (H_3 is the base itself), got 2\n",
+        {},
+    ),
+    (
+        "lift k4.g -o bad.g",
+        2,
+        "",
+        "usage: burnkit lift [-h] --d D -o OUTPUT graph\n"
+        "burnkit lift: error: the following arguments are required: --d\n",
+        {},
+    ),
+    (
+        "project k4.g bad.seq --d 4 --dprime 3",
+        1,
+        "",
+        "error\tInputNotValidError\tsequence does not burn the lifted graph\n",
+        {},
+    ),
+    (
+        "project k4.g h4.seq --d 4 --dprime 5",
+        1,
+        "",
+        "error\tBadDegreeError\td' must be in [3, 3], got 5\n",
+        {},
+    ),
+    (
+        "dot c4.g -l c4.landmarks -o c4.dot",
+        0,
+        "command\tdot\n"
+        "input\t92f00aa87e1ade1c\n",
+        "",
+        {
+            "c4.dot": "e338064853aaf143",
+        },
+    ),
+    (
+        "dot p3.g",
+        0,
+        "graph burnkit {\n"
+        "  node [shape=circle];\n"
+        '  "v1" -- "v2";\n'
+        '  "v2" -- "v3";\n'
+        "}\n"
+        "command\tdot\n"
+        "input\td3464c47546e31ee\n",
+        "",
+        {},
+    ),
+    (
+        "dot c4.g -l c4.landmarks",
+        0,
+        "sha256:acdee4908904a3cf",
+        "",
+        {},
+    ),
+    (
+        "dot k4.g -l h.landmarks",
+        0,
+        "graph burnkit {\n"
+        "  node [shape=circle];\n"
+        '  "v1" -- "v2";\n'
+        '  "v1" -- "v3";\n'
+        '  "v1" -- "v4";\n'
+        '  "v2" -- "v3";\n'
+        '  "v2" -- "v4";\n'
+        '  "v3" -- "v4";\n'
+        "}\n"
+        "command\tdot\n"
+        "input\taba4f05cdfc18efd\n",
+        "",
+        {},
+    ),
+    (
+        "dot missing.g",
+        1,
+        "",
+        "error\tOSError\t[Errno 2] No such file or directory: 'missing.g'\n",
+        {},
+    ),
+    (
+        "bogus",
+        2,
+        "",
+        "usage: burnkit [-h] [--timings]\n"
+        "               {gen-gadget,reduce,witness,burn,solve-burn,solve-vc,audit,lift,project,stats,dot}\n"
+        "               ...\n"
+        "burnkit: error: argument command: invalid choice: 'bogus' (choose from 'gen-gadget', 'reduce', 'witness', 'burn', 'solve-burn', 'solve-vc', 'audit', 'lift', 'project', 'stats', 'dot')\n",
+        {},
+    ),
+    # Exit 1 or 2 here where the CLI used to end in a traceback (generator
+    # parameters, non-UTF-8 input) or silently overwrite one output with another.
+    (
+        "gen-gadget path 0",
+        1,
+        "",
+        "error\tInvalidParamsError\tpath needs n >= 1\n",
+        {},
+    ),
+    (
+        "gen-gadget cycle 2",
+        1,
+        "",
+        "error\tInvalidParamsError\tcycle needs n >= 3\n",
+        {},
+    ),
+    (
+        "gen-gadget cubic 7",
+        1,
+        "",
+        "error\tInvalidParamsError\tcubic graphs need even n >= 4\n",
+        {},
+    ),
+    (
+        "stats nonutf8.g",
+        1,
+        "",
+        "error\tUnicodeDecodeError\t'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n",
+        {},
+    ),
+    (
+        "burn k4.g nonutf8.seq",
+        1,
+        "",
+        "error\tUnicodeDecodeError\t'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n",
+        {},
+    ),
+    (
+        "witness nonutf8.meta",
+        1,
+        "",
+        "error\tUnicodeDecodeError\t'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n",
+        {},
+    ),
+    (
+        "dot k4.g -l nonutf8.landmarks",
+        1,
+        "",
+        "error\tUnicodeDecodeError\t'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n",
+        {},
+    ),
+    (
+        "reduce k4.g -o h.meta",
+        2,
+        "",
+        "usage error: two outputs name the same file: h.meta\n",
+        {},
+    ),
+    (
+        "reduce k4.g -o h2.g --meta h2.g",
+        2,
+        "",
+        "usage error: two outputs name the same file: h2.g\n",
+        {},
+    ),
+    (
+        "reduce k4.g -o h2.g -l h2.g",
+        2,
+        "",
+        "usage error: two outputs name the same file: h2.g\n",
+        {},
+    ),
+    (
+        "gen-gadget C 4 -o c.g -l c.g",
+        2,
+        "",
+        "usage error: two outputs name the same file: c.g\n",
+        {},
+    ),
+]
