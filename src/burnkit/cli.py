@@ -73,6 +73,11 @@ def _write_landmarks(path: str | None, landmarks: dict):
     _write_file(path, "\n".join(lines) + "\n")
 
 
+def _dot_string(text: str) -> str:
+    """``text`` as a DOT double-quoted string, its ``\\`` and ``"`` escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(g: Graph, landmarks: dict | None = None) -> str:
     """DOT text with landmark vertices styled and annotated."""
     tagged: dict[str, list[str]] = {}
@@ -83,12 +88,12 @@ def export_dot(g: Graph, landmarks: dict | None = None) -> str:
     out = ["graph burnkit {", "  node [shape=circle];"]
     for v in g.vertices:
         if v in tagged:
-            names = ",".join(tagged[v])
-            out.append(f'  "{v}" [style=filled, fillcolor=lightblue, xlabel="{names}"];')
+            names = _dot_string(",".join(tagged[v]))
+            out.append(f"  {_dot_string(v)} [style=filled, fillcolor=lightblue, xlabel={names}];")
         elif g.degree(v) == 0:
-            out.append(f'  "{v}";')
+            out.append(f"  {_dot_string(v)};")
     for u, v in g.edges():
-        out.append(f'  "{u}" -- "{v}";')
+        out.append(f"  {_dot_string(u)} -- {_dot_string(v)};")
     out.append("}")
     return "\n".join(out) + "\n"
 
@@ -101,8 +106,13 @@ def _generated(make, *params, **kwargs) -> Graph:
         raise InvalidParamsError(str(exc)) from None
 
 
-# kind -> (parameter count, constructor of a GadgetHandle or a Graph from the
-# integer parameters and --seed)
+# kind -> (parameter count, constructor from the integer parameters and
+# --seed): plain test graphs, which have no landmarks, then gadget handles
+_GENERATORS = {
+    "path": (1, lambda p, seed: _generated(path_graph, *p)),
+    "cycle": (1, lambda p, seed: _generated(cycle_graph, *p)),
+    "cubic": (1, lambda p, seed: _generated(random_cubic, *p, seed=seed)),
+}
 _GADGETS = {
     "T": (2, lambda p, seed: gadgets.make_T(*p)),
     "BT": (1, lambda p, seed: gadgets.make_BT(*p)),
@@ -111,9 +121,7 @@ _GADGETS = {
     "Y": (2, lambda p, seed: gadgets.make_Y(*p)),
     "Tail": (0, lambda p, seed: gadgets.make_Tail()),
     "C": (1, lambda p, seed: gadgets.make_C(*p)),
-    "path": (1, lambda p, seed: _generated(path_graph, *p)),
-    "cycle": (1, lambda p, seed: _generated(cycle_graph, *p)),
-    "cubic": (1, lambda p, seed: _generated(random_cubic, *p, seed=seed)),
+    **_GENERATORS,
 }
 
 
@@ -130,6 +138,8 @@ def _gen_gadget(args):
         params = [int(p) for p in args.params]
     except ValueError:
         raise _UsageError(f"gadget parameters must be integers: {args.params}") from None
+    if args.landmarks and args.kind in _GENERATORS:
+        raise _UsageError(f"gen-gadget {args.kind} has no landmarks to write")
     g = make(params, args.seed)
     if isinstance(g, GadgetHandle):
         _write_landmarks(args.landmarks, g.landmarks)
@@ -326,8 +336,10 @@ class _Command(NamedTuple):
     timing: str  # key of the --timings line
     inputs: tuple  # input file arguments, digested into `input` lines in order
     args: tuple  # argparse arguments as (flags, keywords) pairs
-    # the output paths; two that name one file are a usage error
+    # the output paths; one that names an input file, or two that name one
+    # file, are a usage error
     outputs: Callable[[argparse.Namespace], tuple] = lambda args: ()
+    sidecars: tuple = ()  # further input file arguments, read but not digested
 
 
 def _arg(*flags, **kwargs) -> tuple:
@@ -337,6 +349,12 @@ def _arg(*flags, **kwargs) -> tuple:
 _GRAPH = _arg("graph")
 _SEQUENCE = _arg("sequence")
 _BUDGET = _arg("--budget", type=int, default=10_000_000)
+
+
+def _output(args) -> tuple:
+    return (args.output,)
+
+
 _COMMANDS = {
     "gen-gadget": _Command(
         "emit a gadget graph and its landmarks", _gen_gadget, "generate", (),
@@ -362,6 +380,7 @@ _COMMANDS = {
     "witness": _Command(
         "constructive witness from a reduce meta file", _witness, "witness", ("meta",),
         (_arg("meta"), _arg("-o", "--output", help="sequence file"), _BUDGET),
+        outputs=_output,
     ),
     "burn": _Command(
         "simulate a burning sequence on a graph", _burn, "burn", ("graph", "sequence"),
@@ -375,10 +394,12 @@ _COMMANDS = {
             _BUDGET,
             _arg("--naive", action="store_true", help="use the exhaustive oracle"),
         ),
+        outputs=_output,
     ),
     "solve-vc": _Command(
         "exact minimum vertex cover", _solve_vc, "solve", ("graph",),
         (_GRAPH, _arg("-o", "--output", help="cover file"), _BUDGET),
+        outputs=_output,
     ),
     "audit": _Command(
         "audit a sequence against the reduction of a graph", _audit, "audit",
@@ -388,6 +409,7 @@ _COMMANDS = {
     "lift": _Command(
         "build the d-regular lift of a cubic graph", _lift, "lift", ("graph",),
         (_GRAPH, _arg("--d", type=int, required=True), _arg("-o", "--output", required=True)),
+        outputs=_output,
     ),
     "project": _Command(
         "project an H_d sequence onto H_d'", _project, "project", ("graph", "sequence"),
@@ -398,6 +420,7 @@ _COMMANDS = {
             _arg("--dprime", type=int, required=True),
             _arg("-o", "--output", help="projected sequence file"),
         ),
+        outputs=_output,
     ),
     "stats": _Command("structural summary of a graph", _stats, "stats", ("graph",), (_GRAPH,)),
     "dot": _Command(
@@ -407,6 +430,8 @@ _COMMANDS = {
             _arg("-l", "--landmarks", help="landmark sidecar to style"),
             _arg("-o", "--output", help="output file (default stdout)"),
         ),
+        outputs=_output,
+        sidecars=("landmarks",),
     ),
 }
 
@@ -428,11 +453,20 @@ def main(argv: list[str] | None = None) -> int:
     start = time.monotonic()
     items: list = [("command", args.command)]
     try:
-        seen = set()  # outputs are checked before anything is written
+        # outputs are checked before anything is written
+        reads = {
+            os.path.realpath(path)
+            for attr in command.inputs + command.sidecars
+            if (path := getattr(args, attr))
+        }
+        seen = set()
         for path in filter(None, command.outputs(args)):
-            if os.path.realpath(path) in seen:
+            real = os.path.realpath(path)
+            if real in reads:
+                raise _UsageError(f"an output names an input file: {path}")
+            if real in seen:
                 raise _UsageError(f"two outputs name the same file: {path}")
-            seen.add(os.path.realpath(path))
+            seen.add(real)
         for attr in command.inputs:
             digest = hashlib.sha256(Path(getattr(args, attr)).read_bytes()).hexdigest()
             items.append(("input", digest[:16]))

@@ -5,6 +5,13 @@ map naming the distinguished vertices (hooks, end vertices, tips, roots,
 trunk cycles, middles).  Landmark names are part of the public API; tests and
 the reduction address vertices only through them.
 
+Each ``_*_parts`` builder formats every vertex label exactly once, into a
+label table: one list per column, arm row, tree level or spine.  Its edges
+and landmarks index that table, and a set landmark (a half, the leaves, the
+majors, a trunk) is a slice or a concatenation of it, so the strings are
+shared rather than formatted again.  One builder serves both the ``make_*``
+constructor and ``reduction.build_H``.
+
 T-gadget wiring: two parallel fixed-arm columns of 2*l1 levels with a rung on
 every level, the left column continuous and the right column severed between
 levels l1 and l1+1, where the two floating-arm rows of l2 vertices attach;
@@ -56,61 +63,40 @@ class GadgetHandle:
 
 def _t_parts(l1: int, l2: int, name: str, p_hook: str, q_hook: str):
     """Edges and landmarks of one T-gadget wired between two hook vertices."""
-
-    def L(i: int) -> str:
-        return f"{name}l:{i}"
-
-    def R(i: int) -> str:
-        return f"{name}r:{i}"
-
-    def AQ(i: int) -> str:
-        return f"{name}aq:{i}"
-
-    def AP(i: int) -> str:
-        return f"{name}ap:{i}"
-
     top = 2 * l1
-    edges = [(q_hook, L(1)), (q_hook, R(1)), (p_hook, L(top)), (p_hook, R(top))]
-    for i in range(1, top):
-        edges.append((L(i), L(i + 1)))
-        if i != l1:  # right column is severed at the floating-arm junction
-            edges.append((R(i), R(i + 1)))
-    for i in range(1, top + 1):
-        edges.append((L(i), R(i)))
-    edges.append((R(l1), AQ(1)))
-    edges.append((R(l1 + 1), AP(1)))
-    for row in (AQ, AP):
-        for i in range(1, l2):
-            edges.append((row(i), row(i + 1)))
-    edges.append((AQ(l2 - 1), AP(l2)))
-    edges.append((AP(l2 - 1), AQ(l2)))
-    for i in range(1, l2 - 1):
-        edges.append((AQ(i), AP(i)))
-    edges.append((AQ(l2), AP(l2)))
+    # level i of a column and position i of an arm row are entry i - 1
+    left, right = ([f"{name}{column}:{i}" for i in range(1, top + 1)] for column in "lr")
+    aq, ap = ([f"{name}{row}:{i}" for i in range(1, l2 + 1)] for row in ("aq", "ap"))
+    edges = [(q_hook, left[0]), (q_hook, right[0]), (p_hook, left[-1]), (p_hook, right[-1])]
+    for i in range(top - 1):
+        edges.append((left[i], left[i + 1]))
+        if i != l1 - 1:  # right column is severed at the floating-arm junction
+            edges.append((right[i], right[i + 1]))
+    edges += zip(left, right)
+    edges.append((right[l1 - 1], aq[0]))
+    edges.append((right[l1], ap[0]))
+    for row in (aq, ap):
+        edges += zip(row, row[1:])
+    edges.append((aq[-2], ap[-1]))
+    edges.append((ap[-2], aq[-1]))
+    edges += zip(aq[:-2], ap[:-2])
+    edges.append((aq[-1], ap[-1]))
 
     landmarks: dict[str, Landmark] = {
-        "f1_qp": L(1),
-        "f2_qp": R(1),
-        "f1_pq": L(top),
-        "f2_pq": R(top),
-        "j_qp": L(l1),
-        "jn_qp": R(l1),
-        "j_pq": L(l1 + 1),
-        "jn_pq": R(l1 + 1),
-        "w_qp": AQ(1),
-        "w_pq": AP(1),
-        "tip_qp": AQ(l2),
-        "tip_pq": AP(l2),
-        "half_pq": tuple(
-            [L(i) for i in range(l1 + 1, top + 1)]
-            + [R(i) for i in range(l1 + 1, top + 1)]
-            + [AP(i) for i in range(1, l2 + 1)]
-        ),
-        "half_qp": tuple(
-            [L(i) for i in range(1, l1 + 1)]
-            + [R(i) for i in range(1, l1 + 1)]
-            + [AQ(i) for i in range(1, l2 + 1)]
-        ),
+        "f1_qp": left[0],
+        "f2_qp": right[0],
+        "f1_pq": left[-1],
+        "f2_pq": right[-1],
+        "j_qp": left[l1 - 1],
+        "jn_qp": right[l1 - 1],
+        "j_pq": left[l1],
+        "jn_pq": right[l1],
+        "w_qp": aq[0],
+        "w_pq": ap[0],
+        "tip_qp": aq[-1],
+        "tip_pq": ap[-1],
+        "half_pq": tuple(left[l1:] + right[l1:] + ap),
+        "half_qp": tuple(left[:l1] + right[:l1] + aq),
     }
     return edges, landmarks
 
@@ -133,23 +119,22 @@ def make_T(l1: int, l2: int) -> GadgetHandle:
 
 
 def _bt_parts(h: int, name: str):
-    def node(level: int, i: int) -> str:
-        return f"{name}{level}:{i}"
-
+    """Edges and the level table of a BT(h): ``levels[k][i]`` is vertex i of level k."""
+    levels = [[f"{name}{level}:{i}" for i in range(1 << level)] for level in range(h + 1)]
     edges = []
-    for level in range(h):
-        for i in range(1 << level):
-            edges.append((node(level, i), node(level + 1, 2 * i)))
-            edges.append((node(level, i), node(level + 1, 2 * i + 1)))
-    leaves = tuple(node(h, i) for i in range(1 << h))
-    return edges, node(0, 0), leaves
+    for parents, children in zip(levels, levels[1:]):
+        for parent, left, right in zip(parents, children[::2], children[1::2]):
+            edges.append((parent, left))
+            edges.append((parent, right))
+    return edges, levels
 
 
 def make_BT(h: int) -> GadgetHandle:
     """Perfect binary tree of height h: 2^(h+1) - 1 vertices, 2^h leaves."""
     if h < 1:
         raise InvalidParamsError(f"BT-gadget needs h >= 1, got {h}")
-    edges, root, leaves = _bt_parts(h, "bt:")
+    edges, levels = _bt_parts(h, "bt:")
+    root, leaves = levels[0][0], tuple(levels[-1])
     return GadgetHandle(
         Graph(edges),
         {"root": root, "leaves": leaves, "ends": (root,) + leaves},
@@ -171,28 +156,29 @@ def check_btp_inequalities(h: int, l1: int, l2: int) -> list[str]:
 
 def _btp_parts(h: int, l1: int, l2: int, name: str):
     """Edges plus landmark map for a BTP; side 'ab' is the first endpoint's."""
-    edges_ab, r_ab, leaves_ab = _bt_parts(h, f"{name}bt:ab:")
-    edges_ba, r_ba, leaves_ba = _bt_parts(h, f"{name}bt:ba:")
+    edges_ab, levels_ab = _bt_parts(h, f"{name}bt:ab:")
+    edges_ba, levels_ba = _bt_parts(h, f"{name}bt:ba:")
     edges = edges_ab + edges_ba
     tips_ab, tips_ba = [], []
-    half_ab = [v for e in edges_ab for v in e]
-    half_ba = [v for e in edges_ba for v in e]
-    for i, (pa, pb) in enumerate(zip(leaves_ab, leaves_ba)):
+    half_ab = [v for level in levels_ab for v in level]
+    half_ba = [v for level in levels_ba for v in level]
+    for i, (pa, pb) in enumerate(zip(levels_ab[-1], levels_ba[-1])):
         t_edges, t_marks = _t_parts(l1, l2, f"{name}t:{i}:", pa, pb)
         edges += t_edges
         tips_ab.append(t_marks["tip_pq"])
         tips_ba.append(t_marks["tip_qp"])
-        half_ab += list(t_marks["half_pq"])
-        half_ba += list(t_marks["half_qp"])
+        half_ab += t_marks["half_pq"]
+        half_ba += t_marks["half_qp"]
+    r_ab, r_ba = levels_ab[0][0], levels_ba[0][0]
     landmarks: dict[str, Landmark] = {
         "r_ab": r_ab,
         "r_ba": r_ba,
-        "leaves_ab": leaves_ab,
-        "leaves_ba": leaves_ba,
+        "leaves_ab": tuple(levels_ab[-1]),
+        "leaves_ba": tuple(levels_ba[-1]),
         "tips_ab": tuple(tips_ab),
         "tips_ba": tuple(tips_ba),
-        "a_half": tuple(dict.fromkeys(half_ab)),
-        "b_half": tuple(dict.fromkeys(half_ba)),
+        "a_half": tuple(half_ab),
+        "b_half": tuple(half_ba),
         "ends": (r_ab, r_ba),
     }
     return edges, landmarks
@@ -225,28 +211,21 @@ def make_BTP(h: int, l1: int, l2: int) -> GadgetHandle:
 
 
 def _p_parts(d: int, name: str):
-    def A(i: int) -> str:
-        return f"{name}a{i}"
-
-    def B(i: int) -> str:
-        return f"{name}b{i}"
-
-    edges = []
-    for i in range(1, d):
-        edges.append((A(i), A(i + 1)))
-    for i in range(2, d - 1):
-        edges.append((B(i), B(i + 1)))
-    for i in range(2, d):
-        edges.append((A(i), B(i)))
-    edges.append((A(1), B(2)))
-    edges.append((A(d), B(d - 1)))
+    # majors[i - 1] is a_i (1 <= i <= d), minors[i - 2] is b_i (2 <= i < d)
+    majors = [f"{name}a{i}" for i in range(1, d + 1)]
+    minors = [f"{name}b{i}" for i in range(2, d)]
+    edges = list(zip(majors, majors[1:]))
+    edges += zip(minors, minors[1:])
+    edges += zip(majors[1:-1], minors)
+    edges.append((majors[0], minors[0]))
+    edges.append((majors[-1], minors[-1]))
     landmarks: dict[str, Landmark] = {
-        "a1": A(1),
-        "ad": A(d),
-        "middle": A((d + 1) // 2),
-        "majors": tuple(A(i) for i in range(1, d + 1)),
-        "minors": tuple(B(i) for i in range(2, d)),
-        "ends": (A(1), A(d)),
+        "a1": majors[0],
+        "ad": majors[-1],
+        "middle": majors[(d - 1) // 2],
+        "majors": tuple(majors),
+        "minors": tuple(minors),
+        "ends": (majors[0], majors[-1]),
     }
     return edges, landmarks
 
@@ -280,9 +259,9 @@ def _y_parts(d1: int, d2: int, name: str):
         "z": z,
         "z_a": marks_z["a1"],
         "z_b": marks_z["ad"],
-        "px": tuple(dict.fromkeys(v for e in edges_x for v in e)),
-        "py": tuple(dict.fromkeys(v for e in edges_y for v in e)),
-        "pz": tuple(dict.fromkeys(v for e in edges_z for v in e)),
+        "px": marks_x["majors"] + marks_x["minors"],
+        "py": marks_y["majors"] + marks_y["minors"],
+        "pz": marks_z["majors"] + marks_z["minors"],
         "ends": (marks_x["a1"], marks_y["a1"], marks_z["ad"]),
     }
     return edges, landmarks
@@ -301,24 +280,22 @@ def make_Y(d1: int, d2: int) -> GadgetHandle:
 
 
 def _tail_parts(name: str):
-    def V(i: int) -> str:
-        return f"{name}v{i}"
-
+    spine = [f"{name}v{i}" for i in range(1, 10)]  # v_i is spine[i - 1]
     p, q, r = f"{name}p", f"{name}q", f"{name}r"
-    edges = [(V(i), V(i + 1)) for i in range(1, 9)]
-    edges += [(p, V(2)), (p, V(3)), (p, V(4))]
-    edges += [(q, V(5)), (q, V(7)), (q, V(9))]
-    edges += [(r, V(1)), (r, V(6)), (r, V(8))]
-    landmarks: dict[str, Landmark] = {f"v{i}": V(i) for i in range(1, 10)}
+    edges = list(zip(spine, spine[1:]))
+    edges += [(p, spine[1]), (p, spine[2]), (p, spine[3])]
+    edges += [(q, spine[4]), (q, spine[6]), (q, spine[8])]
+    edges += [(r, spine[0]), (r, spine[5]), (r, spine[7])]
+    landmarks: dict[str, Landmark] = {f"v{i}": v for i, v in enumerate(spine, 1)}
     landmarks.update(
         p=p,
         q=q,
         r=r,
-        PT1=(V(1),),
-        PT2=(V(2), V(3), V(4)),
-        PT3=tuple(V(i) for i in range(5, 10)),
-        spine=tuple(V(i) for i in range(1, 10)),
-        ends=(V(1), V(9)),
+        PT1=tuple(spine[:1]),
+        PT2=tuple(spine[1:4]),
+        PT3=tuple(spine[4:]),
+        spine=tuple(spine),
+        ends=(spine[0], spine[-1]),
     )
     return edges, landmarks
 
@@ -346,28 +323,28 @@ def _c_parts(m: int, name: str):
     middles = _c_middles(m, name)
     vm2 = f"{name}vm2"
     edges: list[tuple[str, str]] = []
-    p_marks: dict[int, dict[str, Landmark]] = {}
+    p_marks: list[dict[str, Landmark]] = []  # P_m down to P_4
     for i in range(m, 3, -1):
         d = 2 * m - 2 if i == m else 2 * i - 1
         part_edges, marks = _p_parts(d, f"{name}p{i}:")
         edges += part_edges
-        p_marks[i] = marks
+        p_marks.append(marks)
     tail_edges, tail_marks = _tail_parts(f"{name}tail:")
     edges += tail_edges
 
-    edges.append((vm2, p_marks[m]["a1"]))
-    for i in range(m, 4, -1):
-        edges.append((p_marks[i]["ad"], p_marks[i - 1]["a1"]))
-    edges.append((p_marks[4]["ad"], tail_marks["v9"]))
+    edges.append((vm2, p_marks[0]["a1"]))
+    for marks, next_marks in zip(p_marks, p_marks[1:]):
+        edges.append((marks["ad"], next_marks["a1"]))
+    edges.append((p_marks[-1]["ad"], tail_marks["v9"]))
     edges.append((tail_marks["v1"], vm2))
 
+    # both cycles run v_m2 and the majors, then close through the Tail: the
+    # trunk along the whole spine, trunk' through the hub r
     trunk: list[str] = [vm2]
-    for i in range(m, 3, -1):
-        trunk += list(p_marks[i]["majors"])
-    trunk += [tail_marks[f"v{j}"] for j in range(9, 0, -1)]
-
-    trunk_prime = trunk[: -len(tail_marks["spine"])]
-    trunk_prime += [tail_marks["v9"], tail_marks["v8"], tail_marks["r"], tail_marks["v1"]]
+    for marks in p_marks:
+        trunk += marks["majors"]
+    trunk_prime = trunk + [tail_marks["v9"], tail_marks["v8"], tail_marks["r"], tail_marks["v1"]]
+    trunk += reversed(tail_marks["spine"])
 
     landmarks: dict[str, Landmark] = {
         "v1": tail_marks["v1"],

@@ -179,6 +179,11 @@ def double_subdivide(
     return Graph(kept), x, y
 
 
+def _core_label(v: str) -> str:
+    """H's label of the core vertex of G' vertex ``v``."""
+    return f"g:{v}"
+
+
 @dataclass
 class ReductionInstance:
     """H plus G, G', parameters and landmarks; :meth:`owner_of` decodes
@@ -196,7 +201,7 @@ class ReductionInstance:
     c_landmarks: dict[str, Landmark]
 
     def core_label(self, v: str) -> str:
-        return f"g:{v}"
+        return _core_label(v)
 
     @cached_property
     def _btp_edges(self) -> dict[str, tuple[str, str]]:
@@ -239,7 +244,7 @@ def build_H(g: Graph, edge: tuple[str, str] | None = None) -> ReductionInstance:
     sub_edge = next(e for e in g.edges() if not g_prime.has_edge(*e))
     params = choose_params(g_prime.vertex_count)
 
-    core = {v: f"g:{v}" for v in g_prime.vertices}
+    core = {v: _core_label(v) for v in g_prime.vertices}
     edges: list[tuple[str, str]] = []
     btp_landmarks: dict[tuple[str, str], dict[str, Landmark]] = {}
 
@@ -298,8 +303,8 @@ def witness_sources(
     uncovered = [(u, v) for u, v in gprime_edges if u not in q and v not in q]
     if uncovered:
         raise NotACoverError(uncovered)
-    sources = [f"g:{first}"]
-    sources += [f"g:{v}" for v in sorted(q - {first})]
+    sources = [_core_label(first)]
+    sources += [_core_label(v) for v in sorted(q - {first})]
     sources += _c_middles(m, "c:")
     return sources
 

@@ -240,6 +240,20 @@ def test_dot_export_deterministic():
     assert '"p"' in a and "tip_pq" in a
 
 
+def test_dot_escapes_quotes_and_backslashes():
+    g = Graph([('a"b', "c"), ("a\\b", "c")])
+    text = export_dot(g, {'q"': ('a"b',), "r\\": ("a\\b",)})
+    assert text == (
+        "graph burnkit {\n"
+        "  node [shape=circle];\n"
+        '  "a\\"b" [style=filled, fillcolor=lightblue, xlabel="q\\""];\n'
+        '  "a\\\\b" [style=filled, fillcolor=lightblue, xlabel="r\\\\"];\n'
+        '  "a\\"b" -- "c";\n'
+        '  "a\\\\b" -- "c";\n'
+        "}\n"
+    )
+
+
 def test_dot_small(capsys, tmp_path):
     graph_file = tmp_path / "p3.g"
     graph_file.write_text(write_graph(path_graph(3)), encoding="utf-8")
@@ -304,6 +318,44 @@ def test_coinciding_outputs_are_a_usage_error(tmp_path, monkeypatch, capsys, arg
     assert main(argv.split()) == 2
     assert capsys.readouterr() == ("", f"usage error: two outputs name the same file: {clash}\n")
     assert sorted(tmp_path.rglob("*")) == before  # nothing written
+
+
+@pytest.mark.parametrize(
+    "argv, clash",
+    [
+        ("solve-burn k4.g -o k4.g", "k4.g"),
+        ("solve-burn k4.g -o sub/../k4.g", "sub/../k4.g"),
+        ("solve-vc k4.g -o ./k4.g", "./k4.g"),
+        ("witness h.meta -o h.meta", "h.meta"),
+        ("lift k4.g --d 4 -o k4.g", "k4.g"),
+        ("project k4.g w.seq --d 4 --dprime 3 -o w.seq", "w.seq"),
+        ("dot k4.g -o k4.g", "k4.g"),
+        ("dot k4.g -l k4.landmarks -o k4.landmarks", "k4.landmarks"),
+        ("reduce k4.g -o k4.g", "k4.g"),
+        ("reduce k4.g -o h.g --meta k4.g", "k4.g"),
+    ],
+)
+@pytest.mark.usefixtures("k4_file")  # writes k4.g into tmp_path
+def test_output_naming_an_input_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, clash):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "h.meta").write_text(_META, encoding="utf-8")
+    (tmp_path / "w.seq").write_text("copy1:v1\n", encoding="utf-8")
+    (tmp_path / "k4.landmarks").write_text("x\tv1\n", encoding="utf-8")
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    assert main(argv.split()) == 2
+    assert capsys.readouterr() == ("", f"usage error: an output names an input file: {clash}\n")
+    after = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    assert after == before  # the input is unchanged and nothing is written
+
+
+@pytest.mark.parametrize("kind, param", [("path", "5"), ("cycle", "5"), ("cubic", "8")])
+def test_landmarks_of_a_plain_generator_are_a_usage_error(tmp_path, capsys, kind, param):
+    argv = ["gen-gadget", kind, param, "-o", str(tmp_path / "g.g"), "-l", str(tmp_path / "g.l")]
+    assert main(argv) == 2
+    err = f"usage error: gen-gadget {kind} has no landmarks to write\n"
+    assert capsys.readouterr() == ("", err)
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- error contract fuzz -------------------------------------------------------

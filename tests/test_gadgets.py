@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from burnkit.burning import is_burning_sequence, simulate
+from burnkit.cli import _write_landmarks
 from burnkit.gadgets import (
     InvalidParamsError,
     ParamInequalityError,
@@ -18,7 +21,9 @@ from burnkit.gadgets import (
     make_Tail,
     make_Y,
 )
-from burnkit.graph import bfs_distances, degree_histogram, eccentricity, is_connected
+from burnkit.generators import prism_graph, random_cubic
+from burnkit.graph import bfs_distances, degree_histogram, eccentricity, is_connected, write_graph
+from burnkit.reduction import build_H
 
 
 def _gadget_degrees(handle, hooks=()):
@@ -281,3 +286,116 @@ def test_count_sweeps():
         assert make_Y(d1, d2).graph.vertex_count == 4 * d1 + 2 * d2 - 5
     for m in range(4, 13):
         assert make_C(m).graph.vertex_count == 2 * m * m - 2 * m - 1
+
+
+# Byte pins ------------------------------------------------------------------
+#
+# sha256 of each gadget's edge-list file and landmark sidecar, and of the H
+# file and the BTP, Y and C landmark reprs of three reductions.  Every label,
+# edge and landmark order of the gadget layer shows here.
+
+_GADGET_PINS = {
+    ("T", 1, 2): (
+        "49b3f675f9919bcdfb68c79e8baa2d1e268f3fcebcf6a80edc82089205b1c914",
+        "279b1734dde40b9d79da3dabe748499f45068b2851ebac9b30159eb357b0ecb0",
+    ),
+    ("T", 3, 7): (
+        "3453632b193ab0751faf23009d3ec6f7341bea7c14398aeaf0a002f666730e6b",
+        "fef6f73044408099b90adbddbb6146b5a80f3d0f393fe414d85c3a6a5f30b240",
+    ),
+    ("BT", 1): (
+        "ee11517e328666bd250d665c95dd3165f276cb65a3d42e211f38250d06c221c8",
+        "27c3222ec8c9475ee448a509f0ceb65a829660c1bcaa02426248badb83e0eb7e",
+    ),
+    ("BT", 4): (
+        "20c5f1107d797febf713c9cac0ad85cbbc6038a544445fc8c5fbb261b7307d7b",
+        "71ae4d12efaec8630223a1b87ba53958abfeb1e3b14f893571c8e8ae5556dba5",
+    ),
+    ("BTP", 6, 1, 9): (
+        "20b5908215418664904565ff061e4a4bf335b310cf8415f1d7b73bba0078f527",
+        "91b6ea185e5880351a62f2cc2ffecac6b5dd865b21d329749c9107a892daac30",
+    ),
+    ("BTP", 7, 2, 11): (
+        "78fc3da019616b1639b6205afd880c72bc0f414d84c96f4cbacdaed6fcdacfd9",
+        "477af9f6b57b21f37480390b7a2280e36c4c4ad9dbf664211f40e29ef1b7fd10",
+    ),
+    ("P", 3): (
+        "16a479de7b92db59cece8cd081af94d1d808248acc6b932c8ee09c7bdaa6bf19",
+        "24b41fc71b6d1e2eb23e3476d9693a8b01482651ef90acc863bb393c1544ab1b",
+    ),
+    ("P", 8): (
+        "f87315aaa2116cb246e8cf53805ae7acad3aceccfbd23b3601d8f7810909347e",
+        "2f3f6b1d130e1d301286fd760038cd0a99b0b24780fccf60b3bd4d6aac01ab5e",
+    ),
+    ("Y", 3, 3): (
+        "f40b67dae2c07c6b5227fea42e476f2ed4c4c4ec488e96a807bd6945ec4ddb7b",
+        "8d76305892e107630ad0fee0bfc7090042d48a76919cd14786925e96e84241a7",
+    ),
+    ("Y", 5, 7): (
+        "ad8b492b149f2b00215e08e4fa7edefd93b9fa4d692a88769110dd0ec055fd13",
+        "2732edc7ad22db7d0354afcee40d8b89c7e00a04da1f1f4b78cff47b7616400e",
+    ),
+    ("Tail",): (
+        "ccb223bf65651560f65afe7f20d1fa59a794ce0fd34e9d51dd31a9071ed526db",
+        "bcc140be81552a3edc6b7c433cdcb56f3918ff0d9bcc889d1bce39a14a227b18",
+    ),
+    ("C", 4): (
+        "92f00aa87e1ade1c30569a27c920ccc9ec81f0d7a7360c6667c92d4b8015c2d4",
+        "eef583e8880c2569796f2c8ed6ff857ced18d632cd27ae139d23b8f4d19b3c9d",
+    ),
+    ("C", 7): (
+        "c3f02540c91061aa00832b6323b388a1581725b81201fbfe0f71a9a5bb31e479",
+        "c3c2b8a832d0487a7f82fb5ec92b32ff3aa7e69418d12a0406a9be56af71120a",
+    ),
+}
+
+# H file, then repr of btp_landmarks, y_landmarks and c_landmarks
+_H_PINS = {
+    "K4": (
+        "724c05d3629cb75ddcf46b236eb3ef7a7bfa5e983ad867ac387fd06182c9d4dc",
+        "608f5fdbef95d4a637383f5caaa02ca84fd1b4221400c0acd2d8f09b09ac109b",
+        "2e978f9eef6a699df9e4c027044fc2fabf412058bfb48fc94e71d15f8730bace",
+        "a0133beebcd533aad5afa541ca263329354155db2eb3533371c2b9e449217d58",
+    ),
+    "prism": (
+        "66b86757e3442640c829ee8d6b60ddf56df0540b70342ee632d0932dc8a2839b",
+        "c0b1983420a223c4cfab0892f3cbfcbe4365dfe2803c6c39c501cb1e1888879f",
+        "90b64d4be5862d93da19d61668aeb616382e017486db12e387d53203cf2e0b17",
+        "a0133beebcd533aad5afa541ca263329354155db2eb3533371c2b9e449217d58",
+    ),
+    "random_cubic(8, 1)": (
+        "250fb496c6f3e2ce2106bebc813c9eaf1f2d53d3432c343c2bf5b9da9ac69593",
+        "ebb4bb94f146124705cc2f265566292e065ace84578f8bd8ffd02cdf30f4a4ad",
+        "45ae0b9b7a7f9fd432b06398b0028ac8b8cd95b3a2cb9d680743b7d638aa9622",
+        "c69f3e8caa8b6796cecd54e0a0d9435e159518ab9546ddc63941f755f0d7f12c",
+    ),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_gadget_and_h_bytes_are_pinned(tmp_path, k4_instance):
+    marks_file = tmp_path / "marks"
+    gadgets = {}
+    for kind, *params in _GADGET_PINS:
+        handle = globals()[f"make_{kind}"](*params)
+        _write_landmarks(str(marks_file), handle.landmarks)
+        gadgets[(kind, *params)] = (
+            _sha256(write_graph(handle.graph)),
+            hashlib.sha256(marks_file.read_bytes()).hexdigest(),
+        )
+    assert gadgets == _GADGET_PINS
+
+    def pins(inst):
+        return (
+            _sha256(write_graph(inst.h_graph)),
+            _sha256(repr(inst.btp_landmarks)),
+            _sha256(repr(inst.y_landmarks)),
+            _sha256(repr(inst.c_landmarks)),
+        )
+
+    assert pins(k4_instance) == _H_PINS["K4"]
+    assert pins(build_H(prism_graph())) == _H_PINS["prism"]
+    assert pins(build_H(random_cubic(8, seed=1))) == _H_PINS["random_cubic(8, 1)"]
