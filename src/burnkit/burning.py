@@ -202,13 +202,6 @@ def frontier_burn_times(
     return {labels[v]: time[v] for v in order}
 
 
-def _first_unburned(g: Graph, sequence: BurningSequence | Sequence[str]) -> str | None:
-    """The smallest label (index order is label order) a sequence leaves
-    unburned, or None; raises like :func:`frontier_burn_times`."""
-    time, order, _ = _valid_burn(g, sequence)
-    return g.labels[time.index(_UNBURNED)] if len(order) < len(time) else None
-
-
 def simulate(g: Graph, sequence: BurningSequence | Sequence[str]) -> BurningSchedule:
     """Burn times, responsible-source sets and the unburned set of a sequence."""
     time, order, placed = _valid_burn(g, sequence)

@@ -65,11 +65,17 @@ def _write_file(path: str | None, text: str):
         Path(path).write_text(text, encoding="utf-8")
 
 
+def _landmark_value(value: str | tuple[str, ...]) -> str:
+    """Labels joined by ``,``, or each followed by a TAB when one holds a
+    ``,`` (labels never hold whitespace); :func:`_dot` reads both."""
+    labels = (value,) if isinstance(value, str) else value
+    if any("," in lbl for lbl in labels):
+        return "".join(f"{lbl}\t" for lbl in labels)
+    return ",".join(labels)
+
+
 def _write_landmarks(path: str | None, landmarks: dict):
-    lines = [
-        f"{name}\t{value if isinstance(value, str) else ','.join(value)}"
-        for name, value in sorted(landmarks.items())
-    ]
+    lines = [f"{name}\t{_landmark_value(value)}" for name, value in sorted(landmarks.items())]
     _write_file(path, "\n".join(lines) + "\n")
 
 
@@ -321,7 +327,7 @@ def _dot(args):
         for line in _text(args.landmarks).splitlines():
             if line.strip():
                 name, _, value = line.partition("\t")
-                landmarks[name] = tuple(value.split(","))
+                landmarks[name] = tuple(value.split() if "\t" in value else value.split(","))
     text = export_dot(g, landmarks)
     if args.output:
         _write_file(args.output, text)

@@ -5,6 +5,12 @@ H_d consists of d - 2 copies of the base graph with each vertex's copy set
 joined into a clique; labels are ``copy<j>:<v>``.  Projection onto H_d' keeps
 vertices of the first d' - 2 copies and folds the rest onto copy 1; for
 d' = 3 the result lives on the base graph itself (copy prefix stripped).
+
+Lifting and projection are each one :func:`~burnkit.burning._repair_sequence`
+call: the repair keeps every intended source it can still place and fills a
+missing or unplaceable step with the smallest vertex left unburned, so
+appending a leftover vertex and dropping a trailing duplicate are both cases
+of it.
 """
 
 from __future__ import annotations
@@ -13,13 +19,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
-from .burning import (
-    BurningSequence,
-    InvalidSequenceError,
-    _first_unburned,
-    _repair_sequence,
-    is_burning_sequence,
-)
+from .burning import BurningSequence, _repair_sequence, is_burning_sequence
 from .graph import Graph, _from_core, is_connected, is_regular
 
 
@@ -122,11 +122,6 @@ def project_vertex(label: str, d_prime: int) -> str:
     return _copy_label(1, v)
 
 
-def project_to_copy(label: str, k: int) -> str:
-    j, v = split_label(label)
-    return _copy_label(k, v)
-
-
 def subgraph_for(lifted: LiftedGraph, d_prime: int) -> Graph:
     """H_d' as a standalone graph (the base itself for d' = 3)."""
     if d_prime == 3:
@@ -137,16 +132,21 @@ def subgraph_for(lifted: LiftedGraph, d_prime: int) -> Graph:
 
 
 def lift_sequence(lifted: LiftedGraph, sequence: BurningSequence | Sequence[str]) -> BurningSequence:
-    """Play a base sequence inside copy 1; every clique twin burns one step
-    later, so appending one still-unburned vertex (if any) completes H_d."""
+    """Play a base sequence of length k inside copy 1 and repair it with a
+    horizon of k + 1 steps.
+
+    Distances within copy 1 are the base's, so the k copy-1 sources stay
+    placeable and burn copy 1 by step k; every clique twin burns one step
+    after its copy-1 vertex, so all of H_d burns by step k + 1.  At step
+    k + 1 the repair therefore ignites the smallest vertex burned exactly at
+    that step, which is the smallest vertex unburned after step k: the one
+    extra source of the lift.
+    """
     sources = list(sequence)
     if not is_burning_sequence(lifted.base, sources):
         raise InputNotValidError("sequence does not burn the base graph")
     lifted_sources = [_copy_label(1, v) for v in sources]
-    leftover = _first_unburned(lifted.graph, lifted_sources)
-    if leftover is not None:
-        lifted_sources.append(leftover)
-    result = BurningSequence.of(lifted_sources)
+    result = BurningSequence.of(_repair_sequence(lifted.graph, lifted_sources, len(sources) + 1))
     if not is_burning_sequence(lifted.graph, result):
         raise LiftError("internal: lifted sequence failed validation")
     return result
@@ -158,15 +158,28 @@ def project_sequence(
     d_prime: int,
     assume_optimal: bool = False,
 ) -> BurningSequence:
-    """Collapse a valid H_d sequence onto H_d' (3 <= d' < d).
+    """Collapse a valid H_d sequence of length p onto H_d' (3 <= d' < d): the
+    projection, duplicates dropped, repaired with a horizon of p steps.
 
-    Three-branch construction: return the projection if it is duplicate-free;
-    if only the last two slots collide, drop the final duplicate and, if
-    needed, append one vertex left unburned a step earlier.  Any other
-    duplicate pattern, and any placement broken by distance shrink, is
-    repaired greedily without exceeding the input length; with
-    ``assume_optimal`` a mid-sequence duplicate instead raises
-    :class:`InternalContradictionError` so callers probing the
+    Projection never increases a distance, so the projected fires reach every
+    vertex of H_d' by step p and the repair returns a burning sequence of at
+    most p sources.  It returns:
+
+    - a duplicate-free projection that burns H_d' unchanged, as every source
+      can be placed;
+    - a de-duplicated projection that burns H_d' unchanged, as after its last
+      step no vertex is unburned and none burns at the next step, so the
+      repair stops there;
+    - for a duplicate only in the last two slots, the repair of
+      ``projected[:-1]``: at step p, with no intended source left, it
+      ignites the smallest vertex still unburned after the spread, or else
+      the smallest vertex burned exactly at step p, which is then the
+      smallest vertex left unburned by step p - 1;
+    - otherwise, the greedy repair of every placement that distance shrink
+      or a duplicate broke.
+
+    With ``assume_optimal`` a duplicate anywhere but the last two slots
+    raises :class:`InternalContradictionError`, so callers probing the
     duplicates-at-the-end property see the event loudly (such inputs do
     exist even among optimal sequences; see the test suite).
     """
@@ -177,43 +190,22 @@ def project_sequence(
         raise InputNotValidError("sequence does not burn the lifted graph")
     target = subgraph_for(lifted, d_prime)
     projected = [project_vertex(v, d_prime) for v in sources]
-    p = len(projected)
+    deduped = list(dict.fromkeys(projected))
+    if assume_optimal and projected not in (deduped, deduped + deduped[-1:]):
+        raise InternalContradictionError(
+            f"mid-sequence duplicates {_duplicate_positions(projected)} in the projection "
+            "of a sequence declared optimal"
+        )
+    return BurningSequence.of(_repair_sequence(target, deduped, len(projected)))
 
-    if len(set(projected)) == p:
-        if is_burning_sequence(target, projected):
-            return BurningSequence.of(projected)
-        # distance shrink broke a placement; coverage is still guaranteed
-        return BurningSequence.of(_repair_sequence(target, projected, p))
 
+def _duplicate_positions(projected: list[str]) -> list[tuple[int, int]]:
+    """(first position, repeat position) of every repeated entry, in order."""
     first_seen: dict[str, int] = {}
-    duplicate_positions = []
+    pairs = []
     for i, v in enumerate(projected):
         if v in first_seen:
-            duplicate_positions.append((first_seen[v], i))
+            pairs.append((first_seen[v], i))
         else:
             first_seen[v] = i
-    at_end_only = duplicate_positions == [(p - 2, p - 1)]
-
-    if not at_end_only:
-        if assume_optimal:
-            raise InternalContradictionError(
-                f"mid-sequence duplicates {duplicate_positions} in the projection "
-                "of a sequence declared optimal"
-            )
-        deduped = list(dict.fromkeys(projected))
-        if is_burning_sequence(target, deduped):
-            return BurningSequence.of(deduped)
-        return BurningSequence.of(_repair_sequence(target, deduped, p))
-
-    shortened = projected[:-1]
-    try:
-        leftover = _first_unburned(target, shortened)
-    except InvalidSequenceError:
-        pass
-    else:
-        if leftover is None:
-            return BurningSequence.of(shortened)
-        completed = shortened + [leftover]
-        if is_burning_sequence(target, completed):
-            return BurningSequence.of(completed)
-    return BurningSequence.of(_repair_sequence(target, projected, p))
+    return pairs

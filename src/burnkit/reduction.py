@@ -342,6 +342,21 @@ class AuditReport:
         return self.last_step & self.uniquely_burned
 
 
+def _start_owners(
+    inst: ReductionInstance, start: Sequence[str]
+) -> tuple[frozenset[str], list[tuple[str, str]], list[tuple[str, str]]]:
+    """Owners of the start block's sources, and the edges of G' in edge order
+    split into those with an owner endpoint and those without."""
+    owners = frozenset(owner for lbl in start if (owner := inst.owner_of(lbl)) is not None)
+    represented, unrepresented = [], []
+    for u, v in inst.g_prime.edges():
+        if u in owners or v in owners:
+            represented.append((u, v))
+        else:
+            unrepresented.append((u, v))
+    return owners, represented, unrepresented
+
+
 def audit_sequence(inst: ReductionInstance, sequence: BurningSequence | Sequence[str]) -> AuditReport:
     """Partition a sequence into blocks, chart domain membership, and simulate."""
     sources = list(sequence)
@@ -364,15 +379,7 @@ def audit_sequence(inst: ReductionInstance, sequence: BurningSequence | Sequence
         )
         for name, members in blocks.items()
     }
-    owners = frozenset(
-        owner for lbl in blocks["start"] if (owner := inst.owner_of(lbl)) is not None
-    )
-    represented, unrepresented = [], []
-    for u, v in inst.g_prime.edges():
-        if u in owners or v in owners:
-            represented.append((u, v))
-        else:
-            unrepresented.append((u, v))
+    owners, represented, unrepresented = _start_owners(inst, blocks["start"])
 
     valid = True
     complete = False
@@ -413,12 +420,7 @@ def witness_to_vc(inst: ReductionInstance, sequence: BurningSequence | Sequence[
     s = len(sources) - (inst.params.cn + 3)
     if s < 0:
         raise SequenceTooShortError("valid burning sequences of H are never this short")
-    owners = frozenset(
-        owner for lbl in sources[:s] if (owner := inst.owner_of(lbl)) is not None
-    )
-    unrepresented = [
-        (u, v) for u, v in inst.g_prime.edges() if u not in owners and v not in owners
-    ]
+    owners, _, unrepresented = _start_owners(inst, sources[:s])
     if unrepresented:
         raise OwnersNotACoverError(owners, unrepresented)
     return owners

@@ -20,6 +20,7 @@ from burnkit.gadgets import make_T
 from burnkit.generators import complete_graph, path_graph, prism_graph
 from burnkit.graph import Graph, read_graph, write_graph
 from burnkit.lift import build_Hd
+from burnkit.reduction import build_H
 from burnkit.solvers import burning_number_exact, vertex_cover_exact
 
 
@@ -223,6 +224,51 @@ def test_project_between_lifts(tmp_path, capsys, k4_file):
     assert report["target_vertices"] == str(h4.vertex_count) == "8"
     assert int(report["output_length"]) <= int(report["input_length"])
     assert is_burning_sequence(h4, read_sequence(proj_file.read_text(encoding="utf-8")))
+
+
+_MID = ("copy1:v1", "copy3:v1", "copy2:v2")  # projects with a mid-sequence duplicate
+_FREE = ("copy1:v1", "copy2:v2", "copy2:v3")  # no duplicate onto H_4
+_TRAILING = ("copy1:v1", "copy1:v2", "copy2:v2")  # duplicate in the last two slots
+
+
+@pytest.mark.parametrize(
+    "seq, d, dprime, report, output, digest",
+    [
+        (_MID, 5, 4, "c296e3a8059ca70b\ninput_length\t3\noutput_length\t3\ntarget_vertices\t8\n",
+         "copy1:v1\ncopy2:v2\ncopy2:v3\n", "cdcd01d7990dd1b1"),
+        (_MID, 5, 3, "c296e3a8059ca70b\ninput_length\t3\noutput_length\t2\ntarget_vertices\t4\n",
+         "v1\nv2\n", "105b2c8d7bdd4642"),
+        (_FREE, 5, 4, "cdcd01d7990dd1b1\ninput_length\t3\noutput_length\t3\ntarget_vertices\t8\n",
+         "copy1:v1\ncopy2:v2\ncopy2:v3\n", "cdcd01d7990dd1b1"),
+        (_FREE, 5, 3, "cdcd01d7990dd1b1\ninput_length\t3\noutput_length\t2\ntarget_vertices\t4\n",
+         "v1\nv2\n", "105b2c8d7bdd4642"),
+        (_TRAILING, 4, 3, "e4c6cad17e6d4c75\ninput_length\t3\noutput_length\t2\ntarget_vertices\t4\n",
+         "v1\nv2\n", "105b2c8d7bdd4642"),
+    ],
+)
+def test_project_output_is_pinned(tmp_path, capsys, k4_file, seq, d, dprime, report, output, digest):
+    seq_file, proj_file = tmp_path / "in.seq", tmp_path / "out.seq"
+    seq_file.write_text("\n".join(seq) + "\n", encoding="utf-8")
+    out = run(capsys, "project", k4_file, str(seq_file), "--d", str(d), "--dprime", str(dprime),
+              "-o", str(proj_file))
+    assert out == "command\tproject\ninput\taba4f05cdfc18efd\ninput\t" + report
+    data = proj_file.read_bytes()
+    assert data.decode() == output
+    assert hashlib.sha256(data).hexdigest()[:16] == digest
+
+
+def test_dot_styles_landmarks_whose_labels_hold_commas(tmp_path, capsys):
+    """A vertex of G named ``a,b`` puts commas into H's labels; every domain
+    written by ``reduce -l`` is still styled by ``dot -l``."""
+    text = "a,b v2\na,b v3\na,b v4\nv2 v3\nv2 v4\nv3 v4\n"
+    g_file, h_file, marks = tmp_path / "g.g", tmp_path / "h.g", tmp_path / "h.landmarks"
+    g_file.write_text(text, encoding="utf-8")
+    run(capsys, "reduce", str(g_file), "-o", str(h_file), "-l", str(marks))
+    dot_file = tmp_path / "h.dot"
+    run(capsys, "dot", str(h_file), "-l", str(marks), "-o", str(dot_file))
+    styled = set(re.findall(r'^  "([^"]*)" \[style=filled', dot_file.read_text(), re.M))
+    domains = build_H(read_graph(text)).domains
+    assert domains["a,b"] and all(set(dom) <= styled for dom in domains.values())
 
 
 def test_stats(capsys, k4_file):

@@ -1,10 +1,20 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
-from burnkit.burning import is_burning_sequence, last_step_set, simulate, uniquely_burned_set
+from burnkit.burning import (
+    BurningSequence,
+    InvalidSequenceError,
+    _repair_sequence,
+    frontier_burn_times,
+    is_burning_sequence,
+    last_step_set,
+    simulate,
+    uniquely_burned_set,
+)
 from burnkit.generators import random_cubic
 from burnkit.graph import Graph, bfs_distances, is_connected, is_regular
 from burnkit.lift import (
@@ -15,7 +25,6 @@ from burnkit.lift import (
     build_Hd,
     lift_sequence,
     project_sequence,
-    project_to_copy,
     project_vertex,
     split_label,
     subgraph_for,
@@ -80,7 +89,6 @@ def test_projection_definitions():
     assert project_vertex("copy3:a", 4) == "copy1:a"
     assert project_vertex("copy1:a", 4) == "copy1:a"
     assert project_vertex("copy2:a", 3) == "a"
-    assert project_to_copy("copy3:a", 1) == "copy1:a"
     assert split_label("copy12:v:x") == (12, "v:x")
     with pytest.raises(LiftError):
         split_label("nope")
@@ -244,3 +252,144 @@ def test_project_random_cubic_bases():
                 projected = project_sequence(lifted, result.witness, dp)
                 assert is_burning_sequence(subgraph_for(lifted, dp), projected)
                 assert len(projected) <= result.value
+
+
+# -- oracle: the three-branch construction -------------------------------------
+#
+# The projection and the lift as they were built before each became one
+# repair call, kept as the reference the library is compared with.
+
+
+def _reference_first_unburned(g, sequence):
+    burned = frontier_burn_times(g, sequence)
+    return min((v for v in g.vertices if v not in burned), default=None)
+
+
+def reference_lift_sequence(lifted, sequence):
+    sources = list(sequence)
+    if not is_burning_sequence(lifted.base, sources):
+        raise InputNotValidError("sequence does not burn the base graph")
+    lifted_sources = [f"copy1:{v}" for v in sources]
+    leftover = _reference_first_unburned(lifted.graph, lifted_sources)
+    if leftover is not None:
+        lifted_sources.append(leftover)
+    result = BurningSequence.of(lifted_sources)
+    if not is_burning_sequence(lifted.graph, result):
+        raise LiftError("internal: lifted sequence failed validation")
+    return result
+
+
+def reference_project_sequence(lifted, sequence, d_prime, assume_optimal=False):
+    if not 3 <= d_prime < lifted.d:
+        raise BadDegreeError(f"d' must be in [3, {lifted.d - 1}], got {d_prime}")
+    sources = list(sequence)
+    if not is_burning_sequence(lifted.graph, sources):
+        raise InputNotValidError("sequence does not burn the lifted graph")
+    target = subgraph_for(lifted, d_prime)
+    projected = [project_vertex(v, d_prime) for v in sources]
+    p = len(projected)
+
+    if len(set(projected)) == p:
+        if is_burning_sequence(target, projected):
+            return BurningSequence.of(projected)
+        return BurningSequence.of(_repair_sequence(target, projected, p))
+
+    first_seen = {}
+    duplicate_positions = []
+    for i, v in enumerate(projected):
+        if v in first_seen:
+            duplicate_positions.append((first_seen[v], i))
+        else:
+            first_seen[v] = i
+    at_end_only = duplicate_positions == [(p - 2, p - 1)]
+
+    if not at_end_only:
+        if assume_optimal:
+            raise InternalContradictionError(
+                f"mid-sequence duplicates {duplicate_positions} in the projection "
+                "of a sequence declared optimal"
+            )
+        deduped = list(dict.fromkeys(projected))
+        if is_burning_sequence(target, deduped):
+            return BurningSequence.of(deduped)
+        return BurningSequence.of(_repair_sequence(target, deduped, p))
+
+    shortened = projected[:-1]
+    try:
+        leftover = _reference_first_unburned(target, shortened)
+    except InvalidSequenceError:
+        pass
+    else:
+        if leftover is None:
+            return BurningSequence.of(shortened)
+        completed = shortened + [leftover]
+        if is_burning_sequence(target, completed):
+            return BurningSequence.of(completed)
+    return BurningSequence.of(_repair_sequence(target, projected, p))
+
+
+def _outcome(call, *args):
+    """A call's result, or the type and message of what it raised."""
+    try:
+        return call(*args)
+    except LiftError as exc:
+        return type(exc), str(exc)
+
+
+def _shape(projected):
+    if len(set(projected)) == len(projected):
+        return "none"
+    if len(set(projected[:-1])) == len(projected) - 1 and projected[-1] == projected[-2]:
+        return "trailing"
+    return "mid"
+
+
+def _random_sequences(g, r, count, lengths):
+    """Valid burning sequences of ``g`` drawn through the repair from random
+    intended source lists."""
+    found = []
+    vertices = g.vertices
+    for _ in range(count):
+        length = r.choice(lengths)
+        intended = [r.choice(vertices) for _ in range(length)]
+        seq = _repair_sequence(g, intended, length)
+        if is_burning_sequence(g, seq):
+            found.append(seq)
+    return found
+
+
+def test_lift_and_project_match_the_reference(k4, k33, prism):
+    """Over lifts of base witnesses, exact witnesses of H_d and random valid
+    H_d sequences, both functions give the reference's sequence, or raise its
+    type with its message, with ``assume_optimal`` off and on; every
+    projection shape occurs."""
+    r = random.Random(8)
+    bases = [k4, k33, prism] + [random_cubic(n, seed) for n in (8, 10, 12, 14, 16) for seed in (1, 2)]
+    shapes = {"none": 0, "trailing": 0, "mid": 0}
+    for base in bases:
+        b = burning_number_exact(base)
+        base_seqs = [list(b.witness)] + _random_sequences(base, r, 6, (b.value, b.value + 1))
+        for d in (4, 5, 6):
+            lifted = build_Hd(base, d)
+            seqs = []
+            # raw random draws mostly fail validation: the error path
+            drawn = [[r.choice(base.vertices) for _ in range(b.value)] for _ in range(2)]
+            for seq in base_seqs + drawn:
+                expected = _outcome(reference_lift_sequence, lifted, seq)
+                assert _outcome(lift_sequence, lifted, seq) == expected
+                if not isinstance(expected, tuple):
+                    seqs.append(list(expected))
+            if base.vertex_count <= 10:
+                seqs.append(list(burning_number_exact(lifted.graph).witness))
+            lengths = (b.value, b.value + 1, b.value + 2)
+            seqs += _random_sequences(lifted.graph, r, 100, lengths)
+            seqs += [[r.choice(lifted.graph.vertices) for _ in range(b.value)] for _ in range(2)]
+            for seq in seqs:
+                for dp in range(3, d):
+                    if is_burning_sequence(lifted.graph, seq):
+                        shapes[_shape([project_vertex(v, dp) for v in seq])] += 1
+                    for strict in (False, True):
+                        args = (lifted, seq, dp, strict)
+                        expected = _outcome(reference_project_sequence, *args)
+                        assert _outcome(project_sequence, *args) == expected
+    assert min(shapes.values()) >= 50, shapes
