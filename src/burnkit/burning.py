@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .graph import Graph, UnknownVertexError, _data_lines
+from .graph import Graph, UnknownVertexError, _data_lines, _label_ok
 
 _UNBURNED = 1 << 60
 
@@ -30,7 +30,8 @@ class BurnError(Exception):
 
 
 class MalformedSequenceError(BurnError, ValueError):
-    """A burning sequence is empty or repeats a label."""
+    """A burning sequence is empty or repeats a label, or a label cannot be
+    written as sequence text."""
 
 
 class InvalidSequenceError(BurnError):
@@ -285,4 +286,10 @@ def read_sequence(text: str) -> BurningSequence:
 
 
 def write_sequence(sequence: BurningSequence | Sequence[str]) -> str:
+    """Sequence text, one label per line.  Raises, before making any text,
+    for a label that the CLI's files cannot hold: empty, holding whitespace
+    or starting with ``#`` (which :func:`read_sequence` skips as a comment)."""
+    for label in sequence:
+        if not _label_ok(label):
+            raise MalformedSequenceError(f"label not representable in sequence text: {label!r}")
     return "\n".join(sequence) + "\n"

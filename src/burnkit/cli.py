@@ -53,7 +53,7 @@ class _UsageError(Exception):
 
 
 class MetaFormatError(ReductionError):
-    """A reduce meta file lacks x, y or m, or has a malformed line."""
+    """A reduce meta file lacks x, y, m or the G' edges, or has a malformed line."""
 
 
 def _text(path: str) -> str:
@@ -187,6 +187,8 @@ def _parse_meta(text: str) -> dict:
         meta["m"] = int(meta["m"])
     except ValueError:
         raise MetaFormatError(f"m must be an integer, got {meta['m']!r}") from None
+    if not meta["edges"]:
+        raise MetaFormatError("missing the G' edges: no gprime-edge line")
     return meta
 
 
@@ -236,6 +238,7 @@ def _burn(args):
         yield "valid", "false"
         yield "reason", str(exc)
         return
+    del g  # free H before the BL and UB sets: the report needs only the schedule
     yield "valid", "true"
     yield "complete", "true" if schedule.complete else "false"
     yield "unburned", len(schedule.unburned)

@@ -147,12 +147,16 @@ def _reject_first_bad_edge(edges: Iterable[tuple[str, str]], where: Iterable[str
         seen.add(key)
 
 
-def _from_core(labels: tuple[str, ...], adj: list[tuple[int, ...]], edge_count: int) -> Graph:
-    """A graph from a sorted label table and a valid sorted int adjacency,
-    trusted as given: no sort, no duplicate scan."""
+def _from_core(
+    labels: tuple[str, ...], adj: list[tuple[int, ...]], edge_count: int, index: dict[str, int]
+) -> Graph:
+    """A graph from a sorted label table, its index and a valid sorted int
+    adjacency, trusted as given: no sort, no duplicate scan.  Callers fill
+    the adjacency with the index's own int objects, one per vertex, as the
+    constructor does."""
     g = object.__new__(_Graph)
     g.labels = labels
-    g.index = dict(zip(labels, range(len(labels))))
+    g.index = index
     g.adj = adj
     g._edge_count = edge_count
     return g

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from typing import Sequence
 
 from .burning import BurningSequence, _repair_sequence, is_burning_sequence
@@ -84,19 +85,21 @@ def build_Hd(base: Graph, d: int) -> LiftedGraph:
     )
     # Vertex i of block k: its clique twins in earlier blocks, its base
     # neighbours shifted into block k, its twins in later blocks; that is
-    # sorted.  The base is cubic, so its adjacency has three columns.
-    twins = [range(start[j], start[j] + n) for j in blocks]
-    columns = list(zip(*base.adj))
+    # sorted.  The base is cubic, so its adjacency has three columns.  Every
+    # index held is an object of ``ints``, as the index's values are.
+    ints = list(range(len(labels)))
+    twins = [ints[start[j] : start[j] + n] for j in blocks]
+    columns = [itemgetter(*column) for column in zip(*base.adj)]
     adj: list[tuple[int, ...]] = []
-    for k, j in enumerate(blocks):
-        own = [map(start[j].__add__, column) for column in columns]
+    for k, block in enumerate(twins):
+        own = [column(block) for column in columns]
         adj += zip(*twins[:k], *own, *twins[k + 1 :])
     edge_count = copies * base.edge_count + n * copies * (copies - 1) // 2
     copy_labels = [labels[start[j] : start[j] + n] for j in range(1, copies + 1)]
     return LiftedGraph(
         base=base,
         d=d,
-        graph=_from_core(labels, adj, edge_count),
+        graph=_from_core(labels, adj, edge_count, dict(zip(labels, ints))),
         cliques=dict(zip(base.labels, zip(*copy_labels))),
     )
 

@@ -18,7 +18,20 @@ label's owner is the G' vertex whose domain holds it.
   c:*                              C-gadget                 none
 
 The BTP half rule is ``gadgets._btp_half``.  G labels may contain ``:``; two G'
-edges with one BTP head would repeat every BTP edge, which ``Graph`` rejects.
+edges with one BTP head would repeat every BTP edge, so build_H rejects them
+with the ``GraphFormatError`` that ``Graph`` would raise for H's edge list.
+
+Layout of H (build_H).  The BTPs are about 97% of H and differ only in their
+head ``btp:<u>:<v>:``, so one template, the BTP with the empty head, is
+built through ``Graph`` and gives the sorted label suffixes and a local
+adjacency.  Every label that starts with ``btp:`` sorts before every other,
+so H's index is one block per G' edge, in head order (``btp:v10:`` before
+``btp:v1:``, unlike G' edge order), then the tail: the C- and Y-gadgets and
+the cores, built through ``Graph`` as one block.  A block's labels are its
+head joined to each suffix, and its adjacency is the template's shifted to
+the block's start, its two roots taking their core as third neighbour.
+Where one head extends another (``btp:a:b:`` and ``btp:a:b:c:``) the blocks
+interleave, and one sort of the label table permutes H into order.
 """
 
 from __future__ import annotations
@@ -26,6 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import islice
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .burning import (
@@ -39,7 +54,7 @@ from .burning import (
 )
 from .gadgets import Landmark, _btp_half, _btp_parts, _c_middles, _c_parts, _y_parts
 from .gadgets import check_btp_inequalities
-from .graph import Graph, is_connected, is_regular
+from .graph import Graph, GraphFormatError, _from_core, is_connected, is_regular
 
 
 class ReductionError(Exception):
@@ -234,8 +249,36 @@ class ReductionInstance:
         return frozenset(v for v in self.h_graph.labels if self.owner_of(v) is None)
 
 
+def _btp_template(h: int, l1: int, l2: int):
+    """The BTP with the empty head, as :func:`build_H` lays it out.
+
+    Returns its sorted label suffixes; its adjacency as three itemgetters
+    over a block's indices, one per column, where each root's third entry
+    (its core neighbour in H) holds the root itself; the positions of its two
+    roots; the positions of its landmarks; its edge count; and its first
+    edge.
+    """
+    edges, marks = _btp_parts(h, l1, l2, "")
+    template = Graph(edges)
+    index = template.index
+    roots = (index[marks["r_ab"]], index[marks["r_ba"]])
+    padded = list(template.adj)
+    for r in roots:
+        padded[r] += (r,)
+    positions = {
+        name: index[value] if isinstance(value, str) else tuple(map(index.__getitem__, value))
+        for name, value in marks.items()
+    }
+    columns = [itemgetter(*column) for column in zip(*padded)]
+    return template.labels, columns, roots, positions, template.edge_count, edges[0]
+
+
 def build_H(g: Graph, edge: tuple[str, str] | None = None) -> ReductionInstance:
-    """Full reduction: connected cubic G -> instance holding H and provenance."""
+    """Full reduction: connected cubic G -> instance holding H and provenance.
+
+    H is laid out on integers, one block per G' edge, as the module
+    docstring describes; no edge list of H is built.
+    """
     if not is_connected(g):
         raise NotConnectedError("input graph must be connected")
     if g.vertex_count < 4 or not is_regular(g, 3):
@@ -245,34 +288,74 @@ def build_H(g: Graph, edge: tuple[str, str] | None = None) -> ReductionInstance:
     params = choose_params(g_prime.vertex_count)
 
     core = {v: _core_label(v) for v in g_prime.vertices}
-    edges: list[tuple[str, str]] = []
-    btp_landmarks: dict[tuple[str, str], dict[str, Landmark]] = {}
-
-    for u, v in g_prime.edges():
-        marks_edges, marks = _btp_parts(params.h, params.l1, params.l2, f"btp:{u}:{v}:")
-        edges += marks_edges
-        edges.append((core[u], marks["r_ab"]))
-        edges.append((core[v], marks["r_ba"]))
-        btp_landmarks[(u, v)] = marks
-
     y_edges, y_marks = _y_parts(params.d1, params.d2, "y:")
-    edges += y_edges
-    edges.append((core[x], y_marks["x_a"]))
-    edges.append((core[y], y_marks["y_a"]))
-
     c_edges, c_marks = _c_parts(params.m, "c:")
-    edges += c_edges
-    edges.append((y_marks["z_b"], c_marks["v_m2"]))
+    tail_edges = y_edges + c_edges
+    tail_edges.append((core[x], y_marks["x_a"]))
+    tail_edges.append((core[y], y_marks["y_a"]))
+    tail_edges.append((y_marks["z_b"], c_marks["v_m2"]))
+    tail = Graph(tail_edges, vertices=core.values())
+    suffixes, columns, roots, positions, btp_edges, (a, b) = _btp_template(
+        params.h, params.l1, params.l2
+    )
+    heads: dict[str, tuple[str, str]] = {}
+    for u, v in g_prime.edges():
+        head = f"btp:{u}:{v}:"
+        if head in heads:  # H's edge list would repeat this edge first
+            raise GraphFormatError(f"duplicate edge {head + a!r} {head + b!r}")
+        heads[head] = (u, v)
+
+    size = len(suffixes)
+    n_btp = len(heads) * size
+    n = n_btp + tail.vertex_count
+    ints = list(range(n))  # every index held by H is one of these objects
+    tail_ints = ints[n_btp:]
+    core_roots: dict[int, list[int]] = {tail.index[label]: [] for label in core.values()}
+    table: list[str] = []
+    adj: list = [None] * n  # sized once: a grown list keeps spare slots
+    marks_of: dict[str, dict[str, Landmark]] = {}
+    for start, head in zip(range(0, n_btp, size), sorted(heads)):
+        block = list(map(head.__add__, suffixes))
+        marks_of[head] = {
+            name: block[p] if isinstance(p, int) else tuple(map(block.__getitem__, p))
+            for name, p in positions.items()
+        }
+        table += block
+        local = ints[start : start + size]
+        block_adj = list(zip(*(column(local) for column in columns)))
+        for r, owner in zip(roots, heads[head]):
+            at = tail.index[core[owner]]
+            block_adj[r] = block_adj[r][:2] + (tail_ints[at],)
+            core_roots[at].append(local[r])
+        adj[start : start + size] = block_adj
+    table += tail.labels
+    for at, nbrs in enumerate(tail.adj):
+        adj[n_btp + at] = tuple(core_roots.get(at, []) + list(map(tail_ints.__getitem__, nbrs)))
+
+    # The blocks are in label order unless one head extends another
+    # (btp:a:b: and btp:a:b:c:): then they interleave, and H is permuted.
+    if not all(map(str.__lt__, table, islice(table, 1, None))):
+        order = sorted(ints, key=table.__getitem__)
+        new = [0] * n
+        for i, old in zip(ints, order):
+            new[old] = i
+        adj = [tuple(sorted(map(new.__getitem__, adj[old]))) for old in order]
+        table = list(map(table.__getitem__, order))
+    labels = tuple(table)
+    del table
+    h_graph = _from_core(
+        labels, adj, len(heads) * (btp_edges + 2) + tail.edge_count, dict(zip(labels, ints))
+    )
 
     return ReductionInstance(
         g=g,
         g_prime=g_prime,
-        h_graph=Graph(edges),
+        h_graph=h_graph,
         params=params,
         subdivided_edge=sub_edge,
         x=x,
         y=y,
-        btp_landmarks=btp_landmarks,
+        btp_landmarks={edge: marks_of[head] for head, edge in heads.items()},
         y_landmarks=y_marks,
         c_landmarks=c_marks,
     )

@@ -110,17 +110,18 @@ def _all_pairs(g: Graph) -> list[list[int]]:
     return [g.bfs(s) for s in range(g.vertex_count)]
 
 
-def _ball_masks(dist: list[list[int]], r: int) -> list[int]:
-    n = len(dist)
+def _ball_masks(adj: list[tuple[int, ...]], inner: list[int] | None) -> list[int]:
+    """Bitmasks of the balls of radius r around each vertex, from those of
+    radius r - 1 (``inner``), or of radius 0 when ``inner`` is None: the
+    ball of v is its inner ball joined with the inner balls of v's
+    neighbours."""
+    if inner is None:
+        return [1 << v for v in range(len(adj))]
     masks = []
-    for v in range(n):
-        m = 0
-        row = dist[v]
-        for u in range(n):
-            d = row[u]
-            if 0 <= d <= r:
-                m |= 1 << u
-        masks.append(m)
+    for mask, nbrs in zip(inner, adj):
+        for w in nbrs:
+            mask |= inner[w]
+        masks.append(mask)
     return masks
 
 
@@ -207,7 +208,7 @@ def burning_number_exact(g: Graph, node_budget: int = 10_000_000) -> SolveResult
 
     def ensure_radius(r: int):
         if r not in balls:
-            balls[r] = _ball_masks(dist, r)
+            balls[r] = _ball_masks(g.adj, balls.get(r - 1))  # radii come in order
             max_ball[r] = max(m.bit_count() for m in balls[r])
 
     k = 1

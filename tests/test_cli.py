@@ -146,6 +146,31 @@ def test_witness_malformed_meta_is_a_domain_error(tmp_path, capsys, drop, add, r
     assert capsys.readouterr().err == f"error\tMetaFormatError\t{reason}\n"
 
 
+def test_witness_meta_without_gprime_edges_is_a_domain_error(tmp_path, capsys):
+    """Not a cover error: the meta file names no edge of G' at all."""
+    meta_file = tmp_path / "h.meta"
+    meta_file.write_text("x\tx\ny\ty\nm\t35\n", encoding="utf-8")
+    seq_file = tmp_path / "w.seq"
+    assert main(["witness", str(meta_file), "-o", str(seq_file)]) == 1
+    assert capsys.readouterr().err == (
+        "error\tMetaFormatError\tmissing the G' edges: no gprime-edge line\n"
+    )
+    assert not seq_file.exists()
+
+
+def test_solve_burn_witness_with_a_hash_label_is_a_domain_error(tmp_path, capsys):
+    """read_graph accepts the second label '#a', but a sequence file would
+    read the line '#a' back as a comment; nothing is written."""
+    graph_file = tmp_path / "p.g"
+    graph_file.write_text("b #a\nb c\nc d\nd e\n", encoding="utf-8")
+    seq_file = tmp_path / "p.seq"
+    assert main(["solve-burn", str(graph_file), "-o", str(seq_file)]) == 1
+    assert capsys.readouterr().err == (
+        "error\tMalformedSequenceError\tlabel not representable in sequence text: '#a'\n"
+    )
+    assert not seq_file.exists()
+
+
 def test_witness_meta_with_small_m_is_a_domain_error(tmp_path, capsys):
     meta_file = tmp_path / "h.meta"
     meta_file.write_text(_META.replace("m\t4", "m\t3"), encoding="utf-8")

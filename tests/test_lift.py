@@ -76,6 +76,15 @@ def test_build_hd_matches_reference(k4, k33, prism, d):
         assert lifted.cliques == cliques
 
 
+def test_build_hd_adjacency_shares_the_index_ints():
+    """Every adjacency entry is the int object the index maps its label to,
+    so a lifted graph holds one int per vertex (ints above 256 are not
+    cached by the interpreter, hence the 200-vertex base)."""
+    g = build_Hd(random_cubic(200, 1), 5).graph
+    own = list(g.index.values())
+    assert all(w is own[w] for nbrs in g.adj for w in nbrs)
+
+
 def test_build_hd_rejects_bad_inputs(k4):
     from burnkit.generators import path_graph
 

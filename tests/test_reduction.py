@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import pytest
 
 from burnkit.burning import frontier_burn_times, is_burning_sequence
-from burnkit.gadgets import make_BTP
-from burnkit.generators import complete_graph, random_cubic
+from burnkit.gadgets import _btp_parts, _c_parts, _y_parts, make_BTP
+from burnkit.generators import complete_bipartite, complete_graph, prism_graph, random_cubic
 from burnkit.graph import (
     Graph,
     GraphFormatError,
@@ -16,16 +19,19 @@ from burnkit.graph import (
 from burnkit.reduction import (
     EdgeNotFoundError,
     MissingXYError,
+    NotConnectedError,
     NotACoverError,
     NotABurningSequenceError,
     NotCubicError,
     ReductionError,
+    ReductionInstance,
     SequenceTooShortError,
     audit_sequence,
     build_H,
     choose_params,
     double_subdivide,
     expected_vertex_count,
+    _core_label,
     vc_to_witness,
     witness_to_vc,
 )
@@ -332,3 +338,124 @@ def test_k33_pipeline_exact_power_branch(k33):
     assert not report.unrepresented
     assert report.bl_ub
     assert witness_to_vc(inst, witness) == cover.witness
+
+
+def reference_build_H(g, edge=None):
+    """Slow reference: H from one string edge list through ``Graph``."""
+    if not is_connected(g):
+        raise NotConnectedError("input graph must be connected")
+    if g.vertex_count < 4 or not is_regular(g, 3):
+        raise NotCubicError("input graph must be cubic on at least 4 vertices")
+    g_prime, x, y = double_subdivide(g, edge)
+    sub_edge = next(e for e in g.edges() if not g_prime.has_edge(*e))
+    params = choose_params(g_prime.vertex_count)
+
+    core = {v: _core_label(v) for v in g_prime.vertices}
+    edges = []
+    btp_landmarks = {}
+    for u, v in g_prime.edges():
+        marks_edges, marks = _btp_parts(params.h, params.l1, params.l2, f"btp:{u}:{v}:")
+        edges += marks_edges
+        edges.append((core[u], marks["r_ab"]))
+        edges.append((core[v], marks["r_ba"]))
+        btp_landmarks[(u, v)] = marks
+
+    y_edges, y_marks = _y_parts(params.d1, params.d2, "y:")
+    edges += y_edges
+    edges.append((core[x], y_marks["x_a"]))
+    edges.append((core[y], y_marks["y_a"]))
+
+    c_edges, c_marks = _c_parts(params.m, "c:")
+    edges += c_edges
+    edges.append((y_marks["z_b"], c_marks["v_m2"]))
+
+    return ReductionInstance(
+        g=g,
+        g_prime=g_prime,
+        h_graph=Graph(edges),
+        params=params,
+        subdivided_edge=sub_edge,
+        x=x,
+        y=y,
+        btp_landmarks=btp_landmarks,
+        y_landmarks=y_marks,
+        c_landmarks=c_marks,
+    )
+
+
+def _h_fingerprint(build, g, edge=None):
+    """Everything build_H promises about H, or the error it raises."""
+    try:
+        inst = build(g, edge)
+    except GraphFormatError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    h = inst.h_graph
+    return (
+        h.labels,
+        h.adj,
+        h.edge_count,
+        repr(inst.btp_landmarks),
+        repr(inst.y_landmarks),
+        repr(inst.c_landmarks),
+        [inst.owner_of(v) for v in h.labels],
+    )
+
+
+# K4 relabelled so that, with (a, d) subdivided, the BTP head btp:a:b:c:
+# extends btp:a:b: and the two blocks interleave in label order
+_INTERLEAVING_LABELS = ("a", "b", "b:c", "d")
+
+_ORACLE_CASES = {
+    "K4": (complete_graph(4), None),
+    "K3,3": (complete_bipartite(3, 3), None),
+    "prism": (prism_graph(), None),
+    "colon_k4": (_relabelled_k4(_COLON_LABELS), None),
+    "interleaving_k4": (_relabelled_k4(_INTERLEAVING_LABELS), ("a", "d")),
+    "colliding_k4": (_relabelled_k4(("a", "a:b", "b:c", "c")), None),
+}
+_ORACLE_CASES.update(
+    (f"random_cubic({n}, {seed})", (random_cubic(n, seed), None))
+    for n in (8, 10, 12, 14)
+    for seed in (1, 2, 3)
+)
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_build_h_matches_reference(case):
+    g, edge = _ORACLE_CASES[case]
+    want = _h_fingerprint(reference_build_H, g, edge)
+    assert _h_fingerprint(build_H, g, edge) == want
+    if case == "colliding_k4":
+        assert want.startswith("GraphFormatError: duplicate edge")
+    if case == "interleaving_k4":
+        labels = want[0]
+        assert labels.index("btp:a:b:c:bt:ab:0:0") < labels.index("btp:a:b:t:0:l:1")
+
+
+def test_build_h_adjacency_shares_the_index_ints(k4_instance):
+    g = k4_instance.h_graph
+    own = list(g.index.values())
+    assert all(w is own[w] for nbrs in g.adj for w in nbrs)
+
+
+def _traced(build, g):
+    """(bytes retained by the result, traced peak) of one build; the full
+    collection also empties the free lists, which hold no part of the result."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        inst = build(g)
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return retained, peak
+
+
+def test_build_h_memory_is_no_worse_than_reference(k4):
+    """Shared index ints: a relapse to per-entry shifted ints or a second
+    copy of the label table shows up in retained bytes or in the peak."""
+    retained, peak = _traced(build_H, k4)
+    ref_retained, ref_peak = _traced(reference_build_H, k4)
+    assert retained <= ref_retained
+    assert peak < ref_peak

@@ -14,6 +14,7 @@ from burnkit.generators import (
 )
 from burnkit.solvers import (
     BudgetExceededError,
+    _ball_masks,
     TooLargeError,
     burning_number_exact,
     burning_number_naive,
@@ -366,3 +367,36 @@ def test_vc_matches_reference(g):
 def test_vc_matches_reference_on_cubic(n):
     g = random_cubic(n, 1)
     assert vertex_cover_exact(g).witness == reference_vertex_cover(g)
+
+
+def _reference_balls(g, r):
+    """Slow reference: the ball of v holds every vertex within distance r of v."""
+    return [
+        sum(1 << u for u, d in enumerate(g.bfs(v)) if 0 <= d <= r) for v in range(g.vertex_count)
+    ]
+
+
+def _assert_balls_match_distance_rows(g):
+    balls = None
+    for r in range(g.vertex_count + 1):  # the last radius adds nothing
+        balls = _ball_masks(g.adj, balls)
+        assert balls == _reference_balls(g, r), r
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        path_graph(9),
+        Graph([("a", "b"), ("b", "c"), ("d", "e")], vertices=["z"]),
+        random_cubic(12, 3),
+    ],
+    ids=["path", "disconnected", "cubic"],
+)
+def test_ball_masks_match_distance_rows(g):
+    _assert_balls_match_distance_rows(g)
+
+
+@given(_vc_graphs())
+@settings(max_examples=60, deadline=None)
+def test_ball_masks_match_distance_rows_on_random_graphs(g):
+    _assert_balls_match_distance_rows(g)
