@@ -11,8 +11,12 @@ One step-wise frontier kernel runs that process.  ``frontier_burn_times``,
 in one pass over the burn-order DAG) and the sequence repair used by the
 solvers and the lift all drive it.  The kernel only stops at an invalid
 placement; the functions that raise :class:`InvalidSequenceError` work out
-its ``cause``, and ``is_burning_sequence`` never does.  The test suite cross-checks it against the closed form
-``min_i (i + d(b_i, v))`` over per-source BFS distances.
+its ``cause``, and ``is_burning_sequence`` never does.  The repair reports
+whether its own fire burned every vertex, which is the verdict of
+``is_burning_sequence`` on the sequence it returns, so its callers validate
+that sequence without a second run.  The test suite cross-checks the kernel
+against the closed form ``min_i (i + d(b_i, v))`` over per-source BFS
+distances.
 """
 
 from __future__ import annotations
@@ -225,16 +229,22 @@ def simulate(g: Graph, sequence: BurningSequence | Sequence[str]) -> BurningSche
     )
 
 
-def _repair_sequence(g: Graph, intended: Sequence[str | None], horizon: int) -> list[str]:
+def _repair_sequence(
+    g: Graph, intended: Sequence[str | None], horizon: int
+) -> tuple[list[str], bool]:
     """Valid sequence of at most ``horizon`` sources from an intended source
     list (``None`` or a missing entry means no preference) whose fire, placed
-    or not, reaches every vertex by the horizon.
+    or not, reaches every vertex by the horizon, and whether it burns ``g``.
 
     At each step the intended source is kept if it is still placeable;
     otherwise the smallest unburned vertex is ignited, else the smallest
     vertex burned exactly at that step.  Coverage is preserved because the
     fire that burned a skipped source is ahead of its schedule.  The sequence
     ends early once every vertex burned before the current step.
+
+    The verdict equals :func:`is_burning_sequence` of the returned sequence:
+    every vertex chosen is placeable, so this run is the burning process of
+    that sequence, and it ends early only at a step where no vertex burns.
     """
     want = [None if v is None else g.index[v] for v in intended]
 
@@ -249,8 +259,8 @@ def _repair_sequence(g: Graph, intended: Sequence[str | None], horizon: int) -> 
             return time.index(t)
         return None
 
-    _, _, placed = _burn(g, horizon, choose)
-    return [g.labels[b] for b in placed]
+    _, order, placed = _burn(g, horizon, choose)
+    return [g.labels[b] for b in placed], bool(placed) and len(order) == g.vertex_count
 
 
 def is_burning_sequence(g: Graph, sequence: BurningSequence | Sequence[str]) -> bool:

@@ -10,12 +10,18 @@ Lifting and projection are each one :func:`~burnkit.burning._repair_sequence`
 call: the repair keeps every intended source it can still place and fills a
 missing or unplaceable step with the smallest vertex left unburned, so
 appending a leftover vertex and dropping a trailing duplicate are both cases
-of it.
+of it.  The repair reports whether its fire burned every vertex, so a lift
+runs the burning process once on the base and once on H_d.
+
+A :class:`LiftedGraph` remembers the last sequence known to burn its graph:
+the lift's result, or an input that ``project_sequence`` validated.
+Projecting that same sequence again skips the input check, whose answer is
+already known, as graphs are immutable; any other input is checked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
 from typing import Sequence
@@ -51,10 +57,16 @@ class LiftedGraph:
     d: int
     graph: Graph
     cliques: dict[str, tuple[str, ...]]
+    # The last sequence known to burn ``graph``; not part of the value.
+    _burns: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def copies(self) -> int:
         return self.d - 2
+
+
+def _remember(lifted: LiftedGraph, sources: tuple[str, ...]):
+    object.__setattr__(lifted, "_burns", sources)
 
 
 def _copy_label(j: int, v: str) -> str:
@@ -149,9 +161,11 @@ def lift_sequence(lifted: LiftedGraph, sequence: BurningSequence | Sequence[str]
     if not is_burning_sequence(lifted.base, sources):
         raise InputNotValidError("sequence does not burn the base graph")
     lifted_sources = [_copy_label(1, v) for v in sources]
-    result = BurningSequence.of(_repair_sequence(lifted.graph, lifted_sources, len(sources) + 1))
-    if not is_burning_sequence(lifted.graph, result):
+    repaired, burns_all = _repair_sequence(lifted.graph, lifted_sources, len(sources) + 1)
+    result = BurningSequence.of(repaired)
+    if not burns_all:
         raise LiftError("internal: lifted sequence failed validation")
+    _remember(lifted, result.sources)
     return result
 
 
@@ -166,7 +180,8 @@ def project_sequence(
 
     Projection never increases a distance, so the projected fires reach every
     vertex of H_d' by step p and the repair returns a burning sequence of at
-    most p sources.  It returns:
+    most p sources.  The input is not checked again when it is the sequence
+    ``lifted`` last validated.  It returns:
 
     - a duplicate-free projection that burns H_d' unchanged, as every source
       can be placed;
@@ -188,9 +203,11 @@ def project_sequence(
     """
     if not 3 <= d_prime < lifted.d:
         raise BadDegreeError(f"d' must be in [3, {lifted.d - 1}], got {d_prime}")
-    sources = list(sequence)
-    if not is_burning_sequence(lifted.graph, sources):
-        raise InputNotValidError("sequence does not burn the lifted graph")
+    sources = tuple(sequence)
+    if sources != lifted._burns:
+        if not is_burning_sequence(lifted.graph, sources):
+            raise InputNotValidError("sequence does not burn the lifted graph")
+        _remember(lifted, sources)
     target = subgraph_for(lifted, d_prime)
     projected = [project_vertex(v, d_prime) for v in sources]
     deduped = list(dict.fromkeys(projected))
@@ -199,7 +216,8 @@ def project_sequence(
             f"mid-sequence duplicates {_duplicate_positions(projected)} in the projection "
             "of a sequence declared optimal"
         )
-    return BurningSequence.of(_repair_sequence(target, deduped, len(projected)))
+    repaired, _ = _repair_sequence(target, deduped, len(projected))
+    return BurningSequence.of(repaired)
 
 
 def _duplicate_positions(projected: list[str]) -> list[tuple[int, int]]:

@@ -226,11 +226,11 @@ def burning_number_exact(g: Graph, node_budget: int = 10_000_000) -> SolveResult
                 labels = g.labels
                 for r, x in found:
                     centers[k - r - 1] = labels[x]
-                repaired = _repair_sequence(g, centers, k)
+                repaired, burns_all = _repair_sequence(g, centers, k)
                 if len(repaired) < k:
                     raise SolverError("no placeable source; cover was not minimal")
                 seq = BurningSequence.of(repaired)
-                if not is_burning_sequence(g, seq):
+                if not burns_all:
                     raise SolverError("internal: repaired witness failed validation")
                 elapsed = time.monotonic() - start
                 return SolveResult(k, seq, SolveStats(budget.nodes, elapsed))
@@ -247,7 +247,7 @@ def _ball_cover_upper_bound(g: Graph, dist: list[list[int]]) -> int:
     radius r(c).  Those c centers placed first, each with at least r(c)
     steps of spread left, burn the graph in c + r(c) steps; the shortest of
     these is at most 3b - 2 (Bonato & Kamali, TAMC 2019).  The repair turns
-    it into a valid sequence, which is checked.
+    it into a valid sequence, whose verdict is checked.
     """
     n = g.vertex_count
     gap = [n if d < 0 else d for d in dist[0]]  # n: not reached by any center
@@ -263,8 +263,8 @@ def _ball_cover_upper_bound(g: Graph, dist: list[list[int]]) -> int:
         order.append(far)
         gap = [a if b < 0 or a <= b else b for a, b in zip(gap, dist[far])]
     labels = g.labels
-    seq = _repair_sequence(g, [labels[v] for v in order[:count]], length)
-    if not is_burning_sequence(g, seq):
+    seq, burns_all = _repair_sequence(g, [labels[v] for v in order[:count]], length)
+    if not burns_all:
         raise SolverError("internal: ball-cover sequence failed validation")
     return len(seq)
 

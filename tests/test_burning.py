@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from burnkit import lift, solvers
 from burnkit.burning import (
     BurningSequence,
     IncompleteScheduleError,
     InvalidSequenceError,
+    _repair_sequence,
     frontier_burn_times,
     is_burning_sequence,
     last_step_set,
@@ -17,7 +19,7 @@ from burnkit.burning import (
     write_sequence,
 )
 from burnkit.gadgets import make_C, make_C_witness
-from burnkit.generators import path_graph, random_connected_graph
+from burnkit.generators import complete_graph, path_graph, random_connected_graph
 from burnkit.graph import Graph, bfs_distances
 
 
@@ -309,3 +311,63 @@ def test_swapping_far_apart_sources_can_change_the_burned_set():
     assert original.complete
     assert not swapped.complete
     assert set(swapped.burn_time) < set(original.burn_time)
+
+
+@given(st.integers(min_value=0, max_value=500))
+@settings(max_examples=60, deadline=None)
+def test_repair_verdict_is_is_burning_sequence(seed):
+    """The repair's verdict is ``is_burning_sequence`` of what it returns, for
+    intended lists holding ``None``, repeated and unplaceable entries and
+    every horizon from 1 to n; the result never repeats a label.  Horizon 1
+    cannot burn two vertices and horizon n always burns the graph, so both
+    verdicts occur."""
+    import random
+
+    r = random.Random(seed)
+    n = r.randint(1, 10)
+    g = random_connected_graph(n, seed)
+    choices = list(g.vertices) + [None]
+    verdicts = set()
+    for _ in range(4):
+        intended = [r.choice(choices) for _ in range(r.randint(0, n + 2))]
+        if intended:  # a repeat is unplaceable once its first copy is placed
+            intended.insert(r.randint(0, len(intended)), r.choice(intended))
+        for horizon in range(1, n + 1):
+            result, burns_all = _repair_sequence(g, intended, horizon)
+            assert len(set(result)) == len(result) <= horizon
+            assert burns_all == is_burning_sequence(g, result)
+            verdicts.add(burns_all)
+    assert verdicts == ({True} if n == 1 else {True, False})
+
+
+def _failing_repair(truncate):
+    """The repair with its verdict forced to ``False`` and, with ``truncate``,
+    its last source dropped."""
+
+    def repair(g, intended, horizon):
+        result, _ = _repair_sequence(g, intended, horizon)
+        return (result[:-1] if truncate else result), False
+
+    return repair
+
+
+def test_callers_still_check_the_repair_verdict(monkeypatch):
+    """A repair that reports a failed burn makes each caller raise its own
+    internal error, so reading the verdict keeps the checks live."""
+    k4 = complete_graph(4)
+    lifted = lift.build_Hd(k4, 4)
+    monkeypatch.setattr(lift, "_repair_sequence", _failing_repair(True))
+    with pytest.raises(lift.LiftError) as exc:
+        lift.lift_sequence(lifted, ["v1", "v2"])
+    assert type(exc.value) is lift.LiftError
+    assert str(exc.value) == "internal: lifted sequence failed validation"
+
+    c4 = Graph([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+    monkeypatch.setattr(solvers, "_repair_sequence", _failing_repair(False))
+    with pytest.raises(solvers.SolverError, match="^internal: repaired witness failed validation$"):
+        solvers.burning_number_exact(c4)
+    monkeypatch.setattr(solvers, "_repair_sequence", _failing_repair(True))
+    with pytest.raises(solvers.SolverError, match="^no placeable source; cover was not minimal$"):
+        solvers.burning_number_exact(c4)
+    with pytest.raises(solvers.SolverError, match="^internal: ball-cover sequence failed validation$"):
+        solvers._ball_cover_upper_bound(c4, solvers._all_pairs(c4))

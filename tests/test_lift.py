@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
+from burnkit import burning
 from burnkit.burning import (
     BurningSequence,
     InvalidSequenceError,
@@ -21,6 +23,7 @@ from burnkit.lift import (
     BadDegreeError,
     InputNotValidError,
     InternalContradictionError,
+    LiftedGraph,
     LiftError,
     build_Hd,
     lift_sequence,
@@ -29,7 +32,8 @@ from burnkit.lift import (
     split_label,
     subgraph_for,
 )
-from burnkit.solvers import burning_number_exact, burning_number_naive
+from burnkit.reduction import build_H, vc_to_witness
+from burnkit.solvers import burning_number_exact, burning_number_naive, vertex_cover_exact
 
 
 def test_build_hd_shapes(k4):
@@ -301,7 +305,7 @@ def reference_project_sequence(lifted, sequence, d_prime, assume_optimal=False):
     if len(set(projected)) == p:
         if is_burning_sequence(target, projected):
             return BurningSequence.of(projected)
-        return BurningSequence.of(_repair_sequence(target, projected, p))
+        return BurningSequence.of(_repair_sequence(target, projected, p)[0])
 
     first_seen = {}
     duplicate_positions = []
@@ -321,7 +325,7 @@ def reference_project_sequence(lifted, sequence, d_prime, assume_optimal=False):
         deduped = list(dict.fromkeys(projected))
         if is_burning_sequence(target, deduped):
             return BurningSequence.of(deduped)
-        return BurningSequence.of(_repair_sequence(target, deduped, p))
+        return BurningSequence.of(_repair_sequence(target, deduped, p)[0])
 
     shortened = projected[:-1]
     try:
@@ -334,7 +338,7 @@ def reference_project_sequence(lifted, sequence, d_prime, assume_optimal=False):
         completed = shortened + [leftover]
         if is_burning_sequence(target, completed):
             return BurningSequence.of(completed)
-    return BurningSequence.of(_repair_sequence(target, projected, p))
+    return BurningSequence.of(_repair_sequence(target, projected, p)[0])
 
 
 def _outcome(call, *args):
@@ -361,7 +365,7 @@ def _random_sequences(g, r, count, lengths):
     for _ in range(count):
         length = r.choice(lengths)
         intended = [r.choice(vertices) for _ in range(length)]
-        seq = _repair_sequence(g, intended, length)
+        seq, _ = _repair_sequence(g, intended, length)
         if is_burning_sequence(g, seq):
             found.append(seq)
     return found
@@ -402,3 +406,101 @@ def test_lift_and_project_match_the_reference(k4, k33, prism):
                         expected = _outcome(reference_project_sequence, *args)
                         assert _outcome(project_sequence, *args) == expected
     assert min(shapes.values()) >= 50, shapes
+
+
+# -- the remembered sequence ---------------------------------------------------
+
+
+def _reduction_witness(inst):
+    return vc_to_witness(inst, vertex_cover_exact(inst.g_prime).witness)
+
+
+def test_one_kernel_run_per_lifted_sequence(k4_instance, monkeypatch):
+    """Lifting runs the burning process twice (the base check and the
+    repair), projecting the lift's own result runs only the repair, and a
+    fresh valid input costs one more run, for its check."""
+    lifted = build_Hd(k4_instance.h_graph, 5)
+    witness = _reduction_witness(k4_instance)
+    runs = []
+    burn = burning._burn
+
+    def counted(*args):
+        runs.append(args[1])
+        return burn(*args)
+
+    def runs_of(call, *args):
+        before = len(runs)
+        result = call(*args)
+        return result, len(runs) - before
+
+    monkeypatch.setattr(burning, "_burn", counted)
+    lifted_seq, count = runs_of(lift_sequence, lifted, witness)
+    assert count == 2
+    for dp in (4, 3):
+        assert runs_of(project_sequence, lifted, lifted_seq, dp)[1] == 1
+
+    # Another vertex burned at the last step is also a valid last source.
+    last = len(lifted_seq)
+    times = frontier_burn_times(lifted.graph, lifted_seq)
+    swap = max(v for v, t in times.items() if t == last and v != lifted_seq[-1])
+    fresh = list(lifted_seq[:-1]) + [swap]
+    assert is_burning_sequence(lifted.graph, fresh)
+    assert runs_of(project_sequence, lifted, fresh, 4)[1] == 2
+    assert runs_of(project_sequence, lifted, fresh, 3)[1] == 1
+    # one sequence is remembered: the lift's result is checked again
+    assert runs_of(project_sequence, lifted, lifted_seq, 3)[1] == 2
+
+
+def test_projections_of_a_remembered_sequence_match(k4, k33, prism):
+    """Projecting the lift's remembered result gives the reference's sequence
+    or error, and what a freshly built LiftedGraph, which checks the input,
+    gives."""
+    for base in (k4, k33, prism, random_cubic(10, 1)):
+        witness = burning_number_exact(base).witness
+        for d in (4, 5, 6):
+            lifted = build_Hd(base, d)
+            seq = lift_sequence(lifted, witness)
+            for dp in range(3, d):
+                for strict in (False, True):
+                    got = _outcome(project_sequence, lifted, seq, dp, strict)
+                    assert got == _outcome(reference_project_sequence, lifted, seq, dp, strict)
+                    assert got == _outcome(project_sequence, build_Hd(base, d), seq, dp, strict)
+            assert lifted._burns == seq.sources
+
+
+def test_remembered_sequence_admits_no_other(k4_instance, prism):
+    """With a valid sequence remembered, an invalid one is still rejected:
+    the lift minus its last source, one with an unknown label, and a lift of
+    the K4 H's witness given to the prism H's LiftedGraph."""
+    message = "^sequence does not burn the lifted graph$"
+    lifted = build_Hd(k4_instance.h_graph, 4)
+    seq = lift_sequence(lifted, _reduction_witness(k4_instance))
+    project_sequence(lifted, seq, 3)
+    for bad in (seq[:-1], seq[:-1] + ("nowhere",)):
+        bad = list(bad)
+        with pytest.raises(InputNotValidError, match=message):
+            project_sequence(lifted, bad, 3)
+        assert lifted._burns == seq.sources
+
+    prism_instance = build_H(prism)
+    prism_lifted = build_Hd(prism_instance.h_graph, 4)
+    prism_seq = lift_sequence(prism_lifted, _reduction_witness(prism_instance))
+    assert prism_lifted._burns == prism_seq.sources != seq.sources
+    with pytest.raises(InputNotValidError, match=message):
+        project_sequence(prism_lifted, seq, 3)
+
+
+def test_lifted_graph_value_ignores_the_remembered_sequence(k4):
+    """The remembered sequence is not a constructor argument and takes no
+    part in equality or ``repr``."""
+    lifted = build_Hd(k4, 5)
+    before = repr(lifted)
+    seq = lift_sequence(lifted, ["v1", "v2"])
+    fresh = LiftedGraph(lifted.base, lifted.d, lifted.graph, lifted.cliques)
+    assert lifted._burns == seq.sources and fresh._burns is None
+    assert lifted == fresh  # Graph compares by identity, so the parts are shared
+    assert repr(lifted) == repr(fresh) == before == (
+        f"LiftedGraph(base={k4!r}, d=5, graph={lifted.graph!r}, cliques={lifted.cliques!r})"
+    )
+    init = [f.name for f in dataclasses.fields(LiftedGraph) if f.init]
+    assert init == ["base", "d", "graph", "cliques"]
