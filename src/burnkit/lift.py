@@ -2,9 +2,10 @@
 projection (copy collapsing) and the one-extra-step lift.
 
 H_d consists of d - 2 copies of the base graph with each vertex's copy set
-joined into a clique; labels are ``copy<j>:<v>``.  Projection onto H_d' keeps
-vertices of the first d' - 2 copies and folds the rest onto copy 1; for
-d' = 3 the result lives on the base graph itself (copy prefix stripped).
+joined into a clique; labels are ``copy<j>:<v>``.  One layout of the copies'
+blocks in the sorted label table builds H_d, and H_d' from H_d's own labels.
+Projection onto H_d' keeps vertices of the first d' - 2 copies and folds the
+rest onto copy 1; for d' = 3 the result lives on the base graph itself.
 
 Lifting and projection are each one :func:`~burnkit.burning._repair_sequence`
 call: the repair keeps every intended source it can still place and fills a
@@ -53,16 +54,14 @@ class InternalContradictionError(LiftError):
 
 @dataclass(frozen=True)
 class LiftedGraph:
+    """H_d of ``base``.  Equal when d is and base and graph are the same objects
+    (``Graph`` compares by identity), so equal lifted graphs hash alike."""
+
     base: Graph
     d: int
     graph: Graph
-    cliques: dict[str, tuple[str, ...]]
     # The last sequence known to burn ``graph``; not part of the value.
     _burns: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def copies(self) -> int:
-        return self.d - 2
 
 
 def _remember(lifted: LiftedGraph, sources: tuple[str, ...]):
@@ -73,14 +72,36 @@ def _copy_label(j: int, v: str) -> str:
     return f"copy{j}:{v}"
 
 
+def _block_order(copies: int) -> list[int]:
+    """Copies 1..copies in the order of their blocks in the sorted label table."""
+    return sorted(range(1, copies + 1), key=lambda j: _copy_label(j, ""))
+
+
+def _from_blocks(base: Graph, labels: tuple[str, ...], copies: int) -> Graph:
+    """``copies`` clique-joined copies of a cubic base on a sorted label table
+    whose blocks of ``base.vertex_count`` labels are the copies, in base order."""
+    n = base.vertex_count
+    # Vertex i of block k: its clique twins in earlier blocks, its base
+    # neighbours shifted into block k, its twins in later blocks; that is
+    # sorted.  The base is cubic, so its adjacency has three columns.  Every
+    # index held is an object of ``ints``, as the index's values are.
+    ints = list(range(len(labels)))
+    twins = [ints[k * n : k * n + n] for k in range(copies)]
+    columns = [itemgetter(*column) for column in zip(*base.adj)]
+    adj: list[tuple[int, ...]] = []
+    for k, block in enumerate(twins):
+        own = [column(block) for column in columns]
+        adj += zip(*twins[:k], *own, *twins[k + 1 :])
+    edge_count = copies * base.edge_count + n * copies * (copies - 1) // 2
+    return _from_core(labels, adj, edge_count, dict(zip(labels, ints)))
+
+
 def build_Hd(base: Graph, d: int) -> LiftedGraph:
     """d - 2 clique-joined copies of a connected cubic base; d-regular.
 
-    Built on the base's integer core.  Every label of copy ``j`` starts with
-    ``copy<j>:`` and no such prefix is a prefix of another, so each copy is
-    one contiguous block of the sorted label table, in base order within.
-    The blocks follow the sorted prefixes, so ``copy10:`` comes before
-    ``copy1:``.
+    Every label of copy ``j`` starts with ``copy<j>:``, and no such prefix is
+    a prefix of another, so each copy is one contiguous block of the sorted
+    label table, in base order within; ``copy10:`` comes before ``copy1:``.
     """
     if d < 4:
         raise BadDegreeError(f"lift needs d >= 4 (H_3 is the base itself), got {d}")
@@ -88,47 +109,29 @@ def build_Hd(base: Graph, d: int) -> LiftedGraph:
         raise NotCubicBaseError("base graph must be connected")
     if not is_regular(base, 3):
         raise NotCubicBaseError("base graph must be cubic")
-    copies = d - 2
-    n = base.vertex_count
-    blocks = sorted(range(1, copies + 1), key=lambda j: _copy_label(j, ""))
-    start = {j: k * n for k, j in enumerate(blocks)}
-    labels = tuple(
-        chain.from_iterable(map(_copy_label(j, "").__add__, base.labels) for j in blocks)
-    )
-    # Vertex i of block k: its clique twins in earlier blocks, its base
-    # neighbours shifted into block k, its twins in later blocks; that is
-    # sorted.  The base is cubic, so its adjacency has three columns.  Every
-    # index held is an object of ``ints``, as the index's values are.
-    ints = list(range(len(labels)))
-    twins = [ints[start[j] : start[j] + n] for j in blocks]
-    columns = [itemgetter(*column) for column in zip(*base.adj)]
-    adj: list[tuple[int, ...]] = []
-    for k, block in enumerate(twins):
-        own = [column(block) for column in columns]
-        adj += zip(*twins[:k], *own, *twins[k + 1 :])
-    edge_count = copies * base.edge_count + n * copies * (copies - 1) // 2
-    copy_labels = [labels[start[j] : start[j] + n] for j in range(1, copies + 1)]
-    return LiftedGraph(
-        base=base,
-        d=d,
-        graph=_from_core(labels, adj, edge_count, dict(zip(labels, ints))),
-        cliques=dict(zip(base.labels, zip(*copy_labels))),
-    )
+    blocks = (map(_copy_label(j, "").__add__, base.labels) for j in _block_order(d - 2))
+    graph = _from_blocks(base, tuple(chain.from_iterable(blocks)), d - 2)
+    return LiftedGraph(base=base, d=d, graph=graph)
 
 
 def split_label(label: str) -> tuple[int, str]:
-    prefix, _, rest = label.partition(":")
-    if not prefix.startswith("copy") or not rest:
-        raise LiftError(f"not a lifted-graph label: {label!r}")
+    """(j, v) of ``copy<j>:<v>``, the label of copy j >= 1 of base vertex v:
+    a label that ``_copy_label(j, v)`` does not give back exactly is not one."""
+    prefix, _, v = label.partition(":")
     try:
-        return int(prefix[4:]), rest
+        j = int(prefix[4:])
     except ValueError:
-        raise LiftError(f"not a lifted-graph label: {label!r}") from None
+        j = 0
+    if j < 1 or not v or _copy_label(j, v) != label:
+        raise LiftError(f"not a lifted-graph label: {label!r}")
+    return j, v
 
 
 def project_vertex(label: str, d_prime: int) -> str:
     """Projection onto H_d': keep vertices of the first d' - 2 copies, fold
     the rest onto copy 1.  For d' = 3 the result is a base-graph label."""
+    if d_prime < 3:
+        raise BadDegreeError(f"d' must be at least 3, got {d_prime}")
     j, v = split_label(label)
     if d_prime == 3:
         return v
@@ -138,12 +141,20 @@ def project_vertex(label: str, d_prime: int) -> str:
 
 
 def subgraph_for(lifted: LiftedGraph, d_prime: int) -> Graph:
-    """H_d' as a standalone graph (the base itself for d' = 3)."""
+    """H_d' as a standalone graph: the base for d' = 3, ``lifted.graph`` for
+    d' = d, else the blocks of copies 1..d' - 2 of H_d's label table, whose
+    relative order is their order in H_d', laid out as ``build_Hd`` does."""
     if d_prime == 3:
         return lifted.base
     if not 4 <= d_prime <= lifted.d:
         raise BadDegreeError(f"d' must be in [3, {lifted.d}], got {d_prime}")
-    return build_Hd(lifted.base, d_prime).graph
+    if d_prime == lifted.d:
+        return lifted.graph
+    n = lifted.base.vertex_count
+    labels = lifted.graph.labels
+    order = _block_order(lifted.d - 2)
+    kept = [labels[k * n : k * n + n] for k, j in enumerate(order) if j <= d_prime - 2]
+    return _from_blocks(lifted.base, tuple(chain.from_iterable(kept)), d_prime - 2)
 
 
 def lift_sequence(lifted: LiftedGraph, sequence: BurningSequence | Sequence[str]) -> BurningSequence:
@@ -212,21 +223,10 @@ def project_sequence(
     projected = [project_vertex(v, d_prime) for v in sources]
     deduped = list(dict.fromkeys(projected))
     if assume_optimal and projected not in (deduped, deduped + deduped[-1:]):
+        pairs = [(projected.index(v), i) for i, v in enumerate(projected) if projected.index(v) < i]
         raise InternalContradictionError(
-            f"mid-sequence duplicates {_duplicate_positions(projected)} in the projection "
-            "of a sequence declared optimal"
+            f"mid-sequence duplicates {pairs} in the projection of a sequence declared optimal"
         )
     repaired, _ = _repair_sequence(target, deduped, len(projected))
     return BurningSequence.of(repaired)
 
-
-def _duplicate_positions(projected: list[str]) -> list[tuple[int, int]]:
-    """(first position, repeat position) of every repeated entry, in order."""
-    first_seen: dict[str, int] = {}
-    pairs = []
-    for i, v in enumerate(projected):
-        if v in first_seen:
-            pairs.append((first_seen[v], i))
-        else:
-            first_seen[v] = i
-    return pairs

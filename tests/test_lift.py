@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import itertools
 import random
+import sys
+import tracemalloc
 
 import pytest
 
-from burnkit import burning
+from burnkit import burning, lift
 from burnkit.burning import (
     BurningSequence,
     InvalidSequenceError,
@@ -42,11 +45,15 @@ def test_build_hd_shapes(k4):
         assert lifted.graph.vertex_count == (d - 2) * 4
         assert is_regular(lifted.graph, d)
         assert is_connected(lifted.graph)
-        for v in k4.vertices:
-            clique = lifted.cliques[v]
-            assert len(clique) == d - 2
-            for a, b in itertools.combinations(clique, 2):
-                assert lifted.graph.has_edge(a, b)
+        cliques = {}
+        for label in lifted.graph.vertices:
+            j, v = split_label(label)
+            cliques.setdefault(v, []).append(j)
+        assert cliques.keys() == set(k4.vertices)
+        for v, copies in cliques.items():
+            assert sorted(copies) == list(range(1, d - 1))
+            for a, b in itertools.combinations(copies, 2):
+                assert lifted.graph.has_edge(f"copy{a}:{v}", f"copy{b}:{v}")
 
 
 def reference_hd(base, d):
@@ -56,12 +63,9 @@ def reference_hd(base, d):
     for j in range(1, copies + 1):
         for u, v in base.edges():
             edges.append((f"copy{j}:{u}", f"copy{j}:{v}"))
-    cliques = {}
     for v in base.vertices:
-        clique = tuple(f"copy{j}:{v}" for j in range(1, copies + 1))
-        cliques[v] = clique
-        edges += itertools.combinations(clique, 2)
-    return Graph(edges), cliques
+        edges += itertools.combinations([f"copy{j}:{v}" for j in range(1, copies + 1)], 2)
+    return Graph(edges)
 
 
 @pytest.mark.parametrize("d", [4, 5, 12])
@@ -69,7 +73,7 @@ def test_build_hd_matches_reference(k4, k33, prism, d):
     # at d = 12, copy10: sorts before copy1:, so index order is not (copy, base index)
     for base in (k4, k33, prism, random_cubic(16, 3)):
         lifted = build_Hd(base, d)
-        ref, cliques = reference_hd(base, d)
+        ref = reference_hd(base, d)
         g = lifted.graph
         assert g.vertices == ref.vertices
         assert g.edge_count == ref.edge_count
@@ -77,7 +81,68 @@ def test_build_hd_matches_reference(k4, k33, prism, d):
         assert g.index == ref.index
         assert g.adj == ref.adj
         assert all(g.neighbors(v) == ref.neighbors(v) for v in ref.vertices)
-        assert lifted.cliques == cliques
+
+
+@pytest.mark.parametrize("d", [5, 6, 11, 12, 13, 22])
+def test_subgraph_for_matches_build_hd(k4, prism, d):
+    """H_d' read out of H_d is build_Hd's H_d' for every d' <= d, made of
+    H_d's own label strings and holding one int per vertex; at d >= 12,
+    copy10: sorts before copy1: in H_d.  The empty base has empty blocks."""
+    for base in (k4, prism, random_cubic(16, 3), Graph([])):
+        lifted = build_Hd(base, d)
+        own = lifted.graph
+        for dp in range(4, d + 1):
+            sub = subgraph_for(lifted, dp)
+            ref = build_Hd(base, dp).graph
+            assert sub.labels == ref.labels
+            assert sub.adj == ref.adj
+            assert sub.index == ref.index
+            assert sub.edge_count == ref.edge_count
+            assert all(v is own.labels[own.index[v]] for v in sub.labels)
+            ints = list(sub.index.values())
+            assert all(w is ints[w] for nbrs in sub.adj for w in nbrs)
+        assert subgraph_for(lifted, d) is own
+
+
+def test_projection_does_not_build_hd(k4, monkeypatch):
+    lifted = build_Hd(k4, 6)
+    seq = lift_sequence(lifted, ["v1", "v2"])
+
+    def no_build(*args):
+        raise AssertionError("build_Hd called")
+
+    monkeypatch.setattr(lift, "build_Hd", no_build)
+    projected = project_sequence(lifted, seq, 4)
+    monkeypatch.undo()
+    assert projected == project_sequence(build_Hd(k4, 6), seq, 4)
+    assert is_burning_sequence(build_Hd(k4, 4).graph, projected)
+
+
+def _retained(call, *args):
+    """Bytes still held after ``call(*args)``, its result kept alive."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return retained
+
+
+@pytest.mark.parametrize("d", [5, 6, 11, 12, 13, 22])
+def test_subgraph_for_memory_is_below_a_fresh_build(d):
+    """H_d' read out of H_d shares H_d's label strings, so it retains fewer
+    bytes than H_d' built afresh, by about the strings' size; a relapse to
+    formatting the labels again saves nothing, so half of it is the margin."""
+    base = random_cubic(1000, 1)
+    lifted = build_Hd(base, d)
+    for dp in sorted({4, d - 1}):
+        fresh = _retained(lambda: build_Hd(base, dp).graph)
+        label_bytes = sum(map(sys.getsizeof, subgraph_for(lifted, dp).labels))
+        assert _retained(subgraph_for, lifted, dp) < fresh - label_bytes // 2
 
 
 def test_build_hd_adjacency_shares_the_index_ints():
@@ -105,6 +170,25 @@ def test_projection_definitions():
     assert split_label("copy12:v:x") == (12, "v:x")
     with pytest.raises(LiftError):
         split_label("nope")
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["copy-1:a", "copy+3:a", "copy 2:a", "copy2 :a", "copy0:a", "copy01:a", "copy1_0:a",
+     "copy\u0663:a", "copy:a", "copy1:", "copy1", "copz1:a", "xcopy1:a", "copy" + "9" * 5000 + ":a"],
+)
+def test_split_label_rejects_what_no_lifted_graph_has(label):
+    """Only labels that copy<j>:<v> formatting gives back, with j >= 1."""
+    with pytest.raises(LiftError):
+        split_label(label)
+    with pytest.raises(LiftError):
+        project_vertex(label, 4)
+
+
+def test_project_vertex_rejects_degree_below_three():
+    for d_prime in (2, 0, -1):
+        with pytest.raises(BadDegreeError):
+            project_vertex("copy1:a", d_prime)
 
 
 def test_projection_preserves_order():
@@ -496,11 +580,13 @@ def test_lifted_graph_value_ignores_the_remembered_sequence(k4):
     lifted = build_Hd(k4, 5)
     before = repr(lifted)
     seq = lift_sequence(lifted, ["v1", "v2"])
-    fresh = LiftedGraph(lifted.base, lifted.d, lifted.graph, lifted.cliques)
+    fresh = LiftedGraph(lifted.base, lifted.d, lifted.graph)
     assert lifted._burns == seq.sources and fresh._burns is None
     assert lifted == fresh  # Graph compares by identity, so the parts are shared
+    assert hash(lifted) == hash(fresh)
+    assert lifted != build_Hd(k4, 5) and lifted != LiftedGraph(lifted.base, 6, lifted.graph)
     assert repr(lifted) == repr(fresh) == before == (
-        f"LiftedGraph(base={k4!r}, d=5, graph={lifted.graph!r}, cliques={lifted.cliques!r})"
+        f"LiftedGraph(base={k4!r}, d=5, graph={lifted.graph!r})"
     )
     init = [f.name for f in dataclasses.fields(LiftedGraph) if f.init]
-    assert init == ["base", "d", "graph", "cliques"]
+    assert init == ["base", "d", "graph"]
