@@ -8,6 +8,11 @@ edge order and the repair tie-breaks rely on it.  Every label-keyed query
 reads the core.  Graphs are immutable after construction, so every read
 operation is safe to call concurrently.  All iteration orders are canonical
 (lexicographic on labels) to keep downstream output diffable.
+
+Edge-list I/O makes no object per edge that outlives a chunk of the text:
+``read_graph`` interns each label to one string, holds one pointer per edge
+end and hands them to the constructor as pairs, and ``write_graph`` joins
+its lines a block at a time.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterable, Iterator
+from itertools import chain, islice, repeat
+from typing import Iterable, Iterator, NoReturn
 
 
 class GraphError(Exception):
@@ -43,9 +48,9 @@ class Graph:
     __slots__ = ("labels", "index", "adj", "_edge_count")
 
     def __init__(self, edges: Iterable[tuple[str, str]], vertices: Iterable[str] = ()):
-        if not isinstance(edges, (list, tuple)):
+        if not isinstance(edges, (list, tuple, _EndPairs)):
             edges = list(edges)  # read twice, and again on the error path
-        labels = tuple(sorted(set(vertices).union(*edges)))
+        labels = tuple(sorted(set(vertices).union(chain.from_iterable(edges))))
         index = dict(zip(labels, range(len(labels))))
         adj: list = [[] for _ in labels]
         for u, v in edges:
@@ -220,30 +225,105 @@ def _data_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, stripped
 
 
-def read_graph(text: str) -> Graph:
-    """Parse edge-list text: one edge per line, two whitespace-separated labels.
-
-    Lines starting with '#' are comments; blank lines are skipped.  The vertex
-    set is the union of the endpoints.  On a fault, the edges read so far are
-    replayed with their line numbers to name the first bad line.
-    """
+def _reject_first_bad_line(text: str) -> NoReturn:
+    """Raise for the first bad line of ``text``: the per-line parse, kept as
+    the reference for line-numbered errors.  Called only on a fault."""
     edges: list[tuple[str, str]] = []
-    where = (f"line {n}: " for n, _ in _data_lines(text))  # read on an error path only
+    where = (f"line {n}: " for n, _ in _data_lines(text))
     for lineno, stripped in _data_lines(text):
         parts = stripped.split()
         if len(parts) != 2:
             _reject_first_bad_edge(edges, where)
             raise GraphFormatError(f"line {lineno}: expected two labels, got {stripped!r}")
         edges.append((parts[0], parts[1]))
+    _reject_first_bad_edge(edges, where)
+    raise GraphFormatError("internal: fault not found on replay")
+
+
+def _chunk_tokens(chunk: str) -> list[str] | None:
+    """The labels of a non-empty chunk of whole lines, two per edge in line
+    order, or None when some line holds other than two labels."""
+    tokens = chunk.split()
+    # write_graph's own shape, "u v\n" on every line and no line a comment,
+    # is checked at C level
+    if not chunk.startswith("#") and "\n#" not in chunk:
+        if chunk == "\n".join(map(" ".join, zip(tokens[::2], tokens[1::2]))) + "\n":
+            return tokens
+    tokens = []
+    for _, stripped in _data_lines(chunk):
+        parts = stripped.split()
+        if len(parts) != 2:
+            return None
+        tokens += parts
+    return tokens
+
+
+class _EndPairs:
+    """The edges of a list of tuples of edge ends, each holding whole edges
+    in order: sized and re-iterable like a list of pairs, without a tuple
+    per edge."""
+
+    __slots__ = ("ends",)
+
+    def __init__(self, ends: list[tuple[str, ...]]):
+        self.ends = ends
+
+    def __len__(self) -> int:
+        return sum(map(len, self.ends)) // 2
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        ends = chain.from_iterable(self.ends)
+        return zip(ends, ends)
+
+
+_READ_CHUNK = 1 << 20  # read_graph's chunks: this many characters, then to the end of that line
+
+
+def read_graph(text: str) -> Graph:
+    """Parse edge-list text: one edge per line, two whitespace-separated labels.
+
+    Lines starting with '#' are comments; blank lines are skipped.  The vertex
+    set is the union of the endpoints.
+
+    The text is read in chunks of whole lines of about 1 MiB.  A chunk in
+    ``write_graph``'s shape (each line two labels joined by one space, no
+    comment, no blank line, ending in a newline) is split in one call; any
+    other chunk goes through the per-line parse.  Each label is interned to
+    its first string object, so the parse holds one string per label and
+    one pointer per edge end, and each chunk's tokens are dropped before
+    the next chunk is read.  On a fault, the whole text is parsed again line
+    by line to name the first bad line.
+    """
+    first: dict[str, str] = {}
+    # one tuple per chunk: a tuple of strings leaves the cyclic collector's
+    # care, so its full collections while the graph is built skip the ends
+    ends: list[tuple[str, ...]] = []
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + _READ_CHUNK - 1) + 1 or len(text)
+        tokens = _chunk_tokens(text[start:stop])
+        if tokens is None:
+            _reject_first_bad_line(text)
+        ends.append(tuple(map(first.setdefault, tokens, tokens)))
+        del tokens  # before the next chunk is split
+        start = stop
+    del first  # the constructor gathers its own label set
     try:
-        return Graph(edges)
+        return Graph(_EndPairs(ends))
     except GraphFormatError:
-        _reject_first_bad_edge(edges, where)
-        raise
+        _reject_first_bad_line(text)
+
+
+_WRITE_BLOCK = 1 << 15  # lines joined at a time by write_graph
 
 
 def write_graph(g: Graph) -> str:
-    """Canonical edge-list text: edges sorted, smaller endpoint first."""
+    """Canonical edge-list text: edges sorted, smaller endpoint first.
+
+    Each edge is one ``"u v\\n"`` line; the lines are joined in blocks of
+    32,768, so at most one block of line strings is alive beside the block
+    texts and the result.
+    """
     labels, adj = g.labels, g.adj
     if not all(_label_ok(v) for v, nbrs in zip(labels, adj) if nbrs):
         # name the label that the canonical edge order reaches first
@@ -254,5 +334,6 @@ def write_graph(g: Graph) -> str:
             raise GraphFormatError(
                 f"isolated vertex {v!r} cannot be represented in edge-list format"
             )
-    lines = [f"{u} {v}" for u, v in g.edges()]
-    return "\n".join(lines) + ("\n" if lines else "")
+    # the canonical order of edges(), without a tuple per edge
+    lines = (f"{labels[a]} {labels[b]}\n" for a, nbrs in enumerate(adj) for b in nbrs if b > a)
+    return "".join(iter(lambda: "".join(islice(lines, _WRITE_BLOCK)), ""))

@@ -195,11 +195,20 @@ def _cover_search(
     return search(tuple(range(k - 1, -1, -1)), 0, [])
 
 
-def burning_number_exact(g: Graph, node_budget: int = 10_000_000) -> SolveResult:
-    """Exact burning number with a validated witness sequence."""
+def burning_number_exact(
+    g: Graph, node_budget: int = 10_000_000, max_vertices: int = 2_000
+) -> SolveResult:
+    """Exact burning number with a validated witness sequence.
+
+    The all-pairs distance table takes n² entries before the first budget
+    tick, so a graph of more than ``max_vertices`` vertices is refused with
+    ``TooLargeError`` before it is built.
+    """
     n = g.vertex_count
     if n == 0:
         raise EmptyGraphError("empty graph")
+    if n > max_vertices:
+        raise TooLargeError(f"{n} vertices exceeds the exact solver's guard of {max_vertices}")
     start = time.monotonic()
     dist = _all_pairs(g)
     budget = _Budget(node_budget)

@@ -123,6 +123,33 @@ def test_solve_burn_empty_graph_is_a_domain_error(tmp_path, capsys, naive):
     assert capsys.readouterr().err == "error\tEmptyGraphError\tempty graph\n"
 
 
+def test_solve_burn_refuses_the_k4_h_before_allocating(tmp_path, k4_instance):
+    """The exact solver's all-pairs table on the 80,294-vertex H would take
+    about 51 GB; the child's address space is capped, so a missing guard
+    fails this test instead of exhausting the machine."""
+    import os
+    import subprocess
+    import sys
+
+    import burnkit
+
+    h_file = tmp_path / "h.g"
+    h_file.write_text(write_graph(k4_instance.h_graph), encoding="utf-8")
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))\n"
+        "from burnkit.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(burnkit.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "solve-burn", str(h_file)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error\tTooLargeError\t80294 vertices exceeds the exact solver's guard of 2000\n"
+
+
 _META = "m\t4\nx\tx\ny\ty\ngprime-edge\ta x\ngprime-edge\tx y\ngprime-edge\ty b\n"
 
 

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import gc
 import string
+import sys
+import tracemalloc
+from itertools import repeat
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from burnkit import graph as graph_module
 from burnkit.graph import (
     Graph,
     GraphFormatError,
@@ -18,6 +24,7 @@ from burnkit.graph import (
     write_graph,
 )
 from burnkit.generators import path_graph
+from burnkit.reduction import build_H
 
 
 def test_bfs_path_distances():
@@ -271,3 +278,180 @@ def test_t_gadget_hook_distance():
     t = make_T(2, 6)
     dm = bfs_distances(t.graph, t["p"])
     assert dm[t["q"]] == 2 * 2 + 1  # Steps[p, q] = 2*l1 + 2
+
+
+# The parse as it stood before the chunked read (read_graph, its helpers and
+# the constructor's body), kept verbatim as the oracle of the read path.
+
+
+def _reference_data_lines(text):
+    """(line number, stripped line) of each line that is not blank or a '#' comment."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, stripped
+
+
+def _reference_reject_first_bad_edge(edges, where=repeat("")):
+    """Raise for the first self-loop or repeated edge in input order, prefixed by its ``where``."""
+    seen = set()
+    for (u, v), at in zip(edges, where):
+        if u == v:
+            raise GraphFormatError(f"{at}self-loop at {u!r}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise GraphFormatError(f"{at}duplicate edge {u!r} {v!r}")
+        seen.add(key)
+
+
+def _reference_core(edges, vertices=()):
+    if not isinstance(edges, (list, tuple)):
+        edges = list(edges)  # read twice, and again on the error path
+    labels = tuple(sorted(set(vertices).union(*edges)))
+    index = dict(zip(labels, range(len(labels))))
+    adj = [[] for _ in labels]
+    for u, v in edges:
+        a, b = index[u], index[v]
+        adj[a].append(b)
+        adj[b].append(a)
+    for a, nbrs in enumerate(adj):
+        nbrs.sort()
+        adj[a] = tuple(nbrs)
+    # a self-loop or a parallel edge repeats an entry of some tuple
+    if any(len(set(nbrs)) != len(nbrs) for nbrs in adj):
+        _reference_reject_first_bad_edge(edges)
+    return labels, index, adj, len(edges)
+
+
+def reference_parse(text):
+    edges = []
+    where = (f"line {n}: " for n, _ in _reference_data_lines(text))  # read on an error path only
+    for lineno, stripped in _reference_data_lines(text):
+        parts = stripped.split()
+        if len(parts) != 2:
+            _reference_reject_first_bad_edge(edges, where)
+            raise GraphFormatError(f"line {lineno}: expected two labels, got {stripped!r}")
+        edges.append((parts[0], parts[1]))
+    try:
+        return _reference_core(edges)
+    except GraphFormatError:
+        _reference_reject_first_bad_edge(edges, where)
+        raise
+
+
+def reference_write(g):
+    lines = [f"{u} {v}" for u, v in g.edges()]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _core_outcome(parse, text):
+    try:
+        labels, index, adj, edge_count = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return labels, list(index.items()), adj, edge_count
+
+
+def _chunked_parse(text):
+    g = read_graph(text)
+    return g.labels, g.index, g.adj, g.edge_count
+
+
+# labels over a tiny alphabet, so that repeats, self-loops and labels that
+# start with '#' are common; the separators include characters that split()
+# treats as whitespace and splitlines() as a line end
+_read_labels = st.text(alphabet="ab#", min_size=1, max_size=2)
+_gap = st.sampled_from([" ", "  ", "\t", " \t", "\x0b", "\x1c", "\u2028", "\u3000"])
+_text_line = st.one_of(
+    # write_graph's shape, listed twice so that whole chunks often have it
+    st.tuples(_read_labels, _read_labels).map(" ".join),
+    st.tuples(_read_labels, _read_labels).map(" ".join),
+    st.tuples(_gap, _read_labels, _gap, _read_labels, _gap).map("".join),
+    st.tuples(_read_labels, _read_labels).map(lambda e: "#" + " ".join(e)),  # a comment
+    st.lists(_read_labels, min_size=1, max_size=3).map(" ".join),  # 1 to 3 tokens
+    st.sampled_from(["", "  ", "#", "# c d", "  #x y", "\t"]),
+)
+_line_end = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x1c", "\u2028"])
+
+
+@st.composite
+def edge_list_texts(draw):
+    lines = draw(st.lists(st.tuples(_text_line, _line_end).map("".join), max_size=16))
+    text = "".join(lines)
+    if text and draw(st.booleans()):
+        text = text[:-1]  # often leaves no final newline
+    return text
+
+
+@given(edge_list_texts(), st.integers(min_value=1, max_value=12))
+@settings(max_examples=500)
+def test_chunked_read_matches_the_reference_parse(text, chunk):
+    with mock.patch.object(graph_module, "_READ_CHUNK", chunk):
+        assert _core_outcome(_chunked_parse, text) == _core_outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 4, 1 << 20])
+def test_comment_at_a_chunk_start_is_a_comment(chunk):
+    # with a 4-character chunk the comment, which has write_graph's shape,
+    # starts the second chunk exactly
+    text = "a b\n#c d\n"
+    with mock.patch.object(graph_module, "_READ_CHUNK", chunk):
+        g = read_graph(text)
+    assert g.labels == ("a", "b") and g.edge_count == 1
+    assert _core_outcome(_chunked_parse, text) == _core_outcome(reference_parse, text)
+
+
+def test_empty_text_reads_as_the_empty_graph():
+    assert _core_outcome(_chunked_parse, "") == ((), [], [], 0)
+
+
+@given(random_graphs(), st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=3))
+@settings(max_examples=100)
+def test_canonical_text_round_trips_in_chunks(g, chunk, block):
+    if any(g.degree(v) == 0 for v in g.vertices):
+        return
+    text = reference_write(g)
+    with mock.patch.object(graph_module, "_READ_CHUNK", chunk), mock.patch.object(
+        graph_module, "_WRITE_BLOCK", block
+    ):
+        assert write_graph(g) == text
+        assert write_graph(read_graph(text)) == text
+
+
+@pytest.fixture(scope="module")
+def prism_h_text(prism):
+    """Edge-list text of the prism's reduction graph H: 109,478 vertices."""
+    return write_graph(build_H(prism).h_graph)
+
+
+def test_read_graph_peak_is_near_the_graph_it_returns(prism_h_text):
+    """One string per label and one pointer per edge end while parsing: the
+    peak stays within 1.6x of the graph it returns (2.2x when every line,
+    token and edge tuple was held at once)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        g = read_graph(prism_h_text)
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.vertex_count == 109_478
+    assert peak <= 1.6 * retained
+    ints = list(g.index.values())
+    assert all(w is ints[w] for nbrs in g.adj for w in nbrs)
+
+
+def test_write_graph_peak_is_near_the_text_it_returns(prism_h_text):
+    """Lines joined a block at a time: the peak above the graph stays within
+    2.5x of the text (4.2x when one list held every line)."""
+    g = read_graph(prism_h_text)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        text = write_graph(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text == prism_h_text
+    assert peak <= 2.5 * sys.getsizeof(text)

@@ -12,6 +12,7 @@ from burnkit.generators import (
     random_cubic,
     star_graph,
 )
+from burnkit import solvers
 from burnkit.solvers import (
     BudgetExceededError,
     _ball_masks,
@@ -37,6 +38,19 @@ def test_naive_small_cases(k4):
 def test_naive_guard():
     with pytest.raises(TooLargeError):
         burning_number_naive(path_graph(13))
+
+
+def test_exact_guard_refuses_before_any_table(monkeypatch):
+    def no_table(g):
+        raise AssertionError("distance table built for a refused graph")
+
+    monkeypatch.setattr(solvers, "_all_pairs", no_table)
+    with pytest.raises(TooLargeError, match="^5 vertices exceeds the exact solver's guard of 4$"):
+        burning_number_exact(path_graph(5), max_vertices=4)
+    with pytest.raises(TooLargeError, match="^2001 vertices exceeds the exact solver's guard of 2000$"):
+        burning_number_exact(path_graph(2001))
+    monkeypatch.undo()
+    assert burning_number_exact(path_graph(4), max_vertices=4).value == 2
 
 
 def test_exact_k4(k4):
