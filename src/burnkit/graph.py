@@ -245,7 +245,8 @@ def _chunk_tokens(chunk: str) -> list[str] | None:
     order, or None when some line holds other than two labels."""
     tokens = chunk.split()
     # write_graph's own shape, "u v\n" on every line and no line a comment,
-    # is checked at C level
+    # is checked at C level; with the per-line parse alone, reduce-pipeline
+    # took 3.20 s a pass instead of 2.78 s (slower in 11 of 11 pairs)
     if not chunk.startswith("#") and "\n#" not in chunk:
         if chunk == "\n".join(map(" ".join, zip(tokens[::2], tokens[1::2]))) + "\n":
             return tokens

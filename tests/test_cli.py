@@ -125,8 +125,9 @@ def test_solve_burn_empty_graph_is_a_domain_error(tmp_path, capsys, naive):
 
 def test_solve_burn_refuses_the_k4_h_before_allocating(tmp_path, k4_instance):
     """The exact solver's all-pairs table on the 80,294-vertex H would take
-    about 51 GB; the child's address space is capped, so a missing guard
-    fails this test instead of exhausting the machine."""
+    about 51 GB; the child's address space is capped at 1 GiB, far below
+    that and far above what the interpreter maps, so a missing guard fails
+    this test instead of exhausting the machine."""
     import os
     import subprocess
     import sys
@@ -137,7 +138,7 @@ def test_solve_burn_refuses_the_k4_h_before_allocating(tmp_path, k4_instance):
     h_file.write_text(write_graph(k4_instance.h_graph), encoding="utf-8")
     child = (
         "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
         "from burnkit.cli import main\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
