@@ -2,12 +2,15 @@
 
 ``burning_number_exact`` runs iterative deepening on k and, for each k,
 decides whether the vertex set can be covered by balls of radii
-k-1, k-2, ..., 0.  A ball cover of that shape always converts into a valid
-burning sequence (sources distinct, each unburned when chosen): walk the
-positions in order and, whenever the intended center is already burned,
-substitute any still-unburned vertex -- the fire that burned the center is
-ahead of schedule, so coverage is preserved.  The converse is immediate, so
-the cover decision equals the sequence decision; the test suite additionally
+k-1, k-2, ..., 0.  The search is one depth-first loop over an explicit stack,
+so its depth is not bounded by the recursion limit.  The radii still to
+place are one bitmask, which with the covered set keys a memo of failed
+nodes.  A ball cover of that shape always converts into a valid burning
+sequence (sources distinct, each unburned when chosen): walk the positions
+in order and, whenever the intended center is already burned, substitute
+any still-unburned vertex -- the fire that burned the center is ahead of
+schedule, so coverage is preserved.  The converse is immediate, so the
+cover decision equals the sequence decision; the test suite additionally
 asserts agreement with the exhaustive oracle on small graphs.
 
 ``burning_number_naive`` is that oracle: exhaustive depth-first enumeration of
@@ -28,12 +31,15 @@ equal covers.
 On a budget stop both solvers report the best bounds they have: the vertex
 cover search the root bound and its incumbent, the burning-number search
 the current k and the length of a farthest-first ball-cover sequence.
+``SolveStats.prunes`` counts the nodes cut: by the lower bound in the vertex
+cover search, by the volume bound or the failure memo in the other.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .burning import BurningSequence, _repair_sequence, is_burning_sequence
@@ -125,74 +131,34 @@ def _ball_masks(adj: list[tuple[int, ...]], inner: list[int] | None) -> list[int
     return masks
 
 
-def _cover_search(
-    n: int,
-    k: int,
+def _branches(
     dist: list[list[int]],
-    balls: dict[int, list[int]],
-    max_ball: dict[int, int],
-    budget: _Budget,
-) -> list[tuple[int, int]] | None:
-    """Find centers for balls of radii k-1..0 covering all n vertices.
-
-    Branches on the hardest uncovered vertex (maximum distance from the
-    covered set, lexicographic tie-break): it must lie inside one of the
-    remaining balls, so every covering (radius, center) pair is tried.
-    Returns the list of (radius, center) assignments, or None.
-    """
-    full = (1 << n) - 1
-    ecc = [max(d for d in row if d >= 0) for row in dist]
-    failed: set[tuple[int, int]] = set()
-
-    def pick_target(covered: int, chosen: list[tuple[int, int]]) -> int:
-        best_v, best_d = -1, -1
-        for v in range(n):
-            if covered >> v & 1:
-                continue
-            if not chosen:
-                d = ecc[v]
-            else:
-                d = min(max(0, dist[v][x] - r) for r, x in chosen)
-            if d > best_d:
-                best_v, best_d = v, d
-        return best_v
-
-    def search(radii: tuple[int, ...], covered: int, chosen: list[tuple[int, int]]):
-        if covered == full:
-            return list(chosen)
-        if not radii:
-            return None
-        budget.tick()
-        uncovered_count = (full ^ covered).bit_count()
-        if sum(max_ball[r] for r in radii) < uncovered_count:
-            return None
-        radii_key = 0
-        for r in radii:
-            radii_key |= 1 << r
-        state = (radii_key, covered)
-        if state in failed:
-            return None
-        target = pick_target(covered, chosen)
-        row = dist[target]
-        branches: list[tuple[int, int, int]] = []
-        for r in radii:
-            ball_r = balls[r]
-            for x in range(n):
-                if 0 <= row[x] <= r:
-                    gain = (ball_r[x] & ~covered).bit_count()
-                    branches.append((r, x, gain))
-        branches.sort(key=lambda t: (-t[0], -t[2], t[1]))
-        for r, x, _gain in branches:
-            rest = list(radii)
-            rest.remove(r)
-            found = search(tuple(rest), covered | balls[r][x], chosen + [(r, x)])
-            if found is not None:
-                return found
-        if len(failed) < _MEMO_CAP:
-            failed.add(state)
-        return None
-
-    return search(tuple(range(k - 1, -1, -1)), 0, [])
+    ecc: list[int],
+    balls: list[list[int]],
+    radii: int,
+    covered: int,
+    chosen: list[tuple[int, int]],
+) -> Iterator[tuple[int, int]]:
+    """The (radius, center) pairs a ball-cover search node tries, in order:
+    each radius r left (bit r of ``radii``), larger first, with each center
+    within r of the target, more newly covered vertices first, then the
+    smaller center.  The target is the first uncovered vertex farthest from
+    the chosen balls (a ball in another component is at distance 0), or of
+    largest eccentricity at the root; some remaining ball must hold it."""
+    n = len(dist)
+    target, far = -1, -1
+    for v in range(n):
+        if covered >> v & 1:
+            continue
+        d = min(max(0, dist[v][x] - r) for r, x in chosen) if chosen else ecc[v]
+        if d > far:
+            target, far = v, d
+    row = dist[target]
+    for r in range(radii.bit_length() - 1, -1, -1):
+        if radii >> r & 1:
+            ball = balls[r]
+            for _, x in sorted((-(ball[x] & ~covered).bit_count(), x) for x in range(n) if 0 <= row[x] <= r):
+                yield r, x
 
 
 def burning_number_exact(
@@ -211,41 +177,72 @@ def burning_number_exact(
         raise TooLargeError(f"{n} vertices exceeds the exact solver's guard of {max_vertices}")
     start = time.monotonic()
     dist = _all_pairs(g)
+    ecc = [max(d for d in row if d >= 0) for row in dist]
+    diameter = max(ecc)  # the largest eccentricity, over all components
+    full = (1 << n) - 1
     budget = _Budget(node_budget)
-    balls: dict[int, list[int]] = {}
-    max_ball: dict[int, int] = {}
-
-    def ensure_radius(r: int):
-        if r not in balls:
-            balls[r] = _ball_masks(g.adj, balls.get(r - 1))  # radii come in order
-            max_ball[r] = max(m.bit_count() for m in balls[r])
-
-    k = 1
-    while True:
-        ensure_radius(k - 1)
-        # sound pruning seed: position i covers at most max_ball[k - i] vertices
-        if sum(max_ball[r] for r in range(k)) >= n:
-            try:
-                found = _cover_search(n, k, dist, balls, max_ball, budget)
-            except _BudgetUp:
-                upper = _ball_cover_upper_bound(g, dist)
-                raise BudgetExceededError(k, upper, budget.nodes) from None
+    prunes = volume = 0
+    balls: list[list[int]] = []  # balls[r][x]: the ball of radius r around x
+    biggest: list[int] = []  # biggest[r]: the size of the largest ball of radius r
+    found: list[tuple[int, int]] | None = None
+    try:
+        for k in range(1, n + 1):
+            if k - 1 <= diameter:  # past the diameter a ball is its component
+                masks = _ball_masks(g.adj, balls[-1] if balls else None)
+                size = max(m.bit_count() for m in masks)
+            balls.append(masks)
+            biggest.append(size)
+            volume += size
+            # sound pruning seed: position i covers at most biggest[k - i] vertices
+            if volume < n:
+                continue
+            budget.tick()
+            failed: set[tuple[int, int]] = set()
+            radii = (1 << k) - 1
+            # open nodes, deepest last: (radii left, covered, chosen pairs,
+            # summed biggest[r] of the radii left, untried branches)
+            stack = [(radii, 0, [], volume, _branches(dist, ecc, balls, radii, 0, []))]
+            while found is None and stack:
+                radii, covered, chosen, room, branches = stack[-1]
+                for r, x in branches:
+                    reach = covered | balls[r][x]
+                    if reach == full:
+                        found = chosen + [(r, x)]
+                        break
+                    rest = radii ^ 1 << r
+                    if not rest:
+                        continue
+                    budget.tick()
+                    left = room - biggest[r]
+                    if left < (full ^ reach).bit_count() or (rest, reach) in failed:
+                        prunes += 1
+                        continue
+                    picked = chosen + [(r, x)]
+                    stack.append((rest, reach, picked, left, _branches(dist, ecc, balls, rest, reach, picked)))
+                    break
+                else:
+                    stack.pop()
+                    if len(failed) < _MEMO_CAP:
+                        failed.add((radii, covered))
             if found is not None:
-                centers: list[str | None] = [None] * k
-                labels = g.labels
-                for r, x in found:
-                    centers[k - r - 1] = labels[x]
-                repaired, burns_all = _repair_sequence(g, centers, k)
-                if len(repaired) < k:
-                    raise SolverError("no placeable source; cover was not minimal")
-                seq = BurningSequence.of(repaired)
-                if not burns_all:
-                    raise SolverError("internal: repaired witness failed validation")
-                elapsed = time.monotonic() - start
-                return SolveResult(k, seq, SolveStats(budget.nodes, elapsed))
-        k += 1
-        if k > n:
+                break
+        else:
             raise SolverError("internal: no burning sequence up to length n")
+    except _BudgetUp:
+        upper = _ball_cover_upper_bound(g, dist)
+        raise BudgetExceededError(k, upper, budget.nodes) from None
+    centers: list[str | None] = [None] * k
+    labels = g.labels
+    for r, x in found:
+        centers[k - r - 1] = labels[x]
+    repaired, burns_all = _repair_sequence(g, centers, k)
+    if len(repaired) < k:
+        raise SolverError("no placeable source; cover was not minimal")
+    seq = BurningSequence.of(repaired)
+    if not burns_all:
+        raise SolverError("internal: repaired witness failed validation")
+    elapsed = time.monotonic() - start
+    return SolveResult(k, seq, SolveStats(budget.nodes, elapsed, prunes))
 
 
 def _ball_cover_upper_bound(g: Graph, dist: list[list[int]]) -> int:

@@ -384,7 +384,12 @@ def reference_build_H(g, edge=None):
 
 
 def _h_fingerprint(build, g, edge=None):
-    """Everything build_H promises about H, or the error it raises."""
+    """Everything build_H promises about H, or the error it raises.
+
+    Provenance enters as everything ``owner_of`` decodes labels with, not as
+    one owner per label: both builds share that method, and
+    ``test_owner_of_matches_landmarks`` checks it against
+    ``_reference_owners``."""
     try:
         inst = build(g, edge)
     except GraphFormatError as exc:
@@ -397,7 +402,8 @@ def _h_fingerprint(build, g, edge=None):
         repr(inst.btp_landmarks),
         repr(inst.y_landmarks),
         repr(inst.c_landmarks),
-        [inst.owner_of(v) for v in h.labels],
+        (inst.x, inst.y, inst.params, inst.subdivided_edge),
+        (inst.g_prime.labels, inst.g_prime.adj),
     )
 
 

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import gc
+import inspect
+import sys
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +17,7 @@ from burnkit.generators import (
     random_cubic,
     star_graph,
 )
-from burnkit import solvers
+from burnkit import make_BT, make_C, solvers
 from burnkit.solvers import (
     BudgetExceededError,
     _ball_masks,
@@ -114,6 +119,76 @@ def test_budget_stop_reports_ball_cover_upper_bound():
                 burning_number_exact(g, node_budget=budget)
             assert info.value.upper_bound is not None
             assert info.value.lower_bound <= b <= info.value.upper_bound
+
+
+# (value, witness, nodes) of burning_number_exact: the witness comes from the
+# first cover in depth-first order and nodes counts the tree searched up to
+# it, so any change of target rule, branch order, memo or budget tick moves
+# them
+_PINNED_SEARCHES = {
+    "random_cubic(64, 5)": (lambda: random_cubic(64, 5), 5, "v44 v48 v18 v4 v54", 4238),
+    "random_cubic(60, 1)": (lambda: random_cubic(60, 1), 5, "v35 v27 v28 v8 v1", 4),
+    "cycle(80)": (lambda: cycle_graph(80), 9, "v1 v34 v51 v15 v62 v23 v69 v43 v72", 9),
+    "C(7)": (lambda: make_C(7).graph, 7, "p5:a1 p7:a1 p6:a1 p4:a4 p7:a7 p5:a8 tail:q", 19),
+    "BT(5)": (lambda: make_BT(5).graph, 6, "bt:0:0 bt:2:0 bt:3:2 bt:4:10 bt:5:12 bt:5:13", 3558),
+    "two K4": (
+        lambda: Graph([(f"{s}{i}", f"{s}{j}") for s in "ab" for i in range(4) for j in range(i)]), 3, "a0 b0 b1", 2
+    ),
+    "path, edge, isolated": (
+        lambda: Graph([("a", "b"), ("b", "c"), ("x", "y")], vertices=["q", "r"]), 4, "a q x r", 21
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_PINNED_SEARCHES))
+def test_exact_search_tree_is_pinned(case):
+    make, value, witness, nodes = _PINNED_SEARCHES[case]
+    result = burning_number_exact(make())
+    assert (result.value, list(result.witness), result.stats.nodes) == (value, witness.split(), nodes)
+
+
+@pytest.mark.parametrize("n, seed, budget, stop", [(80, 1, 1000, (5, 7, 1001)), (70, 2, 50, (5, 6, 51))])
+def test_exact_budget_stop_is_pinned(n, seed, budget, stop):
+    with pytest.raises(BudgetExceededError) as info:
+        burning_number_exact(random_cubic(n, seed), node_budget=budget)
+    assert (info.value.lower_bound, info.value.upper_bound, info.value.nodes) == stop
+
+
+def test_exact_search_depth_is_not_bounded_by_recursion():
+    g = Graph([], vertices=[f"v{i}" for i in range(300)])  # b = 300: one source each
+    limit = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        result = burning_number_exact(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.value == 300
+
+
+def _traced_peak(fn, *args) -> int:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_exact_builds_no_masks_past_the_largest_eccentricity():
+    """A matching of 100 edges has b = 101 and diameter 1: one mask set per
+    radius would be 101 sets of 200 masks, several times the distance table,
+    where the two sets of radii 0 and 1 are a small part of it."""
+    g = Graph([(f"a{i}", f"b{i}") for i in range(100)])
+    table = _traced_peak(solvers._all_pairs, g)
+    assert _traced_peak(burning_number_exact, g) < 3 * table
+
+
+def test_exact_counters_repeat():
+    g = random_cubic(58, 4)  # an exact-solve pool instance
+    a, b = burning_number_exact(g).stats, burning_number_exact(g).stats
+    assert (a.nodes, a.prunes) == (b.nodes, b.prunes)
+    assert 0 < a.prunes < a.nodes
 
 
 def test_path_cycle_numbers():
