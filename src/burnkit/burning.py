@@ -112,7 +112,10 @@ def _source_indices(g: Graph, sequence: BurningSequence | Sequence[str]) -> list
 
 
 def _burn(
-    g: Graph, steps: int, choose: Callable[[int, list[int]], int | None]
+    g: Graph,
+    steps: int,
+    choose: Callable[[int, list[int]], int | None],
+    time: list[int] | None = None,
 ) -> tuple[list[int], list[int], list[int]]:
     """The burning process itself, the one frontier loop of the package.
 
@@ -120,10 +123,13 @@ def _burn(
     vertex ignited at ``t``; ``None`` ends the process early, and so does a
     vertex that burned before ``t``, which is then not placed.  Returns
     ``time`` (vertex -> burn step, ``_UNBURNED`` if never reached), the burned
-    vertices in burn order, and the ignited vertex of each step.
+    vertices in burn order, and the ignited vertex of each step.  A given
+    ``time`` is the starting state, updated in place: a vertex marked 0 there
+    never enters a frontier, so the fire spreads only through the others.
     """
     adj = g.adj
-    time = [_UNBURNED] * len(adj)
+    if time is None:
+        time = [_UNBURNED] * len(adj)
     order: list[int] = []
     placed: list[int] = []
     frontier: list[int] = []
@@ -230,7 +236,10 @@ def simulate(g: Graph, sequence: BurningSequence | Sequence[str]) -> BurningSche
 
 
 def _repair_sequence(
-    g: Graph, intended: Sequence[str | None], horizon: int
+    g: Graph,
+    intended: Sequence[str | None],
+    horizon: int,
+    within: Sequence[tuple[int, int]] | None = None,
 ) -> tuple[list[str], bool]:
     """Valid sequence of at most ``horizon`` sources from an intended source
     list (``None`` or a missing entry means no preference) whose fire, placed
@@ -245,8 +254,21 @@ def _repair_sequence(
     The verdict equals :func:`is_burning_sequence` of the returned sequence:
     every vertex chosen is placeable, so this run is the burning process of
     that sequence, and it ends early only at a step where no vertex burns.
+
+    With ``within``, a list of ``(start, stop)`` index ranges of ``g``, the
+    repair runs on the subgraph induced on those ranges without building it,
+    and every intended source must lie in them.  Every other vertex is
+    marked burned at step 0: it never spreads fire, never takes it, and is
+    neither unburned nor burned at a step ``t >= 1``.  The subgraph's index
+    order is ``g``'s restricted to the ranges, so the result and the verdict
+    are those of the repair on the subgraph built as a graph.
     """
     want = [None if v is None else g.index[v] for v in intended]
+    time = None
+    if within is not None:
+        time = [0] * g.vertex_count
+        for start, stop in within:
+            time[start:stop] = [_UNBURNED] * (stop - start)
 
     def choose(t: int, time: list[int]) -> int | None:
         b = want[t - 1] if t <= len(want) else None
@@ -259,8 +281,9 @@ def _repair_sequence(
             return time.index(t)
         return None
 
-    _, order, placed = _burn(g, horizon, choose)
-    return [g.labels[b] for b in placed], bool(placed) and len(order) == g.vertex_count
+    size = g.vertex_count if time is None else time.count(_UNBURNED)
+    _, order, placed = _burn(g, horizon, choose, time)
+    return [g.labels[b] for b in placed], bool(placed) and len(order) == size
 
 
 def is_burning_sequence(g: Graph, sequence: BurningSequence | Sequence[str]) -> bool:

@@ -3,9 +3,12 @@ projection (copy collapsing) and the one-extra-step lift.
 
 H_d consists of d - 2 copies of the base graph with each vertex's copy set
 joined into a clique; labels are ``copy<j>:<v>``.  One layout of the copies'
-blocks in the sorted label table builds H_d, and H_d' from H_d's own labels.
-Projection onto H_d' keeps vertices of the first d' - 2 copies and folds the
-rest onto copy 1; for d' = 3 the result lives on the base graph itself.
+blocks in the sorted label table builds H_d, and ``subgraph_for`` builds a
+standalone H_d' from H_d's own labels.  Projection onto H_d' keeps vertices
+of the first d' - 2 copies and folds the rest onto copy 1; for d' = 3 the
+result lives on the base graph itself.  Projection builds no H_d': H_d'
+is the subgraph of H_d induced on the kept copies' blocks, so it is burned
+inside H_d, with every other vertex marked burned before the first step.
 
 Lifting and projection are each one :func:`~burnkit.burning._repair_sequence`
 call: the repair keeps every intended source it can still place and fills a
@@ -37,6 +40,10 @@ class LiftError(Exception):
 
 class NotCubicBaseError(LiftError):
     pass
+
+
+class LiftTooLargeError(LiftError):
+    """H_d would have more edges than the lift's cap allows."""
 
 
 class BadDegreeError(LiftError):
@@ -77,6 +84,14 @@ def _block_order(copies: int) -> list[int]:
     return sorted(range(1, copies + 1), key=lambda j: _copy_label(j, ""))
 
 
+def _kept_blocks(lifted: LiftedGraph, d_prime: int) -> list[tuple[int, int]]:
+    """Index ranges of the blocks of copies 1..d' - 2 in H_d's label table, in
+    table order, which is their order in the table of H_d' too."""
+    n = lifted.base.vertex_count
+    order = _block_order(lifted.d - 2)
+    return [(k * n, k * n + n) for k, j in enumerate(order) if j <= d_prime - 2]
+
+
 def _from_blocks(base: Graph, labels: tuple[str, ...], copies: int) -> Graph:
     """``copies`` clique-joined copies of a cubic base on a sorted label table
     whose blocks of ``base.vertex_count`` labels are the copies, in base order."""
@@ -96,15 +111,21 @@ def _from_blocks(base: Graph, labels: tuple[str, ...], copies: int) -> Graph:
     return _from_core(labels, adj, edge_count, dict(zip(labels, ints)))
 
 
-def build_Hd(base: Graph, d: int) -> LiftedGraph:
+def build_Hd(base: Graph, d: int, max_edges: int = 10_000_000) -> LiftedGraph:
     """d - 2 clique-joined copies of a connected cubic base; d-regular.
 
     Every label of copy ``j`` starts with ``copy<j>:``, and no such prefix is
     a prefix of another, so each copy is one contiguous block of the sorted
     label table, in base order within; ``copy10:`` comes before ``copy1:``.
+    H_d has (d - 2)·|V| vertices of degree d; when that makes more than
+    ``max_edges`` edges, :class:`LiftTooLargeError` is raised before anything
+    is built.
     """
     if d < 4:
         raise BadDegreeError(f"lift needs d >= 4 (H_3 is the base itself), got {d}")
+    edges = (d - 2) * base.vertex_count * d // 2
+    if edges > max_edges:
+        raise LiftTooLargeError(f"H_{d} has {edges} edges, over the lift's cap of {max_edges}")
     if not is_connected(base):
         raise NotCubicBaseError("base graph must be connected")
     if not is_regular(base, 3):
@@ -150,10 +171,8 @@ def subgraph_for(lifted: LiftedGraph, d_prime: int) -> Graph:
         raise BadDegreeError(f"d' must be in [3, {lifted.d}], got {d_prime}")
     if d_prime == lifted.d:
         return lifted.graph
-    n = lifted.base.vertex_count
     labels = lifted.graph.labels
-    order = _block_order(lifted.d - 2)
-    kept = [labels[k * n : k * n + n] for k, j in enumerate(order) if j <= d_prime - 2]
+    kept = [labels[start:stop] for start, stop in _kept_blocks(lifted, d_prime)]
     return _from_blocks(lifted.base, tuple(chain.from_iterable(kept)), d_prime - 2)
 
 
@@ -187,7 +206,9 @@ def project_sequence(
     assume_optimal: bool = False,
 ) -> BurningSequence:
     """Collapse a valid H_d sequence of length p onto H_d' (3 <= d' < d): the
-    projection, duplicates dropped, repaired with a horizon of p steps.
+    projection, duplicates dropped, repaired with a horizon of p steps.  For
+    d' >= 4 the repair runs on H_d within the kept copies' blocks, which is
+    the repair on H_d' without building it.
 
     Projection never increases a distance, so the projected fires reach every
     vertex of H_d' by step p and the repair returns a burning sequence of at
@@ -219,7 +240,10 @@ def project_sequence(
         if not is_burning_sequence(lifted.graph, sources):
             raise InputNotValidError("sequence does not burn the lifted graph")
         _remember(lifted, sources)
-    target = subgraph_for(lifted, d_prime)
+    if d_prime == 3:
+        target, within = lifted.base, None
+    else:
+        target, within = lifted.graph, _kept_blocks(lifted, d_prime)
     projected = [project_vertex(v, d_prime) for v in sources]
     deduped = list(dict.fromkeys(projected))
     if assume_optimal and projected not in (deduped, deduped + deduped[-1:]):
@@ -227,6 +251,6 @@ def project_sequence(
         raise InternalContradictionError(
             f"mid-sequence duplicates {pairs} in the projection of a sequence declared optimal"
         )
-    repaired, _ = _repair_sequence(target, deduped, len(projected))
+    repaired, _ = _repair_sequence(target, deduped, len(projected), within)
     return BurningSequence.of(repaired)
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -338,6 +340,37 @@ def test_repair_verdict_is_is_burning_sequence(seed):
             assert burns_all == is_burning_sequence(g, result)
             verdicts.add(burns_all)
     assert verdicts == ({True} if n == 1 else {True, False})
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=150, deadline=None)
+def test_repair_within_ranges_is_the_repair_on_the_induced_subgraph(seed):
+    """The repair run inside a set of kept index ranges of ``g`` returns the
+    sequence and verdict of the repair on the subgraph induced on them, built
+    as a graph: random graphs of 1-12 vertices (disconnected ones included),
+    kept ranges in any order (empty ones and an empty kept set included), and
+    intended lists of kept labels holding ``None``, repeats and sources
+    burned before their step, at every horizon."""
+    import random
+
+    r = random.Random(seed)
+    n = r.randint(1, 12)
+    labels = [f"v{i}" for i in range(n)]
+    p = r.random()
+    g = Graph([(u, v) for u, v in itertools.combinations(labels, 2) if r.random() < p], vertices=labels)
+    cuts = sorted(r.choices(range(n + 1), k=r.randint(0, n)))
+    within = [(a, b) for a, b in zip([0] + cuts, cuts + [n]) if r.random() < 0.6]
+    r.shuffle(within)
+    kept = [g.labels[i] for a, b in within for i in range(a, b)]
+    sub = Graph([(u, v) for u, v in g.edges() if u in kept and v in kept], vertices=kept)
+    choices = kept + [None]
+    for _ in range(4):
+        intended = [r.choice(choices) for _ in range(r.randint(0, len(kept) + 2))]
+        if intended:
+            intended.insert(r.randint(0, len(intended)), r.choice(intended))
+        for horizon in range(len(kept) + 2):
+            expected = _repair_sequence(sub, intended, horizon)
+            assert _repair_sequence(g, intended, horizon, within) == expected
 
 
 def _failing_repair(truncate):

@@ -151,6 +151,40 @@ def test_solve_burn_refuses_the_k4_h_before_allocating(tmp_path, k4_instance):
     assert proc.stderr == "error\tTooLargeError\t80294 vertices exceeds the exact solver's guard of 2000\n"
 
 
+@pytest.mark.parametrize("command", ["lift", "project"])
+def test_lift_refuses_an_oversized_h_d_before_allocating(tmp_path, k4_file, command):
+    """H_1000000 of K4 would have about 2·10^12 edges; its size comes from
+    the closed form, so ``lift`` and ``project`` exit 1 before building
+    anything.  The child's address space is capped at 1 GiB, so a missing
+    guard fails this test instead of exhausting the machine."""
+    import os
+    import subprocess
+    import sys
+
+    import burnkit
+
+    seq_file = tmp_path / "h.seq"
+    seq_file.write_text("copy1:v1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    args = {"lift": [k4_file], "project": [k4_file, str(seq_file), "--dprime", "3"]}[command]
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from burnkit.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(burnkit.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", child, command, *args, "--d", "1000000", "-o", str(out)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "error\tLiftTooLargeError\tH_1000000 has 1999996000000 edges, over the lift's cap of 10000000\n"
+    )
+    assert not out.exists()
+
+
 _META = "m\t4\nx\tx\ny\ty\ngprime-edge\ta x\ngprime-edge\tx y\ngprime-edge\ty b\n"
 
 

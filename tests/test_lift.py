@@ -28,6 +28,7 @@ from burnkit.lift import (
     InternalContradictionError,
     LiftedGraph,
     LiftError,
+    LiftTooLargeError,
     build_Hd,
     lift_sequence,
     project_sequence,
@@ -161,6 +162,24 @@ def test_build_hd_rejects_bad_inputs(k4):
         build_Hd(k4, 3)
     with pytest.raises(LiftError):
         build_Hd(path_graph(4), 4)
+
+
+def test_build_hd_cap_is_on_the_closed_form_edge_count(k4, prism):
+    """(d - 2)·|V| vertices of degree d: the cap admits H_d with exactly
+    ``max_edges`` edges and refuses one more, whatever the base's shape."""
+    for base in (k4, prism):
+        for d in (4, 5, 12):
+            edges = build_Hd(base, d).graph.edge_count
+            assert edges == (d - 2) * base.vertex_count * d // 2
+            assert build_Hd(base, d, max_edges=edges).graph.edge_count == edges
+            message = f"^H_{d} has {edges} edges, over the lift's cap of {edges - 1}$"
+            with pytest.raises(LiftTooLargeError, match=message):
+                build_Hd(base, d, max_edges=edges - 1)
+    from burnkit.generators import path_graph
+
+    # refused before the base is looked at
+    with pytest.raises(LiftTooLargeError):
+        build_Hd(path_graph(4), 10**6)
 
 
 def test_projection_definitions():
@@ -533,6 +552,59 @@ def test_one_kernel_run_per_lifted_sequence(k4_instance, monkeypatch):
     assert runs_of(project_sequence, lifted, fresh, 3)[1] == 1
     # one sequence is remembered: the lift's result is checked again
     assert runs_of(project_sequence, lifted, lifted_seq, 3)[1] == 2
+
+
+def test_projection_builds_no_graph(k4_instance, monkeypatch):
+    """Projecting onto H_4 and onto the base builds no graph: H_4 is burned
+    inside H_5, and the base is the lifted graph's own.  The counters do see
+    a build, as ``subgraph_for`` and ``Graph`` at the end show."""
+    lifted = build_Hd(k4_instance.h_graph, 5)
+    seq = lift_sequence(lifted, _reduction_witness(k4_instance))
+    built = []
+    init, from_blocks = Graph.__init__, lift._from_blocks
+
+    def counted_init(self, *args, **kwargs):
+        built.append("Graph")
+        init(self, *args, **kwargs)
+
+    def counted_from_blocks(*args):
+        built.append("_from_blocks")
+        return from_blocks(*args)
+
+    monkeypatch.setattr(Graph, "__init__", counted_init)
+    monkeypatch.setattr(lift, "_from_blocks", counted_from_blocks)
+    projected = {dp: project_sequence(lifted, seq, dp) for dp in (4, 3)}
+    assert built == []
+    subgraph_for(lifted, 4)
+    Graph([("a", "b")])
+    assert built == ["_from_blocks", "Graph"]
+    monkeypatch.undo()
+    for dp in (4, 3):
+        assert projected[dp] == reference_project_sequence(lifted, seq, dp)
+
+
+@pytest.mark.parametrize("d", [12, 13])
+def test_projection_matches_the_reference_when_blocks_are_not_a_prefix(k4, prism, d):
+    """At d >= 12, copy10: sorts before copy1:, so the kept blocks of H_d'
+    are not a prefix of H_d's label table: the projection burned inside H_d
+    still gives the reference's sequence or error, which builds H_d' with
+    ``subgraph_for``, onto every d' < d, with ``assume_optimal`` off and on."""
+    r = random.Random(d)
+    repaired = 0
+    for base in (k4, prism, random_cubic(10, 1)):
+        lifted = build_Hd(base, d)
+        b = burning_number_exact(base)
+        seqs = [list(lift_sequence(lifted, b.witness))]
+        seqs += _random_sequences(lifted.graph, r, 12, (b.value, b.value + 1, b.value + 2))
+        for seq in seqs:
+            for dp in range(3, d):
+                for strict in (False, True):
+                    args = (lifted, seq, dp, strict)
+                    expected = _outcome(reference_project_sequence, *args)
+                    assert _outcome(project_sequence, *args) == expected
+                    raw = [project_vertex(v, dp) for v in seq]
+                    repaired += not isinstance(expected, tuple) and list(expected) != raw
+    assert repaired >= 20, repaired
 
 
 def test_projections_of_a_remembered_sequence_match(k4, k33, prism):
