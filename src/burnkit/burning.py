@@ -105,10 +105,11 @@ def _source_indices(g: Graph, sequence: BurningSequence | Sequence[str]) -> list
     sources = list(sequence)
     if not sources:
         raise MalformedSequenceError("burning sequence is empty")
-    for b in sources:
-        if b not in g.index:
-            raise UnknownVertexError(f"unknown vertex {b!r} in burning sequence")
-    return [g.index[b] for b in sources]
+    indices = list(map(g._find, sources))
+    if None in indices:
+        b = sources[indices.index(None)]
+        raise UnknownVertexError(f"unknown vertex {b!r} in burning sequence")
+    return indices
 
 
 def _burn(
@@ -263,7 +264,7 @@ def _repair_sequence(
     order is ``g``'s restricted to the ranges, so the result and the verdict
     are those of the repair on the subgraph built as a graph.
     """
-    want = [None if v is None else g.index[v] for v in intended]
+    want = [None if v is None else g._at(v) for v in intended]
     time = None
     if within is not None:
         time = [0] * g.vertex_count

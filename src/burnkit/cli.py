@@ -92,11 +92,11 @@ def export_dot(g: Graph, landmarks: dict | None = None) -> str:
         for lbl in labels:
             tagged.setdefault(lbl, []).append(name)
     out = ["graph burnkit {", "  node [shape=circle];"]
-    for v in g.vertices:
+    for v, nbrs in zip(g.labels, g.adj):
         if v in tagged:
             names = _dot_string(",".join(tagged[v]))
             out.append(f"  {_dot_string(v)} [style=filled, fillcolor=lightblue, xlabel={names}];")
-        elif g.degree(v) == 0:
+        elif not nbrs:
             out.append(f"  {_dot_string(v)};")
     for u, v in g.edges():
         out.append(f"  {_dot_string(u)} -- {_dot_string(v)};")

@@ -1,13 +1,14 @@
 """Labeled simple undirected graphs with BFS, structural predicates, and edge-list I/O.
 
 Vertices are string labels.  A graph is one integer core: the sorted label
-table ``labels``, the map ``index`` from label to position, and ``adj``, the
-sorted tuple of neighbour indices of each vertex.  Index order equals
-lexicographic label order, so sorted indices are sorted labels; canonical
-edge order and the repair tie-breaks rely on it.  Every label-keyed query
-reads the core.  Graphs are immutable after construction, so every read
-operation is safe to call concurrently.  All iteration orders are canonical
-(lexicographic on labels) to keep downstream output diffable.
+table ``labels`` and ``adj``, the sorted tuple of neighbour indices of each
+vertex.  Index order equals lexicographic label order, so sorted indices are
+sorted labels; canonical edge order and the repair tie-breaks rely on it,
+and a label's index is found by bisection on the table, with no map beside
+it.  Every label-keyed query reads the core.  Graphs are immutable after
+construction, so every read operation is safe to call concurrently.  All
+iteration orders are canonical (lexicographic on labels) to keep downstream
+output diffable.
 
 Edge-list I/O makes no object per edge that outlives a chunk of the text:
 ``read_graph`` interns each label to one string, holds one pointer per edge
@@ -39,19 +40,19 @@ class GraphFormatError(GraphError):
 class Graph:
     """Immutable simple undirected graph over string-labeled vertices.
 
-    ``labels`` is the sorted label table, ``index`` maps a label to its
-    position in it, and ``adj[i]`` is the sorted tuple of the neighbour
-    indices of ``labels[i]``.  No self-loops, no parallel edges, symmetric
-    adjacency.
+    ``labels`` is the strictly increasing label table, and ``adj[i]`` is the
+    sorted tuple of the neighbour indices of ``labels[i]``; all entries that
+    name one vertex are one int object.  No self-loops, no parallel edges,
+    symmetric adjacency.
     """
 
-    __slots__ = ("labels", "index", "adj", "_edge_count")
+    __slots__ = ("labels", "adj", "_edge_count")
 
     def __init__(self, edges: Iterable[tuple[str, str]], vertices: Iterable[str] = ()):
         if not isinstance(edges, (list, tuple, _EndPairs)):
             edges = list(edges)  # read twice, and again on the error path
         labels = tuple(sorted(set(vertices).union(chain.from_iterable(edges))))
-        index = dict(zip(labels, range(len(labels))))
+        index = dict(zip(labels, range(len(labels))))  # for the edge loop only
         adj: list = [[] for _ in labels]
         for u, v in edges:
             a, b = index[u], index[v]
@@ -64,7 +65,6 @@ class Graph:
         if any(len(set(nbrs)) != len(nbrs) for nbrs in adj):
             _reject_first_bad_edge(edges)
         self.labels: tuple[str, ...] = labels
-        self.index: dict[str, int] = index
         self.adj: list[tuple[int, ...]] = adj
         self._edge_count = len(edges)
 
@@ -80,14 +80,25 @@ class Graph:
     def edge_count(self) -> int:
         return self._edge_count
 
+    def _find(self, v: str) -> int | None:
+        """The index of label ``v``, or None when ``v`` is not a vertex (a
+        probe that does not compare with the labels, such as ``None``,
+        included)."""
+        labels = self.labels
+        try:
+            i = bisect_left(labels, v)
+        except TypeError:
+            return None
+        return i if i < len(labels) and labels[i] == v else None
+
     def __contains__(self, v: str) -> bool:
-        return v in self.index
+        return self._find(v) is not None
 
     def _at(self, v: str) -> int:
-        try:
-            return self.index[v]
-        except KeyError:
-            raise UnknownVertexError(f"unknown vertex {v!r}") from None
+        i = self._find(v)
+        if i is None:
+            raise UnknownVertexError(f"unknown vertex {v!r}")
+        return i
 
     def neighbors(self, v: str) -> tuple[str, ...]:
         labels = self.labels
@@ -97,7 +108,7 @@ class Graph:
         return len(self.adj[self._at(v)])
 
     def has_edge(self, u: str, v: str) -> bool:
-        a, b = self.index.get(u), self.index.get(v)
+        a, b = self._find(u), self._find(v)
         if a is None or b is None:
             return False
         nbrs = self.adj[a]
@@ -113,7 +124,7 @@ class Graph:
                 yield (u, labels[b])
 
     def indexed(self) -> "Graph":
-        """The integer view (``labels``, ``index``, ``adj``): the graph itself."""
+        """The integer view (``labels``, ``adj``): the graph itself."""
         return self
 
     def bfs(self, src: int) -> list[int]:
@@ -152,16 +163,12 @@ def _reject_first_bad_edge(edges: Iterable[tuple[str, str]], where: Iterable[str
         seen.add(key)
 
 
-def _from_core(
-    labels: tuple[str, ...], adj: list[tuple[int, ...]], edge_count: int, index: dict[str, int]
-) -> Graph:
-    """A graph from a sorted label table, its index and a valid sorted int
+def _from_core(labels: tuple[str, ...], adj: list[tuple[int, ...]], edge_count: int) -> Graph:
+    """A graph from a strictly increasing label table and a valid sorted int
     adjacency, trusted as given: no sort, no duplicate scan.  Callers fill
-    the adjacency with the index's own int objects, one per vertex, as the
-    constructor does."""
+    the adjacency with one int object per vertex, as the constructor does."""
     g = object.__new__(_Graph)
     g.labels = labels
-    g.index = index
     g.adj = adj
     g._edge_count = edge_count
     return g

@@ -99,7 +99,7 @@ def _from_blocks(base: Graph, labels: tuple[str, ...], copies: int) -> Graph:
     # Vertex i of block k: its clique twins in earlier blocks, its base
     # neighbours shifted into block k, its twins in later blocks; that is
     # sorted.  The base is cubic, so its adjacency has three columns.  Every
-    # index held is an object of ``ints``, as the index's values are.
+    # index held is an object of ``ints``: one int object per vertex.
     ints = list(range(len(labels)))
     twins = [ints[k * n : k * n + n] for k in range(copies)]
     columns = [itemgetter(*column) for column in zip(*base.adj)]
@@ -108,7 +108,7 @@ def _from_blocks(base: Graph, labels: tuple[str, ...], copies: int) -> Graph:
         own = [column(block) for column in columns]
         adj += zip(*twins[:k], *own, *twins[k + 1 :])
     edge_count = copies * base.edge_count + n * copies * (copies - 1) // 2
-    return _from_core(labels, adj, edge_count, dict(zip(labels, ints)))
+    return _from_core(labels, adj, edge_count)
 
 
 def build_Hd(base: Graph, d: int, max_edges: int = 10_000_000) -> LiftedGraph:

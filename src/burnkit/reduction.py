@@ -25,13 +25,14 @@ Layout of H (build_H).  The BTPs are about 97% of H and differ only in their
 head ``btp:<u>:<v>:``, so one template, the BTP with the empty head, is
 built through ``Graph`` and gives the sorted label suffixes and a local
 adjacency.  Every label that starts with ``btp:`` sorts before every other,
-so H's index is one block per G' edge, in head order (``btp:v10:`` before
-``btp:v1:``, unlike G' edge order), then the tail: the C- and Y-gadgets and
-the cores, built through ``Graph`` as one block.  A block's labels are its
-head joined to each suffix, and its adjacency is the template's shifted to
-the block's start, its two roots taking their core as third neighbour.
-Where one head extends another (``btp:a:b:`` and ``btp:a:b:c:``) the blocks
-interleave, and one sort of the label table permutes H into order.
+so H's label table is one block per G' edge, in head order (``btp:v10:``
+before ``btp:v1:``, unlike G' edge order), then the tail: the C- and
+Y-gadgets and the cores, built through ``Graph`` as one block.  A block's
+labels are its head joined to each suffix, and its adjacency is the
+template's shifted to the block's start, its two roots taking their core as
+third neighbour.  Where one head extends another (``btp:a:b:`` and
+``btp:a:b:c:``) the blocks interleave, and one sort of the label table
+permutes H into order.
 """
 
 from __future__ import annotations
@@ -56,6 +57,11 @@ from .gadgets import Landmark, _btp_half, _btp_parts, _c_middles, _c_parts, _y_p
 from .gadgets import check_btp_inequalities
 from .graph import Graph, GraphFormatError, _from_core, is_connected, is_regular
 
+# build_H refuses a larger H before building it: the cap admits the
+# 998,210-vertex H of random_cubic(14, 1) and refuses a 50-vertex cubic G's
+# 58,166,512.
+_MAX_H_VERTICES = 2_000_000
+
 
 class ReductionError(Exception):
     pass
@@ -71,6 +77,10 @@ class NotCubicError(ReductionError):
 
 class NotConnectedError(ReductionError):
     pass
+
+
+class ReductionTooLargeError(ReductionError):
+    """H would have more vertices than the reduction's cap allows."""
 
 
 class NotACoverError(ReductionError):
@@ -225,8 +235,10 @@ class ReductionInstance:
     def owner_of(self, h_vertex: str) -> str | None:
         """The G' vertex whose domain contains ``h_vertex``, decoded from its
         label (see the label scheme above); None outside every domain or H."""
-        if h_vertex not in self.h_graph.index:
-            return None
+        return self._decode_owner(h_vertex) if h_vertex in self.h_graph else None
+
+    def _decode_owner(self, h_vertex: str) -> str | None:
+        """:meth:`owner_of` for a label known to be H's."""
         if h_vertex.startswith("g:"):
             return h_vertex[2:]
         if h_vertex.startswith("btp:"):
@@ -240,13 +252,13 @@ class ReductionInstance:
         """The vertices of H owned by each G' vertex, keyed in G' order."""
         groups: dict[str, list[str]] = {u: [] for u in self.g_prime.vertices}
         for v in self.h_graph.labels:
-            if (owner := self.owner_of(v)) is not None:
+            if (owner := self._decode_owner(v)) is not None:
                 groups[owner].append(v)
         return {u: frozenset(group) for u, group in groups.items()}
 
     @property
     def outside_domains(self) -> frozenset[str]:
-        return frozenset(v for v in self.h_graph.labels if self.owner_of(v) is None)
+        return frozenset(v for v in self.h_graph.labels if self._decode_owner(v) is None)
 
 
 def _btp_template(h: int, l1: int, l2: int):
@@ -260,13 +272,13 @@ def _btp_template(h: int, l1: int, l2: int):
     """
     edges, marks = _btp_parts(h, l1, l2, "")
     template = Graph(edges)
-    index = template.index
-    roots = (index[marks["r_ab"]], index[marks["r_ba"]])
+    at = template._at
+    roots = (at(marks["r_ab"]), at(marks["r_ba"]))
     padded = list(template.adj)
     for r in roots:
         padded[r] += (r,)
     positions = {
-        name: index[value] if isinstance(value, str) else tuple(map(index.__getitem__, value))
+        name: at(value) if isinstance(value, str) else tuple(map(at, value))
         for name, value in marks.items()
     }
     columns = [itemgetter(*column) for column in zip(*padded)]
@@ -277,7 +289,10 @@ def build_H(g: Graph, edge: tuple[str, str] | None = None) -> ReductionInstance:
     """Full reduction: connected cubic G -> instance holding H and provenance.
 
     H is laid out on integers, one block per G' edge, as the module
-    docstring describes; no edge list of H is built.
+    docstring describes; no edge list of H is built.  When the closed form
+    :func:`expected_vertex_count` gives H more than ``_MAX_H_VERTICES``
+    vertices, :class:`ReductionTooLargeError` is raised before any gadget
+    is built.
     """
     if not is_connected(g):
         raise NotConnectedError("input graph must be connected")
@@ -286,6 +301,11 @@ def build_H(g: Graph, edge: tuple[str, str] | None = None) -> ReductionInstance:
     g_prime, x, y = double_subdivide(g, edge)
     sub_edge = next(e for e in g.edges() if not g_prime.has_edge(*e))
     params = choose_params(g_prime.vertex_count)
+    h_vertices = expected_vertex_count(params, g_prime.edge_count)
+    if h_vertices > _MAX_H_VERTICES:
+        raise ReductionTooLargeError(
+            f"H has {h_vertices} vertices, over the reduction's cap of {_MAX_H_VERTICES}"
+        )
 
     core = {v: _core_label(v) for v in g_prime.vertices}
     y_edges, y_marks = _y_parts(params.d1, params.d2, "y:")
@@ -310,7 +330,7 @@ def build_H(g: Graph, edge: tuple[str, str] | None = None) -> ReductionInstance:
     n = n_btp + tail.vertex_count
     ints = list(range(n))  # every index held by H is one of these objects
     tail_ints = ints[n_btp:]
-    core_roots: dict[int, list[int]] = {tail.index[label]: [] for label in core.values()}
+    core_roots: dict[int, list[int]] = {tail._at(label): [] for label in core.values()}
     table: list[str] = []
     adj: list = [None] * n  # sized once: a grown list keeps spare slots
     marks_of: dict[str, dict[str, Landmark]] = {}
@@ -324,7 +344,7 @@ def build_H(g: Graph, edge: tuple[str, str] | None = None) -> ReductionInstance:
         local = ints[start : start + size]
         block_adj = list(zip(*(column(local) for column in columns)))
         for r, owner in zip(roots, heads[head]):
-            at = tail.index[core[owner]]
+            at = tail._at(core[owner])
             block_adj[r] = block_adj[r][:2] + (tail_ints[at],)
             core_roots[at].append(local[r])
         adj[start : start + size] = block_adj
@@ -343,9 +363,7 @@ def build_H(g: Graph, edge: tuple[str, str] | None = None) -> ReductionInstance:
         table = list(map(table.__getitem__, order))
     labels = tuple(table)
     del table
-    h_graph = _from_core(
-        labels, adj, len(heads) * (btp_edges + 2) + tail.edge_count, dict(zip(labels, ints))
-    )
+    h_graph = _from_core(labels, adj, len(heads) * (btp_edges + 2) + tail.edge_count)
 
     return ReductionInstance(
         g=g,

@@ -17,7 +17,7 @@ from burnkit import cli, gadgets
 from burnkit.burning import is_burning_sequence, read_sequence
 from burnkit.cli import export_dot, main
 from burnkit.gadgets import make_T
-from burnkit.generators import complete_graph, path_graph, prism_graph
+from burnkit.generators import complete_graph, path_graph, prism_graph, random_cubic
 from burnkit.graph import Graph, read_graph, write_graph
 from burnkit.lift import build_Hd
 from burnkit.reduction import build_H
@@ -183,6 +183,42 @@ def test_lift_refuses_an_oversized_h_d_before_allocating(tmp_path, k4_file, comm
         "error\tLiftTooLargeError\tH_1000000 has 1999996000000 edges, over the lift's cap of 10000000\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["reduce", "audit"])
+def test_reduce_refuses_an_oversized_h_before_allocating(tmp_path, command):
+    """The H of a 50-vertex cubic G would have 58,166,512 vertices; its size
+    comes from the closed form, so ``reduce`` and ``audit`` exit 1 before
+    building any gadget.  The child's address space is capped at 1 GiB, so a
+    missing guard fails this test instead of exhausting the machine."""
+    import os
+    import subprocess
+    import sys
+
+    import burnkit
+
+    g_file = tmp_path / "g50.g"
+    g_file.write_text(write_graph(random_cubic(50, 1)), encoding="utf-8")
+    seq_file = tmp_path / "h.seq"
+    seq_file.write_text("g:v1\n", encoding="utf-8")
+    out = tmp_path / "h.g"
+    args = {"reduce": [str(g_file), "-o", str(out)], "audit": [str(g_file), str(seq_file)]}[command]
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from burnkit.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(burnkit.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", child, command, *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "error\tReductionTooLargeError\tH has 58166512 vertices, over the reduction's cap of 2000000\n"
+    )
+    assert not out.exists() and not out.with_suffix(".meta").exists()
 
 
 _META = "m\t4\nx\tx\ny\ty\ngprime-edge\ta x\ngprime-edge\tx y\ngprime-edge\ty b\n"

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import gc
+import operator
 import string
 import sys
 import tracemalloc
-from itertools import repeat
+from bisect import bisect_left
+from itertools import combinations, repeat
 from unittest import mock
 
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burnkit import graph as graph_module
+from burnkit.burning import is_burning_sequence
 from burnkit.graph import (
     Graph,
     GraphFormatError,
@@ -23,7 +26,8 @@ from burnkit.graph import (
     read_graph,
     write_graph,
 )
-from burnkit.generators import path_graph
+from burnkit.generators import path_graph, random_cubic
+from burnkit.lift import build_Hd, subgraph_for
 from burnkit.reduction import build_H
 
 
@@ -167,8 +171,9 @@ def test_graph_core_matches_reference(edges, vertices):
     for v in ref.vertices:
         assert g.neighbors(v) == ref.adj[v]
         assert g.degree(v) == len(ref.adj[v])
-        assert g.labels[g.index[v]] == v
-        assert all(g.labels[w] in ref.adj[v] for w in g.adj[g.index[v]])
+        at = bisect_left(g.labels, v)
+        assert g.labels[at] == v
+        assert all(g.labels[w] in ref.adj[v] for w in g.adj[at])
     for u in probes:
         for v in probes:
             assert g.has_edge(u, v) == (u in ref.adj and v in ref.adj[u])
@@ -354,7 +359,7 @@ def _core_outcome(parse, text):
 
 def _chunked_parse(text):
     g = read_graph(text)
-    return g.labels, g.index, g.adj, g.edge_count
+    return g.labels, {v: bisect_left(g.labels, v) for v in g.labels}, g.adj, g.edge_count
 
 
 # labels over a tiny alphabet, so that repeats, self-loops and labels that
@@ -438,8 +443,8 @@ def test_read_graph_peak_is_near_the_graph_it_returns(prism_h_text):
         tracemalloc.stop()
     assert g.vertex_count == 109_478
     assert peak <= 1.6 * retained
-    ints = list(g.index.values())
-    assert all(w is ints[w] for nbrs in g.adj for w in nbrs)
+    seen: dict[int, int] = {}
+    assert all(seen.setdefault(w, w) is w for nbrs in g.adj for w in nbrs)
 
 
 def test_write_graph_peak_is_near_the_text_it_returns(prism_h_text):
@@ -455,3 +460,110 @@ def test_write_graph_peak_is_near_the_text_it_returns(prism_h_text):
         tracemalloc.stop()
     assert text == prism_h_text
     assert peak <= 2.5 * sys.getsizeof(text)
+
+
+def _raises_unknown(call, *args) -> bool:
+    try:
+        call(*args)
+    except UnknownVertexError:
+        return True
+    return False
+
+
+def assert_lookups_match_a_dict(g):
+    """Every label-keyed query of ``g`` agrees with a label -> index dict
+    built from its label table.  The probes are every label, ``""``, ``None``
+    and ``0``, each string label with a character added and with one
+    dropped, and each int label plus and minus one and as a decimal string;
+    for ``has_edge`` each is paired with the label nearest it in the table
+    and with that label's first neighbour, both ways round."""
+    labels, adj = g.labels, g.adj
+    # strictly increasing: what a lookup by bisection relies on
+    assert all(map(operator.lt, labels, labels[1:]))
+    ref = dict(zip(labels, range(len(labels))))
+
+    def edge(u, v):
+        a, b = ref.get(u), ref.get(v)
+        return a is not None and b is not None and b in adj[a]
+
+    probes = [*labels, "", None, 0]
+    for v in labels:
+        probes += [v + "\x00", v[:-1]] if isinstance(v, str) else [v - 1, v + 1, str(v)]
+    for v in probes:
+        at = ref.get(v)
+        assert (v in g) == (at is not None)
+        if at is None:
+            assert _raises_unknown(g.neighbors, v) and _raises_unknown(g.degree, v)
+        else:
+            assert g.neighbors(v) == tuple(labels[w] for w in adj[at])
+            assert g.degree(v) == len(adj[at])
+        if labels:
+            try:
+                near = min(bisect_left(labels, v), len(labels) - 1)
+            except TypeError:  # v does not compare with the labels
+                near = 0
+            for w in (labels[near], *(labels[w] for w in adj[near][:1])):
+                assert g.has_edge(v, w) == g.has_edge(w, v) == edge(v, w)
+
+
+def _relabel(g, names):
+    rename = dict(zip(g.labels, names))
+    return Graph([(rename[u], rename[v]) for u, v in g.edges()])
+
+
+@st.composite
+def built_graphs(draw):
+    """A graph built by the constructor (isolated vertices included, and
+    also on int labels), by ``read_graph``, by ``build_Hd`` at d in
+    {4, 5, 12, 13} (``copy10:`` sorts first at d >= 12) or by
+    ``subgraph_for``; string labels come from a small alphabet, so that one
+    label is often a prefix of another."""
+    how = draw(
+        st.sampled_from(["constructor", "int_labels", "read_graph", "build_Hd", "subgraph_for"])
+    )
+    if how == "int_labels":
+        ints = st.integers(0, 9)
+        pairs = draw(st.lists(st.tuples(ints, ints), max_size=20))
+        edges = list({(u, v) if u < v else (v, u) for u, v in pairs if u != v})
+        return Graph(edges, vertices=draw(st.lists(ints, max_size=4)))
+    if how in ("constructor", "read_graph"):
+        pairs = draw(st.lists(st.tuples(_few_labels, _few_labels), max_size=30))
+        edges = list({(u, v) if u < v else (v, u) for u, v in pairs if u != v})
+        if how == "read_graph":
+            return read_graph("".join(f"{u} {v}\n" for u, v in edges))
+        return Graph(edges, vertices=draw(st.lists(_few_labels, max_size=6)))
+    n = draw(st.sampled_from([4, 6, 8]))
+    label = st.text(alphabet="ab:1", min_size=1, max_size=3)
+    names = draw(st.lists(label, min_size=n, max_size=n, unique=True))
+    base = _relabel(random_cubic(n, draw(st.integers(1, 5))), names)
+    lifted = build_Hd(base, draw(st.sampled_from([4, 5, 12, 13])))
+    if how == "build_Hd":
+        return lifted.graph
+    return subgraph_for(lifted, draw(st.integers(4, lifted.d)))
+
+
+@given(built_graphs())
+@settings(max_examples=200, deadline=None)
+def test_label_lookups_match_a_dict_on_every_kind_of_graph(g):
+    assert_lookups_match_a_dict(g)
+
+
+def test_int_labels_are_found_as_the_constructor_stored_them():
+    g = Graph([(1, 2)])
+    assert g.vertices == (1, 2)
+    assert 1 in g and "1" not in g and None not in g
+    assert g.neighbors(1) == (2,) and g.degree(2) == 1 and g.has_edge(2, 1)
+    assert is_burning_sequence(g, [1, 2]) and not is_burning_sequence(g, [1])
+
+
+@pytest.mark.parametrize(
+    "labels, edge",
+    [("abcd", None), (("a", "b", "b:c", "d"), ("a", "d"))],
+    ids=["k4", "interleaving_k4"],
+)
+def test_label_lookups_match_a_dict_on_h(labels, edge):
+    """Both of build_H's layouts: K4's blocks in head order, and the one
+    permuted into label order because, with (a, d) subdivided, the head
+    btp:a:b:c: extends btp:a:b: and their blocks interleave."""
+    k4 = _relabel(Graph(list(combinations("abcd", 2))), labels)
+    assert_lookups_match_a_dict(build_H(k4, edge).h_graph)

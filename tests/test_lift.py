@@ -6,6 +6,7 @@ import itertools
 import random
 import sys
 import tracemalloc
+from bisect import bisect_left
 
 import pytest
 
@@ -79,7 +80,6 @@ def test_build_hd_matches_reference(k4, k33, prism, d):
         assert g.vertices == ref.vertices
         assert g.edge_count == ref.edge_count
         assert list(g.edges()) == list(ref.edges())
-        assert g.index == ref.index
         assert g.adj == ref.adj
         assert all(g.neighbors(v) == ref.neighbors(v) for v in ref.vertices)
 
@@ -97,11 +97,10 @@ def test_subgraph_for_matches_build_hd(k4, prism, d):
             ref = build_Hd(base, dp).graph
             assert sub.labels == ref.labels
             assert sub.adj == ref.adj
-            assert sub.index == ref.index
             assert sub.edge_count == ref.edge_count
-            assert all(v is own.labels[own.index[v]] for v in sub.labels)
-            ints = list(sub.index.values())
-            assert all(w is ints[w] for nbrs in sub.adj for w in nbrs)
+            assert all(v is own.labels[bisect_left(own.labels, v)] for v in sub.labels)
+            seen: dict[int, int] = {}
+            assert all(seen.setdefault(w, w) is w for nbrs in sub.adj for w in nbrs)
         assert subgraph_for(lifted, d) is own
 
 
@@ -146,13 +145,30 @@ def test_subgraph_for_memory_is_below_a_fresh_build(d):
         assert _retained(subgraph_for, lifted, dp) < fresh - label_bytes // 2
 
 
+def test_lifted_graph_retains_only_labels_and_adjacency():
+    """H_5 of a 1000-vertex base holds its label strings, its label tuple,
+    its adjacency tuples and list and one int per vertex, and next to
+    nothing else (1.2x of that with a label -> index dict beside them)."""
+    base = random_cubic(1000, 1)
+    g = build_Hd(base, 5).graph
+    floor = (
+        sum(map(sys.getsizeof, g.labels))
+        + sys.getsizeof(g.labels)
+        + sum(map(sys.getsizeof, g.adj))
+        + sys.getsizeof(g.adj)
+        + g.vertex_count * sys.getsizeof(g.vertex_count)
+    )
+    del g
+    assert _retained(lambda: build_Hd(base, 5).graph) <= 1.05 * floor
+
+
 def test_build_hd_adjacency_shares_the_index_ints():
-    """Every adjacency entry is the int object the index maps its label to,
-    so a lifted graph holds one int per vertex (ints above 256 are not
-    cached by the interpreter, hence the 200-vertex base)."""
+    """Every adjacency entry of one index is one int object, so a lifted
+    graph holds one int per vertex (ints above 256 are not cached by the
+    interpreter, hence the 200-vertex base)."""
     g = build_Hd(random_cubic(200, 1), 5).graph
-    own = list(g.index.values())
-    assert all(w is own[w] for nbrs in g.adj for w in nbrs)
+    seen: dict[int, int] = {}
+    assert all(seen.setdefault(w, w) is w for nbrs in g.adj for w in nbrs)
 
 
 def test_build_hd_rejects_bad_inputs(k4):

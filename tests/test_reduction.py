@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from burnkit import reduction
 from burnkit.burning import frontier_burn_times, is_burning_sequence
 from burnkit.gadgets import _btp_parts, _c_parts, _y_parts, make_BTP
 from burnkit.generators import complete_bipartite, complete_graph, prism_graph, random_cubic
@@ -25,6 +26,7 @@ from burnkit.reduction import (
     NotCubicError,
     ReductionError,
     ReductionInstance,
+    ReductionTooLargeError,
     SequenceTooShortError,
     audit_sequence,
     build_H,
@@ -97,6 +99,31 @@ def test_build_h_rejects_non_cubic():
         build_H(Graph([("a", "b"), ("b", "c"), ("a", "c")]))
     with pytest.raises(NotCubicError):
         build_H(Graph([("a", "b")]))
+
+
+def test_build_h_cap_is_on_the_closed_form_vertex_count(k4, monkeypatch):
+    """The cap compares expected_vertex_count with ``_MAX_H_VERTICES`` before
+    any gadget is built; it admits random_cubic(14, 1)'s 998,210-vertex H and
+    refuses a 50-vertex G's 58,166,512."""
+    cap = reduction._MAX_H_VERTICES
+    assert 998_210 <= cap < 58_166_512
+    monkeypatch.setattr(reduction, "_MAX_H_VERTICES", 80_294)
+    assert build_H(k4).h_graph.vertex_count == 80_294
+
+    def no_build(*args):
+        raise AssertionError("a gadget was built")
+
+    monkeypatch.setattr(reduction, "_btp_template", no_build)
+    monkeypatch.setattr(reduction, "_c_parts", no_build)
+    monkeypatch.setattr(reduction, "_MAX_H_VERTICES", 80_293)
+    with pytest.raises(ReductionTooLargeError) as small:
+        build_H(k4)
+    monkeypatch.setattr(reduction, "_MAX_H_VERTICES", cap)
+    with pytest.raises(ReductionTooLargeError) as large:
+        build_H(random_cubic(50, 1))
+    assert str(small.value) == "H has 80294 vertices, over the reduction's cap of 80293"
+    assert str(large.value) == "H has 58166512 vertices, over the reduction's cap of 2000000"
+    assert issubclass(ReductionTooLargeError, ReductionError)
 
 
 def test_build_h_count_and_regularity(k4_instance):
@@ -439,9 +466,11 @@ def test_build_h_matches_reference(case):
 
 
 def test_build_h_adjacency_shares_the_index_ints(k4_instance):
+    """Every adjacency entry of one index is one int object: H holds one
+    int per vertex."""
     g = k4_instance.h_graph
-    own = list(g.index.values())
-    assert all(w is own[w] for nbrs in g.adj for w in nbrs)
+    seen: dict[int, int] = {}
+    assert all(seen.setdefault(w, w) is w for nbrs in g.adj for w in nbrs)
 
 
 def _traced(build, g):
