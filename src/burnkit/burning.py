@@ -210,7 +210,7 @@ def frontier_burn_times(
     source is burned strictly before its own step.
     """
     time, order, _ = _valid_burn(g, sequence)
-    labels = g.labels
+    labels = tuple(g.labels)  # a view's labels made once, not per vertex
     return {labels[v]: time[v] for v in order}
 
 

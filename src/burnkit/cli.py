@@ -30,7 +30,7 @@ from .burning import (
     uniquely_burned_set,
     write_sequence,
 )
-from .gadgets import GadgetError, GadgetHandle, InvalidParamsError
+from .gadgets import GadgetError, GadgetHandle, InvalidParamsError, check_vertex_count
 from .generators import cycle_graph, path_graph, random_cubic
 from .graph import Graph, GraphError, degree_histogram, is_connected, read_graph, write_graph
 from .lift import LiftError, build_Hd, project_sequence
@@ -104,10 +104,12 @@ def export_dot(g: Graph, landmarks: dict | None = None) -> str:
     return "\n".join(out) + "\n"
 
 
-def _generated(make, *params, **kwargs) -> Graph:
-    """``make(*params, **kwargs)``, its ValueError on bad parameters a domain error."""
+def _generated(make, n: int, **kwargs) -> Graph:
+    """``make(n, **kwargs)``, a graph of n vertices: n checked against the
+    gadget cap first, and a ValueError on bad parameters a domain error."""
+    check_vertex_count(f"{make.__name__}({n})", n)
     try:
-        return make(*params, **kwargs)
+        return make(n, **kwargs)
     except ValueError as exc:
         raise InvalidParamsError(str(exc)) from None
 

@@ -10,7 +10,9 @@ label table: one list per column, arm row, tree level or spine.  Its edges
 and landmarks index that table, and a set landmark (a half, the leaves, the
 majors, a trunk) is a slice or a concatenation of it, so the strings are
 shared rather than formatted again.  One builder serves both the ``make_*``
-constructor and ``reduction.build_H``.
+constructor and ``reduction.build_H``.  Every ``make_*`` constructor with
+parameters checks them, then refuses a gadget of more vertices, by its
+closed form, than ``_MAX_GADGET_VERTICES`` before it builds anything.
 
 T-gadget wiring: two parallel fixed-arm columns of 2*l1 levels with a rung on
 every level, the left column continuous and the right column severed between
@@ -40,12 +42,30 @@ class InvalidParamsError(GadgetError):
     """A gadget parameter is out of range."""
 
 
+class GadgetTooLargeError(GadgetError):
+    """A gadget or generated graph would have more vertices than the cap allows."""
+
+
 class ParamInequalityError(GadgetError):
     """A BTP parameter inequality does not hold; names the violated ones."""
 
     def __init__(self, violated: list[str]):
         self.violated = tuple(violated)
         super().__init__("; ".join(violated))
+
+
+# The most vertices a ``make_*`` gadget or a CLI generator builds: the
+# reduction's cap on H, above every size the tests and the benchmark use.
+_MAX_GADGET_VERTICES = 2_000_000
+
+
+def check_vertex_count(name: str, vertices: int):
+    """Raise :class:`GadgetTooLargeError` when ``name``, of ``vertices``
+    vertices from its closed form, is over the cap; called before building."""
+    if vertices > _MAX_GADGET_VERTICES:
+        raise GadgetTooLargeError(
+            f"{name} has {vertices} vertices, over the gadget cap of {_MAX_GADGET_VERTICES}"
+        )
 
 
 @dataclass(frozen=True)
@@ -105,6 +125,7 @@ def make_T(l1: int, l2: int) -> GadgetHandle:
     """T-gadget with hooks p, q: 4*l1 + 2*l2 internal vertices."""
     if l1 < 1 or l2 < 2:
         raise InvalidParamsError(f"T-gadget needs l1 >= 1 and l2 >= 2, got ({l1}, {l2})")
+    check_vertex_count(f"T({l1}, {l2})", 4 * l1 + 2 * l2 + 2)
     edges, landmarks = _t_parts(l1, l2, "", "p", "q")
     landmarks["p"] = "p"
     landmarks["q"] = "q"
@@ -133,6 +154,7 @@ def make_BT(h: int) -> GadgetHandle:
     """Perfect binary tree of height h: 2^(h+1) - 1 vertices, 2^h leaves."""
     if h < 1:
         raise InvalidParamsError(f"BT-gadget needs h >= 1, got {h}")
+    check_vertex_count(f"BT({h})", (2 << h) - 1)
     edges, levels = _bt_parts(h, "bt:")
     root, leaves = levels[0][0], tuple(levels[-1])
     return GadgetHandle(
@@ -202,6 +224,9 @@ def make_BTP(h: int, l1: int, l2: int) -> GadgetHandle:
     violated = check_btp_inequalities(h, l1, l2)
     if violated:
         raise ParamInequalityError(violated)
+    # two BT(h) trees and 2^h T-gadgets between their leaves
+    vertices = 2 * ((2 << h) - 1) + (1 << h) * (4 * l1 + 2 * l2)
+    check_vertex_count(f"BTP({h}, {l1}, {l2})", vertices)
     edges, landmarks = _btp_parts(h, l1, l2, "")
     return GadgetHandle(Graph(edges), landmarks)
 
@@ -234,6 +259,7 @@ def make_P(d: int) -> GadgetHandle:
     """Double path on 2d - 2 vertices: d majors rung-tied to d - 2 minors."""
     if d < 3:
         raise InvalidParamsError(f"P-gadget needs d >= 3, got {d}")
+    check_vertex_count(f"P({d})", 2 * d - 2)
     edges, landmarks = _p_parts(d, "")
     return GadgetHandle(Graph(edges), landmarks)
 
@@ -271,6 +297,7 @@ def make_Y(d1: int, d2: int) -> GadgetHandle:
     """Three P-gadgets joined at a central vertex: 4*d1 + 2*d2 - 5 vertices."""
     if d1 < 3 or d2 < 3:
         raise InvalidParamsError(f"Y-gadget needs d1, d2 >= 3, got ({d1}, {d2})")
+    check_vertex_count(f"Y({d1}, {d2})", 4 * d1 + 2 * d2 - 5)
     edges, landmarks = _y_parts(d1, d2, "")
     return GadgetHandle(Graph(edges), landmarks)
 
@@ -359,6 +386,8 @@ def _c_parts(m: int, name: str):
 
 def make_C(m: int) -> GadgetHandle:
     """Chained P-gadgets closed through a Tail: 2m^2 - 2m - 1 vertices."""
+    if m >= 4:  # _c_parts refuses a smaller m
+        check_vertex_count(f"C({m})", 2 * m * m - 2 * m - 1)
     edges, landmarks = _c_parts(m, "")
     return GadgetHandle(Graph(edges), landmarks)
 

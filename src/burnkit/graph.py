@@ -22,7 +22,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
-from typing import Iterable, Iterator, NoReturn
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 
 class GraphError(Exception):
@@ -40,10 +40,11 @@ class GraphFormatError(GraphError):
 class Graph:
     """Immutable simple undirected graph over string-labeled vertices.
 
-    ``labels`` is the strictly increasing label table, and ``adj[i]`` is the
-    sorted tuple of the neighbour indices of ``labels[i]``; all entries that
-    name one vertex are one int object.  No self-loops, no parallel edges,
-    symmetric adjacency.
+    ``labels`` is the strictly increasing label table: a tuple, or for a
+    lifted graph a read-only view that makes each label when it is read.
+    ``adj[i]`` is the sorted tuple of the neighbour indices of ``labels[i]``;
+    all entries that name one vertex are one int object.  No self-loops, no
+    parallel edges, symmetric adjacency.
     """
 
     __slots__ = ("labels", "adj", "_edge_count")
@@ -64,12 +65,12 @@ class Graph:
         # a self-loop or a parallel edge repeats an entry of some tuple
         if any(len(set(nbrs)) != len(nbrs) for nbrs in adj):
             _reject_first_bad_edge(edges)
-        self.labels: tuple[str, ...] = labels
+        self.labels: Sequence[str] = labels
         self.adj: list[tuple[int, ...]] = adj
         self._edge_count = len(edges)
 
     @property
-    def vertices(self) -> tuple[str, ...]:
+    def vertices(self) -> Sequence[str]:
         return self.labels
 
     @property
@@ -117,7 +118,7 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[str, str]]:
         """Edges in canonical order: smaller endpoint first, sorted."""
-        labels = self.labels
+        labels = tuple(self.labels)  # a view's labels made once, not per edge end
         for a, nbrs in enumerate(self.adj):
             u = labels[a]
             for b in nbrs[bisect_right(nbrs, a):]:
@@ -163,7 +164,7 @@ def _reject_first_bad_edge(edges: Iterable[tuple[str, str]], where: Iterable[str
         seen.add(key)
 
 
-def _from_core(labels: tuple[str, ...], adj: list[tuple[int, ...]], edge_count: int) -> Graph:
+def _from_core(labels: Sequence[str], adj: list[tuple[int, ...]], edge_count: int) -> Graph:
     """A graph from a strictly increasing label table and a valid sorted int
     adjacency, trusted as given: no sort, no duplicate scan.  Callers fill
     the adjacency with one int object per vertex, as the constructor does."""
@@ -191,7 +192,7 @@ class DistanceMap:
 def bfs_distances(g: Graph, src: str) -> DistanceMap:
     """Exact hop distances from ``src`` to every reachable vertex."""
     raw = g.bfs(g._at(src))
-    labels = g.labels
+    labels = tuple(g.labels)  # a view's labels made once, not per vertex
     dist = {labels[i]: d for i, d in enumerate(raw) if d >= 0}
     return DistanceMap(source=src, dist=dist)
 
@@ -332,7 +333,7 @@ def write_graph(g: Graph) -> str:
     32,768, so at most one block of line strings is alive beside the block
     texts and the result.
     """
-    labels, adj = g.labels, g.adj
+    labels, adj = tuple(g.labels), g.adj  # a view's labels made once, not per edge end
     if not all(_label_ok(v) for v, nbrs in zip(labels, adj) if nbrs):
         # name the label that the canonical edge order reaches first
         bad = next(v for edge in g.edges() for v in edge if not _label_ok(v))

@@ -4,7 +4,10 @@ projection (copy collapsing) and the one-extra-step lift.
 H_d consists of d - 2 copies of the base graph with each vertex's copy set
 joined into a clique; labels are ``copy<j>:<v>``.  One layout of the copies'
 blocks in the sorted label table builds H_d, and ``subgraph_for`` builds a
-standalone H_d' from H_d's own labels.  Projection onto H_d' keeps vertices
+standalone H_d' the same way.  H_d holds no label string: its table is a
+view whose entry is a block's ``copy<j>:`` prefix joined to a base label,
+made when it is read, so a lifted graph is the base's labels, one prefix per
+copy and the adjacency.  Projection onto H_d' keeps vertices
 of the first d' - 2 copies and folds the rest onto copy 1; for d' = 3 the
 result lives on the base graph itself.  Projection builds no H_d': H_d'
 is the subgraph of H_d induced on the kept copies' blocks, so it is burned
@@ -25,10 +28,10 @@ already known, as graphs are immutable; any other input is checked.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
-from typing import Sequence
 
 from .burning import BurningSequence, _repair_sequence, is_burning_sequence
 from .graph import Graph, _from_core, is_connected, is_regular
@@ -92,10 +95,51 @@ def _kept_blocks(lifted: LiftedGraph, d_prime: int) -> list[tuple[int, int]]:
     return [(k * n, k * n + n) for k, j in enumerate(order) if j <= d_prime - 2]
 
 
-def _from_blocks(base: Graph, labels: tuple[str, ...], copies: int) -> Graph:
-    """``copies`` clique-joined copies of a cubic base on a sorted label table
-    whose blocks of ``base.vertex_count`` labels are the copies, in base order."""
+class _BlockLabels(Sequence):
+    """H_d's label table without its strings: entry k·n + i, for block k of
+    n = ``len(base_labels)`` labels, is ``prefixes[k] + base_labels[i]``,
+    made when it is read.  Read-only; slices are tuples, and it equals a
+    tuple of the same labels.  It has no hash: one equal to that tuple's
+    would need every label made."""
+
+    __slots__ = ("prefixes", "base_labels")
+
+    def __init__(self, prefixes: tuple[str, ...], base_labels: Sequence[str]):
+        self.prefixes = prefixes
+        self.base_labels = base_labels
+
+    def __len__(self) -> int:
+        return len(self.prefixes) * len(self.base_labels)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
+        n = len(self.base_labels)
+        if not n:  # divmod would raise ZeroDivisionError
+            raise IndexError("label index out of range")
+        # a negative i gives a negative k: the tuple's negative indexing, and
+        # its IndexError one past either end
+        k, i = divmod(i, n)
+        return self.prefixes[k] + self.base_labels[i]
+
+    def __iter__(self) -> Iterator[str]:
+        labels = self.base_labels
+        return chain.from_iterable(map(prefix.__add__, labels) for prefix in self.prefixes)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, _BlockLabels)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+def _from_blocks(base: Graph, copies: int) -> Graph:
+    """``copies`` clique-joined copies of a cubic base, on the label table
+    whose blocks of ``base.vertex_count`` labels are copies 1..copies in
+    ``_block_order``, each in base order."""
     n = base.vertex_count
+    labels = _BlockLabels(tuple(_copy_label(j, "") for j in _block_order(copies)), base.labels)
     # Vertex i of block k: its clique twins in earlier blocks, its base
     # neighbours shifted into block k, its twins in later blocks; that is
     # sorted.  The base is cubic, so its adjacency has three columns.  Every
@@ -117,9 +161,10 @@ def build_Hd(base: Graph, d: int, max_edges: int = 10_000_000) -> LiftedGraph:
     Every label of copy ``j`` starts with ``copy<j>:``, and no such prefix is
     a prefix of another, so each copy is one contiguous block of the sorted
     label table, in base order within; ``copy10:`` comes before ``copy1:``.
-    H_d has (d - 2)·|V| vertices of degree d; when that makes more than
-    ``max_edges`` edges, :class:`LiftTooLargeError` is raised before anything
-    is built.
+    ``graph.labels`` is a view over those prefixes and ``base.labels`` that
+    makes each label when it is read; H_d holds no label string.  H_d has
+    (d - 2)·|V| vertices of degree d; when that makes more than ``max_edges``
+    edges, :class:`LiftTooLargeError` is raised before anything is built.
     """
     if d < 4:
         raise BadDegreeError(f"lift needs d >= 4 (H_3 is the base itself), got {d}")
@@ -130,9 +175,7 @@ def build_Hd(base: Graph, d: int, max_edges: int = 10_000_000) -> LiftedGraph:
         raise NotCubicBaseError("base graph must be connected")
     if not is_regular(base, 3):
         raise NotCubicBaseError("base graph must be cubic")
-    blocks = (map(_copy_label(j, "").__add__, base.labels) for j in _block_order(d - 2))
-    graph = _from_blocks(base, tuple(chain.from_iterable(blocks)), d - 2)
-    return LiftedGraph(base=base, d=d, graph=graph)
+    return LiftedGraph(base=base, d=d, graph=_from_blocks(base, d - 2))
 
 
 def split_label(label: str) -> tuple[int, str]:
@@ -163,17 +206,16 @@ def project_vertex(label: str, d_prime: int) -> str:
 
 def subgraph_for(lifted: LiftedGraph, d_prime: int) -> Graph:
     """H_d' as a standalone graph: the base for d' = 3, ``lifted.graph`` for
-    d' = d, else the blocks of copies 1..d' - 2 of H_d's label table, whose
-    relative order is their order in H_d', laid out as ``build_Hd`` does."""
+    d' = d, else copies 1..d' - 2 of the base laid out as ``build_Hd`` does,
+    on a label view over the base's labels; it is the subgraph of H_d
+    induced on those copies' blocks, whose relative order is the same."""
     if d_prime == 3:
         return lifted.base
     if not 4 <= d_prime <= lifted.d:
         raise BadDegreeError(f"d' must be in [3, {lifted.d}], got {d_prime}")
     if d_prime == lifted.d:
         return lifted.graph
-    labels = lifted.graph.labels
-    kept = [labels[start:stop] for start, stop in _kept_blocks(lifted, d_prime)]
-    return _from_blocks(lifted.base, tuple(chain.from_iterable(kept)), d_prime - 2)
+    return _from_blocks(lifted.base, d_prime - 2)
 
 
 def lift_sequence(lifted: LiftedGraph, sequence: BurningSequence | Sequence[str]) -> BurningSequence:

@@ -185,6 +185,61 @@ def test_lift_refuses_an_oversized_h_d_before_allocating(tmp_path, k4_file, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "kind, param, error",
+    [
+        ("BT", "60", "BT(60) has 2305843009213693951 vertices"),
+        ("C", "1000000", "C(1000000) has 1999997999999 vertices"),
+        ("BTP", "40 1 43", "BTP(40, 1, 43) has 103354093010942 vertices"),
+        ("T", "1000000 2", "T(1000000, 2) has 4000006 vertices"),
+        ("P", "2000000", "P(2000000) has 3999998 vertices"),
+        ("Y", "1000000 3", "Y(1000000, 3) has 4000001 vertices"),
+        ("path", "1000000000", "path_graph(1000000000) has 1000000000 vertices"),
+        ("cycle", "1000000000", "cycle_graph(1000000000) has 1000000000 vertices"),
+        ("cubic", "1000000000", "random_cubic(1000000000) has 1000000000 vertices"),
+    ],
+)
+def test_gen_gadget_refuses_an_oversized_graph_before_allocating(tmp_path, kind, param, error):
+    """The closed-form vertex count of every gadget with parameters and of
+    the generators is checked against the gadget cap of 2,000,000, so
+    ``gen-gadget`` exits 1 before building anything.  The child's address
+    space is capped at 1 GiB, so a missing guard fails this test instead of
+    exhausting the machine."""
+    import os
+    import subprocess
+    import sys
+
+    import burnkit
+
+    out = tmp_path / "g.g"
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from burnkit.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(burnkit.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "gen-gadget", kind, *param.split(), "-o", str(out)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error\tGadgetTooLargeError\t{error}, over the gadget cap of 2000000\n"
+    assert not out.exists()
+
+
+def test_gen_gadget_generator_cap_admits_exactly_the_cap(tmp_path, capsys, monkeypatch):
+    """A generator's n is its vertex count: n equal to the cap is built, and
+    the next even n is refused before the generator runs."""
+    monkeypatch.setattr(gadgets, "_MAX_GADGET_VERTICES", 8)
+    out = str(tmp_path / "g.g")
+    for kind in ("path", "cycle", "cubic"):
+        assert main(["gen-gadget", kind, "8", "-o", out]) == 0
+        assert "vertices\t8\n" in capsys.readouterr().out
+        assert main(["gen-gadget", kind, "10", "-o", out]) == 1
+        assert capsys.readouterr().err.endswith("(10) has 10 vertices, over the gadget cap of 8\n")
+
+
 @pytest.mark.parametrize("command", ["reduce", "audit"])
 def test_reduce_refuses_an_oversized_h_before_allocating(tmp_path, command):
     """The H of a 50-vertex cubic G would have 58,166,512 vertices; its size

@@ -5,8 +5,11 @@ import hashlib
 import pytest
 
 from burnkit.burning import is_burning_sequence, simulate
+from burnkit import gadgets, reduction
 from burnkit.cli import _write_landmarks
 from burnkit.gadgets import (
+    GadgetError,
+    GadgetTooLargeError,
     InvalidParamsError,
     ParamInequalityError,
     _c_middles,
@@ -109,6 +112,53 @@ def test_bt_root_burns_in_h_plus_one_steps():
 def test_bt_rejects_bad_params():
     with pytest.raises(InvalidParamsError):
         make_BT(0)
+
+
+@pytest.mark.parametrize(
+    "make, params, name, vertices",
+    [
+        (make_T, (3, 5), "T(3, 5)", 24),
+        (make_BT, (10,), "BT(10)", 2047),
+        (make_BTP, (6, 1, 9), "BTP(6, 1, 9)", 1662),
+        (make_P, (9,), "P(9)", 16),
+        (make_Y, (5, 4), "Y(5, 4)", 23),
+        (make_C, (10,), "C(10)", 179),
+    ],
+)
+def test_gadget_cap_is_on_the_closed_form_vertex_count(monkeypatch, make, params, name, vertices):
+    """Each ``make_*`` with parameters compares its closed-form vertex count
+    with ``_MAX_GADGET_VERTICES`` after checking its parameters and before
+    building: the cap admits a gadget of exactly that many vertices and
+    refuses one more.  Its value is the reduction's cap on H."""
+    assert gadgets._MAX_GADGET_VERTICES == reduction._MAX_H_VERTICES == 2_000_000
+    monkeypatch.setattr(gadgets, "_MAX_GADGET_VERTICES", vertices)
+    assert make(*params).graph.vertex_count == vertices
+    monkeypatch.setattr(gadgets, "_MAX_GADGET_VERTICES", vertices - 1)
+    with pytest.raises(GadgetTooLargeError) as refused:
+        make(*params)
+    message = f"{name} has {vertices} vertices, over the gadget cap of {vertices - 1}"
+    assert str(refused.value) == message
+    assert issubclass(GadgetTooLargeError, GadgetError)
+
+
+def test_gadget_cap_refuses_before_building(monkeypatch):
+    """BT(60) and C(10^6) are refused from their closed forms alone; a
+    parameter out of range is refused as before, however large its count."""
+    with pytest.raises(InvalidParamsError):
+        make_C(-10**6)
+
+    def no_build(*args):
+        raise AssertionError("a gadget was built")
+
+    monkeypatch.setattr(gadgets, "_bt_parts", no_build)
+    monkeypatch.setattr(gadgets, "_c_parts", no_build)
+    with pytest.raises(GadgetTooLargeError) as bt:
+        make_BT(60)
+    with pytest.raises(GadgetTooLargeError) as c:
+        make_C(1_000_000)
+    cap = "over the gadget cap of 2000000"
+    assert str(bt.value) == f"BT(60) has 2305843009213693951 vertices, {cap}"
+    assert str(c.value) == f"C(1000000) has 1999997999999 vertices, {cap}"
 
 
 # BTP-gadget -----------------------------------------------------------------

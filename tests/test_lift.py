@@ -22,7 +22,7 @@ from burnkit.burning import (
     uniquely_burned_set,
 )
 from burnkit.generators import random_cubic
-from burnkit.graph import Graph, bfs_distances, is_connected, is_regular
+from burnkit.graph import Graph, bfs_distances, is_connected, is_regular, write_graph
 from burnkit.lift import (
     BadDegreeError,
     InputNotValidError,
@@ -84,11 +84,61 @@ def test_build_hd_matches_reference(k4, k33, prism, d):
         assert all(g.neighbors(v) == ref.neighbors(v) for v in ref.vertices)
 
 
+@pytest.mark.parametrize("d", [4, 5, 12, 13])
+def test_label_view_reads_as_the_reference_tuple(k4, prism, d):
+    """The label table of H_d, and of H_d read out of H_13, behaves as the
+    reference's label tuple wherever callers read it: length, every index
+    both ways, IndexError one past either end (no division by an empty
+    base's n), slices as tuples, iteration, ``==`` both ways, no hash."""
+    for base in (k4, prism, random_cubic(16, 3), Graph([])):
+        ref = reference_hd(base, d).labels
+        for labels in (build_Hd(base, d).graph.labels, subgraph_for(build_Hd(base, 13), d).labels):
+            n = len(ref)
+            assert len(labels) == n
+            assert [labels[i] for i in range(-n, n)] == list(ref + ref)
+            for i in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    labels[i]
+            cuts = (slice(None), slice(1, None), slice(-3), slice(3, n // 2, 2), slice(None, None, -5))
+            for cut in cuts:
+                assert labels[cut] == ref[cut] and type(labels[cut]) is tuple
+            assert list(labels) == [labels[i] for i in range(n)]
+            assert labels == ref and ref == labels
+            assert (labels != ref[:-1]) == (ref[1:] != labels) == (n > 0)
+            with pytest.raises(TypeError):
+                hash(labels)
+
+
+def test_whole_graph_walks_read_the_label_view_once(monkeypatch):
+    """``write_graph`` and ``edges`` make H_d's labels once, not once per
+    edge end, and write what the reference's string edge list writes."""
+    base = random_cubic(200, 1)
+    g = build_Hd(base, 5).graph
+    view = type(g.labels)
+    calls = 0
+    read = view.__getitem__
+
+    def counted(self, i):
+        nonlocal calls
+        calls += 1
+        return read(self, i)
+
+    monkeypatch.setattr(view, "__getitem__", counted)
+    text = write_graph(g)
+    edges = list(g.edges())
+    monkeypatch.undo()
+    assert calls < g.vertex_count
+    ref = reference_hd(base, 5)
+    assert text == write_graph(ref)
+    assert edges == list(ref.edges())
+
+
 @pytest.mark.parametrize("d", [5, 6, 11, 12, 13, 22])
 def test_subgraph_for_matches_build_hd(k4, prism, d):
-    """H_d' read out of H_d is build_Hd's H_d' for every d' <= d, made of
-    H_d's own label strings and holding one int per vertex; at d >= 12,
-    copy10: sorts before copy1: in H_d.  The empty base has empty blocks."""
+    """H_d' read out of H_d is build_Hd's H_d' for every d' <= d, each of its
+    labels found in H_d's table by bisection, holding one int per vertex; at
+    d >= 12, copy10: sorts before copy1: in H_d.  The empty base has empty
+    blocks."""
     for base in (k4, prism, random_cubic(16, 3), Graph([])):
         lifted = build_Hd(base, d)
         own = lifted.graph
@@ -98,7 +148,7 @@ def test_subgraph_for_matches_build_hd(k4, prism, d):
             assert sub.labels == ref.labels
             assert sub.adj == ref.adj
             assert sub.edge_count == ref.edge_count
-            assert all(v is own.labels[bisect_left(own.labels, v)] for v in sub.labels)
+            assert all(v == own.labels[bisect_left(own.labels, v)] for v in sub.labels)
             seen: dict[int, int] = {}
             assert all(seen.setdefault(w, w) is w for nbrs in sub.adj for w in nbrs)
         assert subgraph_for(lifted, d) is own
@@ -134,26 +184,27 @@ def _retained(call, *args):
 
 @pytest.mark.parametrize("d", [5, 6, 11, 12, 13, 22])
 def test_subgraph_for_memory_is_below_a_fresh_build(d):
-    """H_d' read out of H_d shares H_d's label strings, so it retains fewer
-    bytes than H_d' built afresh, by about the strings' size; a relapse to
-    formatting the labels again saves nothing, so half of it is the margin."""
+    """H_d' read out of H_d holds no label strings, as H_d' built afresh
+    holds none, so it retains no more than the fresh build, up to less than
+    half the strings' size: a relapse to making the labels as strings, by
+    formatting or by slicing H_d's table, adds all of it."""
     base = random_cubic(1000, 1)
     lifted = build_Hd(base, d)
     for dp in sorted({4, d - 1}):
         fresh = _retained(lambda: build_Hd(base, dp).graph)
         label_bytes = sum(map(sys.getsizeof, subgraph_for(lifted, dp).labels))
-        assert _retained(subgraph_for, lifted, dp) < fresh - label_bytes // 2
+        assert _retained(subgraph_for, lifted, dp) < fresh + label_bytes // 2
 
 
 def test_lifted_graph_retains_only_labels_and_adjacency():
-    """H_5 of a 1000-vertex base holds its label strings, its label tuple,
-    its adjacency tuples and list and one int per vertex, and next to
-    nothing else (1.2x of that with a label -> index dict beside them)."""
+    """H_5 of a 1000-vertex base holds its label view, its adjacency tuples
+    and list and one int per vertex, and next to nothing else: no label
+    string (a tuple of the labels beside them is 1.6x of that, and a label
+    -> index dict more again)."""
     base = random_cubic(1000, 1)
     g = build_Hd(base, 5).graph
     floor = (
-        sum(map(sys.getsizeof, g.labels))
-        + sys.getsizeof(g.labels)
+        sys.getsizeof(g.labels)
         + sum(map(sys.getsizeof, g.adj))
         + sys.getsizeof(g.adj)
         + g.vertex_count * sys.getsizeof(g.vertex_count)
