@@ -36,6 +36,8 @@ from operator import itemgetter
 from .burning import BurningSequence, _repair_sequence, is_burning_sequence
 from .graph import Graph, _from_core, is_connected, is_regular
 
+_MAX_HD_EDGES = 10_000_000
+
 
 class LiftError(Exception):
     pass
@@ -155,7 +157,7 @@ def _from_blocks(base: Graph, copies: int) -> Graph:
     return _from_core(labels, adj, edge_count)
 
 
-def build_Hd(base: Graph, d: int, max_edges: int = 10_000_000) -> LiftedGraph:
+def build_Hd(base: Graph, d: int) -> LiftedGraph:
     """d - 2 clique-joined copies of a connected cubic base; d-regular.
 
     Every label of copy ``j`` starts with ``copy<j>:``, and no such prefix is
@@ -163,14 +165,14 @@ def build_Hd(base: Graph, d: int, max_edges: int = 10_000_000) -> LiftedGraph:
     label table, in base order within; ``copy10:`` comes before ``copy1:``.
     ``graph.labels`` is a view over those prefixes and ``base.labels`` that
     makes each label when it is read; H_d holds no label string.  H_d has
-    (d - 2)·|V| vertices of degree d; when that makes more than ``max_edges``
-    edges, :class:`LiftTooLargeError` is raised before anything is built.
+    (d - 2)·|V| vertices of degree d; past ``_MAX_HD_EDGES`` edges,
+    :class:`LiftTooLargeError` is raised before anything is built.
     """
     if d < 4:
         raise BadDegreeError(f"lift needs d >= 4 (H_3 is the base itself), got {d}")
     edges = (d - 2) * base.vertex_count * d // 2
-    if edges > max_edges:
-        raise LiftTooLargeError(f"H_{d} has {edges} edges, over the lift's cap of {max_edges}")
+    if edges > _MAX_HD_EDGES:
+        raise LiftTooLargeError(f"H_{d} has {edges} edges, over the lift's cap of {_MAX_HD_EDGES}")
     if not is_connected(base):
         raise NotCubicBaseError("base graph must be connected")
     if not is_regular(base, 3):

@@ -5,11 +5,13 @@ decides whether the vertex set can be covered by balls of radii
 k-1, k-2, ..., 0.  The search is one depth-first loop over an explicit stack,
 so its depth is not bounded by the recursion limit.  The radii still to
 place are one bitmask, which with the covered set keys a memo of failed
-nodes.  A ball cover of that shape always converts into a valid burning
-sequence (sources distinct, each unburned when chosen): walk the positions
-in order and, whenever the intended center is already burned, substitute
-any still-unburned vertex -- the fire that burned the center is ahead of
-schedule, so coverage is preserved.  The converse is immediate, so the
+nodes.  Distances come only from the balls, one bitmask per vertex and
+radius; the set-up's one BFS per vertex keeps no row.  A ball cover of that
+shape always converts into a valid burning sequence (sources distinct, each
+unburned when chosen): walk the positions in order and, whenever the
+intended center is already burned, substitute any still-unburned vertex --
+the fire that burned the center is ahead of schedule, so coverage is
+preserved.  The converse is immediate, so the
 cover decision equals the sequence decision; the test suite additionally
 asserts agreement with the exhaustive oracle on small graphs.
 
@@ -41,12 +43,17 @@ import math
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .burning import BurningSequence, _repair_sequence, is_burning_sequence
 from .graph import Graph
 from .generators import cycle_graph, path_graph
 
 _MEMO_CAP = 1 << 21
+# the exhaustive solvers refuse larger graphs before any work
+_MAX_EXACT_VERTICES = 2_000
+_MAX_NAIVE_VERTICES = 12
 
 
 class SolverError(Exception):
@@ -112,10 +119,6 @@ class _BudgetUp(Exception):
     pass
 
 
-def _all_pairs(g: Graph) -> list[list[int]]:
-    return [g.bfs(s) for s in range(g.vertex_count)]
-
-
 def _ball_masks(adj: list[tuple[int, ...]], inner: list[int] | None) -> list[int]:
     """Bitmasks of the balls of radius r around each vertex, from those of
     radius r - 1 (``inner``), or of radius 0 when ``inner`` is None: the
@@ -131,10 +134,30 @@ def _ball_masks(adj: list[tuple[int, ...]], inner: list[int] | None) -> list[int
     return masks
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _eccentricities(g: Graph) -> tuple[list[int], list[int]]:
+    """Each vertex's eccentricity within its component, and its component,
+    named by the component's first vertex: one BFS per vertex, no row kept."""
+    ecc, comp = [], [-1] * g.vertex_count
+    for v in range(g.vertex_count):
+        row = g.bfs(v)
+        ecc.append(max(row))
+        if comp[v] < 0:
+            comp = [v if d >= 0 else c for c, d in zip(comp, row)]
+    return ecc, comp
+
+
 def _branches(
-    dist: list[list[int]],
-    ecc: list[int],
     balls: list[list[int]],
+    comp: list[int],
+    root: int,
     radii: int,
     covered: int,
     chosen: list[tuple[int, int]],
@@ -143,42 +166,41 @@ def _branches(
     each radius r left (bit r of ``radii``), larger first, with each center
     within r of the target, more newly covered vertices first, then the
     smaller center.  The target is the first uncovered vertex farthest from
-    the chosen balls (a ball in another component is at distance 0), or of
-    largest eccentricity at the root; some remaining ball must hold it."""
-    n = len(dist)
-    target, far = -1, -1
-    for v in range(n):
-        if covered >> v & 1:
-            continue
-        d = min(max(0, dist[v][x] - r) for r, x in chosen) if chosen else ecc[v]
-        if d > far:
-            target, far = v, d
-    row = dist[target]
+    the chosen balls (a ball in another component is at distance 0): with
+    one component of centers, the first of the last layer of a breadth-first
+    search from their union ``covered``, else the first uncovered vertex;
+    ``root`` at the root.  Some remaining ball must hold it."""
+    target = root
+    if chosen:
+        target = ((covered + 1) & ~covered).bit_length() - 1  # the first uncovered vertex
+        if len({comp[x] for _, x in chosen}) == 1:
+            near, reached, ring = balls[1], covered, covered
+            while ring := reduce(or_, map(near.__getitem__, _bits(ring)), 0) & ~reached:
+                reached |= ring
+                target = (ring & -ring).bit_length() - 1
     for r in range(radii.bit_length() - 1, -1, -1):
         if radii >> r & 1:
             ball = balls[r]
-            for _, x in sorted((-(ball[x] & ~covered).bit_count(), x) for x in range(n) if 0 <= row[x] <= r):
+            for _, x in sorted((-(ball[x] & ~covered).bit_count(), x) for x in _bits(ball[target])):
                 yield r, x
 
 
-def burning_number_exact(
-    g: Graph, node_budget: int = 10_000_000, max_vertices: int = 2_000
-) -> SolveResult:
+def burning_number_exact(g: Graph, node_budget: int = 10_000_000) -> SolveResult:
     """Exact burning number with a validated witness sequence.
 
-    The all-pairs distance table takes n² entries before the first budget
-    tick, so a graph of more than ``max_vertices`` vertices is refused with
-    ``TooLargeError`` before it is built.
+    The set-up runs one BFS per vertex and the search keeps n ball masks of
+    up to n bits per radius, so a graph of more than ``_MAX_EXACT_VERTICES``
+    vertices is refused with ``TooLargeError`` before either.
     """
     n = g.vertex_count
     if n == 0:
         raise EmptyGraphError("empty graph")
-    if n > max_vertices:
-        raise TooLargeError(f"{n} vertices exceeds the exact solver's guard of {max_vertices}")
+    if n > _MAX_EXACT_VERTICES:
+        raise TooLargeError(f"{n} vertices exceeds the exact solver's guard of {_MAX_EXACT_VERTICES}")
     start = time.monotonic()
-    dist = _all_pairs(g)
-    ecc = [max(d for d in row if d >= 0) for row in dist]
+    ecc, comp = _eccentricities(g)
     diameter = max(ecc)  # the largest eccentricity, over all components
+    root = ecc.index(diameter)
     full = (1 << n) - 1
     budget = _Budget(node_budget)
     prunes = volume = 0
@@ -201,7 +223,7 @@ def burning_number_exact(
             radii = (1 << k) - 1
             # open nodes, deepest last: (radii left, covered, chosen pairs,
             # summed biggest[r] of the radii left, untried branches)
-            stack = [(radii, 0, [], volume, _branches(dist, ecc, balls, radii, 0, []))]
+            stack = [(radii, 0, [], volume, _branches(balls, comp, root, radii, 0, []))]
             while found is None and stack:
                 radii, covered, chosen, room, branches = stack[-1]
                 for r, x in branches:
@@ -218,7 +240,7 @@ def burning_number_exact(
                         prunes += 1
                         continue
                     picked = chosen + [(r, x)]
-                    stack.append((rest, reach, picked, left, _branches(dist, ecc, balls, rest, reach, picked)))
+                    stack.append((rest, reach, picked, left, _branches(balls, comp, root, rest, reach, picked)))
                     break
                 else:
                     stack.pop()
@@ -229,7 +251,7 @@ def burning_number_exact(
         else:
             raise SolverError("internal: no burning sequence up to length n")
     except _BudgetUp:
-        upper = _ball_cover_upper_bound(g, dist)
+        upper = _ball_cover_upper_bound(g)
         raise BudgetExceededError(k, upper, budget.nodes) from None
     centers: list[str | None] = [None] * k
     labels = g.labels
@@ -245,21 +267,22 @@ def burning_number_exact(
     return SolveResult(k, seq, SolveStats(budget.nodes, elapsed, prunes))
 
 
-def _ball_cover_upper_bound(g: Graph, dist: list[list[int]]) -> int:
+def _ball_cover_upper_bound(g: Graph) -> int:
     """Length of a burning sequence built from a farthest-first ball cover.
 
     Farthest-first traversal (smallest index among the farthest) orders the
     vertices so that the first c of them cover the graph with balls of some
     radius r(c).  Those c centers placed first, each with at least r(c)
     steps of spread left, burn the graph in c + r(c) steps; the shortest of
-    these is at most 3b - 2 (Bonato & Kamali, TAMC 2019).  The repair turns
-    it into a valid sequence, whose verdict is checked.
+    these is at most 3b - 2 (Bonato & Kamali, TAMC 2019).  It runs one BFS
+    per center and stops once c reaches the shortest length so far.  The
+    repair turns it into a valid sequence, whose verdict is checked.
     """
     n = g.vertex_count
-    gap = [n if d < 0 else d for d in dist[0]]  # n: not reached by any center
+    gap = [n if d < 0 else d for d in g.bfs(0)]  # n: not reached by any center
     order = [0]
     length, count = n, n
-    while True:
+    while len(order) < length:
         radius = max(gap)
         if len(order) + radius < length:
             length, count = len(order) + radius, len(order)
@@ -267,7 +290,7 @@ def _ball_cover_upper_bound(g: Graph, dist: list[list[int]]) -> int:
             break
         far = gap.index(radius)
         order.append(far)
-        gap = [a if b < 0 or a <= b else b for a, b in zip(gap, dist[far])]
+        gap = [a if b < 0 or a <= b else b for a, b in zip(gap, g.bfs(far))]
     labels = g.labels
     seq, burns_all = _repair_sequence(g, [labels[v] for v in order[:count]], length)
     if not burns_all:
@@ -275,13 +298,13 @@ def _ball_cover_upper_bound(g: Graph, dist: list[list[int]]) -> int:
     return len(seq)
 
 
-def burning_number_naive(g: Graph, max_vertices: int = 12) -> SolveResult:
+def burning_number_naive(g: Graph) -> SolveResult:
     """Exhaustive oracle: enumerate all valid source sequences, shortest first."""
     n = g.vertex_count
     if n == 0:
         raise EmptyGraphError("empty graph")
-    if n > max_vertices:
-        raise TooLargeError(f"{n} vertices exceeds the naive guard of {max_vertices}")
+    if n > _MAX_NAIVE_VERTICES:
+        raise TooLargeError(f"{n} vertices exceeds the naive guard of {_MAX_NAIVE_VERTICES}")
     start = time.monotonic()
     adj, labels = g.adj, g.labels
     nodes = 0

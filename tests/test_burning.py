@@ -403,4 +403,4 @@ def test_callers_still_check_the_repair_verdict(monkeypatch):
     with pytest.raises(solvers.SolverError, match="^no placeable source; cover was not minimal$"):
         solvers.burning_number_exact(c4)
     with pytest.raises(solvers.SolverError, match="^internal: ball-cover sequence failed validation$"):
-        solvers._ball_cover_upper_bound(c4, solvers._all_pairs(c4))
+        solvers._ball_cover_upper_bound(c4)

@@ -123,11 +123,20 @@ def test_solve_burn_empty_graph_is_a_domain_error(tmp_path, capsys, naive):
     assert capsys.readouterr().err == "error\tEmptyGraphError\tempty graph\n"
 
 
+def test_solve_burn_on_a_999_edge_matching(tmp_path, capsys):
+    """b = 1000: one source per edge and one more.  The 1,998 vertices are
+    within the exact solver's guard, and the search takes 999 nodes."""
+    graph_file = tmp_path / "matching.g"
+    graph_file.write_text(write_graph(Graph([(f"a{i}", f"b{i}") for i in range(999)])), encoding="utf-8")
+    report = parse_report(run(capsys, "solve-burn", str(graph_file)))
+    assert report["value"] == "1000"
+
+
 def test_solve_burn_refuses_the_k4_h_before_allocating(tmp_path, k4_instance):
-    """The exact solver's all-pairs table on the 80,294-vertex H would take
-    about 51 GB; the child's address space is capped at 1 GiB, far below
-    that and far above what the interpreter maps, so a missing guard fails
-    this test instead of exhausting the machine."""
+    """The exact solver's ball masks on the 80,294-vertex H would take up
+    to about 800 MB per radius, after 80,294 BFS runs; the child's address
+    space is capped at 1 GiB, far above what the interpreter maps, so a
+    missing guard fails this test instead of exhausting the machine."""
     import os
     import subprocess
     import sys

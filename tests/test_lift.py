@@ -231,17 +231,21 @@ def test_build_hd_rejects_bad_inputs(k4):
         build_Hd(path_graph(4), 4)
 
 
-def test_build_hd_cap_is_on_the_closed_form_edge_count(k4, prism):
+def test_build_hd_cap_is_on_the_closed_form_edge_count(k4, prism, monkeypatch):
     """(d - 2)·|V| vertices of degree d: the cap admits H_d with exactly
-    ``max_edges`` edges and refuses one more, whatever the base's shape."""
+    ``_MAX_HD_EDGES`` edges and refuses one more, whatever the base's shape."""
+    cap = lift._MAX_HD_EDGES
     for base in (k4, prism):
         for d in (4, 5, 12):
             edges = build_Hd(base, d).graph.edge_count
             assert edges == (d - 2) * base.vertex_count * d // 2
-            assert build_Hd(base, d, max_edges=edges).graph.edge_count == edges
+            monkeypatch.setattr(lift, "_MAX_HD_EDGES", edges)
+            assert build_Hd(base, d).graph.edge_count == edges
+            monkeypatch.setattr(lift, "_MAX_HD_EDGES", edges - 1)
             message = f"^H_{d} has {edges} edges, over the lift's cap of {edges - 1}$"
             with pytest.raises(LiftTooLargeError, match=message):
-                build_Hd(base, d, max_edges=edges - 1)
+                build_Hd(base, d)
+            monkeypatch.setattr(lift, "_MAX_HD_EDGES", cap)
     from burnkit.generators import path_graph
 
     # refused before the base is looked at

@@ -6,7 +6,7 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from burnkit.burning import is_burning_sequence
@@ -40,22 +40,32 @@ def test_naive_small_cases(k4):
     assert burning_number_naive(star_graph(3)).value == 2
 
 
-def test_naive_guard():
-    with pytest.raises(TooLargeError):
+def test_naive_guard(monkeypatch):
+    with pytest.raises(TooLargeError, match="^13 vertices exceeds the naive guard of 12$"):
         burning_number_naive(path_graph(13))
+    monkeypatch.setattr(solvers, "_MAX_NAIVE_VERTICES", 4)
+    with pytest.raises(TooLargeError, match="^5 vertices exceeds the naive guard of 4$"):
+        burning_number_naive(path_graph(5))
+    assert burning_number_naive(path_graph(4)).value == 2
 
 
 def test_exact_guard_refuses_before_any_table(monkeypatch):
-    def no_table(g):
-        raise AssertionError("distance table built for a refused graph")
+    def no_work(*args):
+        raise AssertionError("BFS run or ball masks built for a refused graph")
 
-    monkeypatch.setattr(solvers, "_all_pairs", no_table)
+    small, large = path_graph(5), path_graph(2001)
+    cap = solvers._MAX_EXACT_VERTICES
+    monkeypatch.setattr(Graph, "bfs", no_work)
+    monkeypatch.setattr(solvers, "_ball_masks", no_work)
+    monkeypatch.setattr(solvers, "_MAX_EXACT_VERTICES", 4)
     with pytest.raises(TooLargeError, match="^5 vertices exceeds the exact solver's guard of 4$"):
-        burning_number_exact(path_graph(5), max_vertices=4)
+        burning_number_exact(small)
+    monkeypatch.setattr(solvers, "_MAX_EXACT_VERTICES", cap)
     with pytest.raises(TooLargeError, match="^2001 vertices exceeds the exact solver's guard of 2000$"):
-        burning_number_exact(path_graph(2001))
+        burning_number_exact(large)
     monkeypatch.undo()
-    assert burning_number_exact(path_graph(4), max_vertices=4).value == 2
+    monkeypatch.setattr(solvers, "_MAX_EXACT_VERTICES", 4)
+    assert burning_number_exact(path_graph(4)).value == 2
 
 
 def test_exact_k4(k4):
@@ -175,13 +185,32 @@ def _traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
+def _distance_table(g):
+    """The n-by-n table of BFS rows that the search does without."""
+    return [g.bfs(v) for v in range(g.vertex_count)]
+
+
 def test_exact_builds_no_masks_past_the_largest_eccentricity():
     """A matching of 100 edges has b = 101 and diameter 1: one mask set per
     radius would be 101 sets of 200 masks, several times the distance table,
     where the two sets of radii 0 and 1 are a small part of it."""
     g = Graph([(f"a{i}", f"b{i}") for i in range(100)])
-    table = _traced_peak(solvers._all_pairs, g)
+    table = _traced_peak(_distance_table, g)
     assert _traced_peak(burning_number_exact, g) < 3 * table
+
+
+def test_exact_holds_less_than_a_distance_table():
+    """On 2,000 vertices the n-by-n table of BFS rows alone takes about
+    32 MB; a budget stop on that graph, with its one BFS per vertex, its
+    ball masks and its ball-cover bound, stays below it."""
+    g = random_cubic(2000, 1)
+
+    def stop():
+        with pytest.raises(BudgetExceededError) as info:
+            burning_number_exact(g, node_budget=1000)
+        assert (info.value.lower_bound, info.value.upper_bound, info.value.nodes) == (10, 13, 1001)
+
+    assert _traced_peak(stop) < _traced_peak(_distance_table, g)
 
 
 def test_exact_counters_repeat():
@@ -489,3 +518,108 @@ def test_ball_masks_match_distance_rows(g):
 @settings(max_examples=60, deadline=None)
 def test_ball_masks_match_distance_rows_on_random_graphs(g):
     _assert_balls_match_distance_rows(g)
+
+
+def reference_branches(dist, ecc, balls, radii, covered, chosen):
+    """The table-driven ``_branches`` that the ball-mask one replaced, kept
+    as the oracle: the target minimises, over the chosen (r, x), the gap
+    d(v, x) - r by a scan of every uncovered vertex, and the centers come
+    from a scan of the target's distance row."""
+    n = len(dist)
+    target, far = -1, -1
+    for v in range(n):
+        if covered >> v & 1:
+            continue
+        d = min(max(0, dist[v][x] - r) for r, x in chosen) if chosen else ecc[v]
+        if d > far:
+            target, far = v, d
+    row = dist[target]
+    for r in range(radii.bit_length() - 1, -1, -1):
+        if radii >> r & 1:
+            ball = balls[r]
+            for _, x in sorted((-(ball[x] & ~covered).bit_count(), x) for x in range(n) if 0 <= row[x] <= r):
+                yield r, x
+
+
+@st.composite
+def _search_states(draw):
+    """A graph with the balls of radii 0..k-1 and a search node on it: the
+    radii left (at least one), the (radius, center) pairs placed for the
+    others, and the vertices those balls cover, which are not all."""
+    g = draw(_vc_graphs().filter(lambda g: g.vertex_count > 0))
+    n = g.vertex_count
+    k = draw(st.integers(min_value=1, max_value=min(n, 7)))
+    balls = [_ball_masks(g.adj, None)]
+    while len(balls) < k:
+        balls.append(_ball_masks(g.adj, balls[-1]))
+    placed = draw(st.lists(st.sampled_from(range(k)), unique=True, max_size=k - 1))
+    chosen = [(r, draw(st.integers(min_value=0, max_value=n - 1))) for r in sorted(placed, reverse=True)]
+    covered = 0
+    for r, x in chosen:
+        covered |= balls[r][x]
+    assume(covered != (1 << n) - 1)
+    radii = (1 << k) - 1
+    for r, _ in chosen:
+        radii ^= 1 << r
+    return g, balls, radii, covered, chosen
+
+
+@given(_search_states())
+@settings(max_examples=300, deadline=None)
+def test_branches_match_the_table_oracle(state):
+    g, balls, radii, covered, chosen = state
+    dist = _distance_table(g)
+    ecc, comp = solvers._eccentricities(g)
+    assert ecc == [max(d for d in row if d >= 0) for row in dist]
+    assert comp == [min(u for u, d in enumerate(row) if d >= 0) for row in dist]
+    expected = list(reference_branches(dist, ecc, balls, radii, covered, chosen))
+    root = ecc.index(max(ecc))
+    assert list(solvers._branches(balls, comp, root, radii, covered, chosen)) == expected
+
+
+def reference_ball_cover(g):
+    """The (centers, horizon) that ``_ball_cover_upper_bound`` repairs, from
+    a farthest-first traversal run to the end over the distance table."""
+    n = g.vertex_count
+    dist = _distance_table(g)
+    gap = [n if d < 0 else d for d in dist[0]]
+    order = [0]
+    length, count = n, n
+    while True:
+        radius = max(gap)
+        if len(order) + radius < length:
+            length, count = len(order) + radius, len(order)
+        if radius == 0:
+            break
+        far = gap.index(radius)
+        order.append(far)
+        gap = [a if b < 0 or a <= b else b for a, b in zip(gap, dist[far])]
+    return [g.labels[v] for v in order[:count]], length, len(order)
+
+
+def test_early_stopped_ball_cover_matches_the_full_traversal(monkeypatch):
+    repair = solvers._repair_sequence
+    repaired, runs = [], []
+
+    def spy_repair(g, intended, horizon):
+        repaired.append((list(intended), horizon))
+        return repair(g, intended, horizon)
+
+    def counted_bfs(g, src):
+        runs.append(src)
+        return bfs(g, src)
+
+    bfs = Graph.bfs
+    graphs = [cycle_graph(n) for n in range(3, 60)] + [make_C(m).graph for m in (4, 5, 6, 7)]
+    graphs += [random_cubic(n, seed) for n in range(60, 101, 4) for seed in (1, 2, 3)]
+    for g in graphs:
+        centers, length, traversed = reference_ball_cover(g)
+        monkeypatch.setattr(solvers, "_repair_sequence", spy_repair)
+        monkeypatch.setattr(Graph, "bfs", counted_bfs)
+        upper = solvers._ball_cover_upper_bound(g)
+        monkeypatch.undo()
+        assert repaired == [(centers, length)]
+        assert upper == len(repair(g, centers, length)[0])
+        assert len(runs) < traversed  # one BFS per center, and fewer centers
+        repaired.clear()
+        runs.clear()
