@@ -9,9 +9,12 @@ strictly earlier is not.
 One step-wise frontier kernel runs that process.  ``frontier_burn_times``,
 ``is_burning_sequence``, ``simulate`` (which adds the responsible-source sets
 in one pass over the burn-order DAG) and the sequence repair used by the
-solvers and the lift all drive it.  The kernel only stops at an invalid
-placement; the functions that raise :class:`InvalidSequenceError` work out
-its ``cause``, and ``is_burning_sequence`` never does.  The repair reports
+solvers and the lift all drive it.  ``simulate`` keys its schedule by label;
+the CLI's ``burn`` report and ``reduction.audit_sequence`` read the same two
+passes by vertex index (``_schedule``) and take BL and UB from it, with no
+label-keyed dict.  The kernel only stops at an invalid placement; the
+functions that raise :class:`InvalidSequenceError` work out its ``cause``,
+and ``is_burning_sequence`` never does.  The repair reports
 whether its own fire burned every vertex, which is the verdict of
 ``is_burning_sequence`` on the sequence it returns, so its callers validate
 that sequence without a second run.  The test suite cross-checks the kernel
@@ -214,11 +217,28 @@ def frontier_burn_times(
     return {labels[v]: time[v] for v in order}
 
 
+def _schedule(
+    g: Graph, sequence: BurningSequence | Sequence[str]
+) -> tuple[int, list[int], list[frozenset[str] | None]]:
+    """The schedule of :func:`simulate` by vertex index: the step count ``k``,
+    each vertex's burn step (``_UNBURNED`` if never reached) and each burned
+    vertex's responsible sources."""
+    time, order, placed = _valid_burn(g, sequence)
+    return len(placed), time, _responsible(g, time, order, placed)
+
+
+def _last_and_unique(
+    k: int, time: list[int], resp: list[frozenset[str] | None]
+) -> tuple[list[int], list[int]]:
+    """The indices of BL (burned at step ``k``) and of UB (one responsible
+    source) in a complete index schedule."""
+    last = [v for v, t in enumerate(time) if t == k]
+    return last, [v for v, r in enumerate(resp) if len(r) == 1]
+
+
 def simulate(g: Graph, sequence: BurningSequence | Sequence[str]) -> BurningSchedule:
     """Burn times, responsible-source sets and the unburned set of a sequence."""
-    time, order, placed = _valid_burn(g, sequence)
-    k = len(placed)
-    resp = _responsible(g, time, order, placed)
+    k, time, resp = _schedule(g, sequence)
     burn_time: dict[str, int] = {}
     responsible: dict[str, frozenset[str]] = {}
     unburned: list[str] = []

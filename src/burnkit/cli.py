@@ -22,12 +22,12 @@ from typing import Callable, Iterable, NamedTuple
 
 from . import gadgets
 from .burning import (
+    _UNBURNED,
     BurnError,
     InvalidSequenceError,
-    last_step_set,
+    _last_and_unique,
+    _schedule,
     read_sequence,
-    simulate,
-    uniquely_burned_set,
     write_sequence,
 )
 from .gadgets import GadgetError, GadgetHandle, InvalidParamsError, check_vertex_count
@@ -235,22 +235,22 @@ def _burn(args):
     seq = read_sequence(_text(args.sequence))
     yield "length", len(seq)
     try:
-        schedule = simulate(g, seq)
+        k, time, resp = _schedule(g, seq)
     except InvalidSequenceError as exc:
         yield "valid", "false"
         yield "reason", str(exc)
         return
     del g  # free H before the BL and UB sets: the report needs only the schedule
+    unburned = time.count(_UNBURNED)
     yield "valid", "true"
-    yield "complete", "true" if schedule.complete else "false"
-    yield "unburned", len(schedule.unburned)
-    if schedule.complete:
-        bl = last_step_set(schedule)
-        ub = uniquely_burned_set(schedule)
-        yield "complete_at", schedule.k
+    yield "complete", "false" if unburned else "true"
+    yield "unburned", unburned
+    if not unburned:
+        bl, ub = _last_and_unique(k, time, resp)
+        yield "complete_at", k
         yield "last_step_size", len(bl)
         yield "uniquely_burned_size", len(ub)
-        yield "bl_ub_overlap", len(bl & ub)
+        yield "bl_ub_overlap", len(set(bl).intersection(ub))
 
 
 def _solve_burn(args):

@@ -384,14 +384,21 @@ def _c_parts(m: int, name: str):
     return edges, landmarks
 
 
+def _check_C_size(m: int):
+    """Refuse C(m) over the cap from its closed form, 2m^2 - 2m - 1 vertices."""
+    if m >= 4:  # _c_middles refuses a smaller m
+        check_vertex_count(f"C({m})", 2 * m * m - 2 * m - 1)
+
+
 def make_C(m: int) -> GadgetHandle:
     """Chained P-gadgets closed through a Tail: 2m^2 - 2m - 1 vertices."""
-    if m >= 4:  # _c_parts refuses a smaller m
-        check_vertex_count(f"C({m})", 2 * m * m - 2 * m - 1)
+    _check_C_size(m)
     edges, landmarks = _c_parts(m, "")
     return GadgetHandle(Graph(edges), landmarks)
 
 
 def make_C_witness(m: int) -> BurningSequence:
-    """Length-m burning sequence for make_C(m): gadget middles, large to small."""
+    """Length-m burning sequence for make_C(m): gadget middles, large to small.
+    Refused, before any label is made, wherever make_C(m) is."""
+    _check_C_size(m)
     return BurningSequence.of(_c_middles(m, ""))

@@ -10,18 +10,23 @@ construction, so every read operation is safe to call concurrently.  All
 iteration orders are canonical (lexicographic on labels) to keep downstream
 output diffable.
 
-Edge-list I/O makes no object per edge that outlives a chunk of the text:
-``read_graph`` interns each label to one string, holds one pointer per edge
-end and hands them to the constructor as pairs, and ``write_graph`` joins
-its lines a block at a time.
+The constructor works on integers from the start: it numbers the labels
+in first-seen order, sorts them once, keeps those numbers as the indices
+(one int object per vertex) and fills the adjacency by list indexing.
+``read_graph`` numbers each label as it parses and hands the constructor
+those ids, one pointer per edge end; ``Graph(pairs)`` numbers the pairs'
+labels and goes through the same core.  Edge-list I/O makes no object per
+edge that outlives a chunk of the text: ``write_graph`` joins its lines a
+block at a time.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, count, islice, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, NoReturn, Sequence
 
 
@@ -50,24 +55,19 @@ class Graph:
     __slots__ = ("labels", "adj", "_edge_count")
 
     def __init__(self, edges: Iterable[tuple[str, str]], vertices: Iterable[str] = ()):
-        if not isinstance(edges, (list, tuple, _EndPairs)):
-            edges = list(edges)  # read twice, and again on the error path
-        labels = tuple(sorted(set(vertices).union(chain.from_iterable(edges))))
-        index = dict(zip(labels, range(len(labels))))  # for the edge loop only
-        adj: list = [[] for _ in labels]
-        for u, v in edges:
-            a, b = index[u], index[v]
-            adj[a].append(b)
-            adj[b].append(a)
-        for a, nbrs in enumerate(adj):
-            nbrs.sort()
-            adj[a] = tuple(nbrs)
-        # a self-loop or a parallel edge repeats an entry of some tuple
-        if any(len(set(nbrs)) != len(nbrs) for nbrs in adj):
-            _reject_first_bad_edge(edges)
+        if isinstance(edges, _Ends):  # read_graph's parse, which replays its own faults
+            labels, adj, edge_count = _index(edges)
+        else:
+            if not isinstance(edges, (list, tuple)):
+                edges = list(edges)  # read twice, and again on the error path
+            labels, adj, edge_count = _index(_pair_ends(edges, vertices))
+            if adj is None:
+                _reject_first_bad_edge(edges)
+        if adj is None:
+            raise GraphFormatError("self-loop or duplicate edge")
         self.labels: Sequence[str] = labels
         self.adj: list[tuple[int, ...]] = adj
-        self._edge_count = len(edges)
+        self._edge_count = edge_count
 
     @property
     def vertices(self) -> Sequence[str]:
@@ -175,6 +175,93 @@ def _from_core(labels: Sequence[str], adj: list[tuple[int, ...]], edge_count: in
     return g
 
 
+def _ints(n: int) -> list[int]:
+    """The int objects 0..n-1, made by ``count`` as the constructor's ids
+    are: tracemalloc sees each at 28 bytes, where ``range`` requests 32."""
+    return list(islice(count(), n))
+
+
+def _label_order(ints: list[int], labels: Sequence) -> tuple[list[int], list[int]]:
+    """The ints ``0..n-1`` of an unsorted label table in label order, and the
+    rank of each in that order, held as an object of ``ints``."""
+    order = sorted(ints, key=labels.__getitem__)
+    rank = [0] * len(ints)
+    for i, j in zip(ints, order):
+        rank[j] = i
+    return order, rank
+
+
+class _Ends:
+    """Edges as dense ids, from a parse or a list of pairs to the constructor:
+    ``ids`` maps each label to its id, numbered from 0 in first-seen order,
+    and ``ends`` is a list of tuples of ids, each holding whole edges as two
+    consecutive ends, in order."""
+
+    __slots__ = ("ids", "ends")
+
+    def __init__(self, ids: dict, ends: list[tuple[int, ...]]):
+        self.ids = ids
+        self.ends = ends
+
+
+def _number(ids: defaultdict, labels: Sequence) -> tuple[int, ...]:
+    """The ids of ``labels`` in an id map that numbers each new label as it
+    is first looked up.  ``itemgetter`` looks them all up at C level, about
+    twice as fast as a ``map`` over ``ids.__getitem__``, which makes one
+    call per label; it returns a bare id for one label."""
+    if len(labels) < 2:
+        return tuple(map(ids.__getitem__, labels))
+    return itemgetter(*labels)(ids)
+
+
+def _pair_ends(edges: Sequence[tuple[str, str]], vertices: Iterable[str]) -> _Ends:
+    """The ids of ``vertices`` and of the ends of each pair of ``edges``."""
+    ids: defaultdict = defaultdict(count().__next__)
+    deque(map(ids.__getitem__, vertices), 0)
+    ends = _number(ids, tuple(chain.from_iterable(edges)))
+    # a pair of other than two labels would shift every later end by one:
+    # unpacking each pair raises as ``for u, v in edges`` does
+    try:
+        pairs = {*map(len, edges)} <= {2}
+    except TypeError:  # a pair without a length
+        pairs = False
+    if not pairs:
+        for u, v in edges:
+            pass
+    return _Ends(ids, [ends])
+
+
+def _index(source: _Ends) -> tuple[tuple, list[tuple[int, ...]] | None, int]:
+    """The sorted label table, the adjacency (None when some edge is a
+    self-loop or repeats another) and the edge count of ``source``, which is
+    emptied as it is read.  Its ids become the indices: one int object per
+    vertex."""
+    first = list(source.ids)  # the label of each id
+    ids = list(source.ids.values())  # ids[j] is j
+    source.ids.clear()
+    order, rank = _label_order(ids, first)
+    labels = tuple(map(first.__getitem__, order))
+    del first, ids, order
+    adj: list = [[] for _ in labels]
+    edge_count = 0
+    chunks = source.ends
+    for at, chunk in enumerate(chunks):
+        chunks[at] = None  # the ends of a chunk are freed once it is read
+        edge_count += len(chunk) // 2
+        ends = map(rank.__getitem__, chunk)
+        for a, b in zip(ends, ends):
+            adj[a].append(b)
+            adj[b].append(a)
+    del rank
+    for a, nbrs in enumerate(adj):
+        nbrs.sort()
+        adj[a] = tuple(nbrs)
+    # a self-loop or a parallel edge repeats an entry of some tuple
+    if any(len(set(nbrs)) != len(nbrs) for nbrs in adj):
+        return labels, None, edge_count
+    return labels, adj, edge_count
+
+
 @dataclass(frozen=True)
 class DistanceMap:
     """BFS hop distances from ``source``; vertices absent from ``dist`` are unreachable."""
@@ -267,24 +354,6 @@ def _chunk_tokens(chunk: str) -> list[str] | None:
     return tokens
 
 
-class _EndPairs:
-    """The edges of a list of tuples of edge ends, each holding whole edges
-    in order: sized and re-iterable like a list of pairs, without a tuple
-    per edge."""
-
-    __slots__ = ("ends",)
-
-    def __init__(self, ends: list[tuple[str, ...]]):
-        self.ends = ends
-
-    def __len__(self) -> int:
-        return sum(map(len, self.ends)) // 2
-
-    def __iter__(self) -> Iterator[tuple[str, str]]:
-        ends = chain.from_iterable(self.ends)
-        return zip(ends, ends)
-
-
 _READ_CHUNK = 1 << 20  # read_graph's chunks: this many characters, then to the end of that line
 
 
@@ -297,30 +366,37 @@ def read_graph(text: str) -> Graph:
     The text is read in chunks of whole lines of about 1 MiB.  A chunk in
     ``write_graph``'s shape (each line two labels joined by one space, no
     comment, no blank line, ending in a newline) is split in one call; any
-    other chunk goes through the per-line parse.  Each label is interned to
-    its first string object, so the parse holds one string per label and
-    one pointer per edge end, and each chunk's tokens are dropped before
-    the next chunk is read.  On a fault, the whole text is parsed again line
-    by line to name the first bad line.
+    other chunk goes through the per-line parse.  Each label is mapped to a
+    dense id as it is read, numbered in first-seen order, so the parse holds
+    one string and one int per label and one pointer per edge end, and each
+    chunk's tokens are dropped before the next chunk is read.  The
+    constructor sorts the labels once and keeps the ids as the indices.  On
+    a fault, the whole text is parsed again line by line to name the first
+    bad line.
     """
-    first: dict[str, str] = {}
-    # one tuple per chunk: a tuple of strings leaves the cyclic collector's
+    try:
+        return Graph(_parse(text))
+    except GraphFormatError:
+        _reject_first_bad_line(text)
+
+
+def _parse(text: str) -> _Ends:
+    """The ids of the edge ends of ``text``; raises :class:`GraphFormatError`,
+    naming no line, when some line holds other than two labels."""
+    ids: defaultdict = defaultdict(count().__next__)
+    # one tuple per chunk: a tuple of ints leaves the cyclic collector's
     # care, so its full collections while the graph is built skip the ends
-    ends: list[tuple[str, ...]] = []
+    ends: list[tuple[int, ...]] = []
     start = 0
     while start < len(text):
         stop = text.find("\n", start + _READ_CHUNK - 1) + 1 or len(text)
         tokens = _chunk_tokens(text[start:stop])
         if tokens is None:
-            _reject_first_bad_line(text)
-        ends.append(tuple(map(first.setdefault, tokens, tokens)))
+            raise GraphFormatError("a line holds other than two labels")
+        ends.append(_number(ids, tokens))
         del tokens  # before the next chunk is split
         start = stop
-    del first  # the constructor gathers its own label set
-    try:
-        return Graph(_EndPairs(ends))
-    except GraphFormatError:
-        _reject_first_bad_line(text)
+    return _Ends(ids, ends)
 
 
 _WRITE_BLOCK = 1 << 15  # lines joined at a time by write_graph

@@ -34,7 +34,7 @@ from itertools import chain
 from operator import itemgetter
 
 from .burning import BurningSequence, _repair_sequence, is_burning_sequence
-from .graph import Graph, _from_core, is_connected, is_regular
+from .graph import Graph, _from_core, _ints, is_connected, is_regular
 
 _MAX_HD_EDGES = 10_000_000
 
@@ -146,7 +146,7 @@ def _from_blocks(base: Graph, copies: int) -> Graph:
     # neighbours shifted into block k, its twins in later blocks; that is
     # sorted.  The base is cubic, so its adjacency has three columns.  Every
     # index held is an object of ``ints``: one int object per vertex.
-    ints = list(range(len(labels)))
+    ints = _ints(len(labels))
     twins = [ints[k * n : k * n + n] for k in range(copies)]
     columns = [itemgetter(*column) for column in zip(*base.adj)]
     adj: list[tuple[int, ...]] = []

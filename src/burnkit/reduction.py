@@ -45,17 +45,16 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .burning import (
-    BurningSchedule,
+    _UNBURNED,
     BurningSequence,
     InvalidSequenceError,
+    _last_and_unique,
+    _schedule,
     is_burning_sequence,
-    last_step_set,
-    simulate,
-    uniquely_burned_set,
 )
 from .gadgets import Landmark, _btp_half, _btp_parts, _c_middles, _c_parts, _y_parts
 from .gadgets import check_btp_inequalities
-from .graph import Graph, GraphFormatError, _from_core, is_connected, is_regular
+from .graph import Graph, GraphFormatError, _from_core, _ints, _label_order, is_connected, is_regular
 
 # build_H refuses a larger H before building it: the cap admits the
 # 998,210-vertex H of random_cubic(14, 1) and refuses a 50-vertex cubic G's
@@ -328,7 +327,7 @@ def build_H(g: Graph, edge: tuple[str, str] | None = None) -> ReductionInstance:
     size = len(suffixes)
     n_btp = len(heads) * size
     n = n_btp + tail.vertex_count
-    ints = list(range(n))  # every index held by H is one of these objects
+    ints = _ints(n)  # every index held by H is one of these objects
     tail_ints = ints[n_btp:]
     core_roots: dict[int, list[int]] = {tail._at(label): [] for label in core.values()}
     table: list[str] = []
@@ -355,10 +354,7 @@ def build_H(g: Graph, edge: tuple[str, str] | None = None) -> ReductionInstance:
     # The blocks are in label order unless one head extends another
     # (btp:a:b: and btp:a:b:c:): then they interleave, and H is permuted.
     if not all(map(str.__lt__, table, islice(table, 1, None))):
-        order = sorted(ints, key=table.__getitem__)
-        new = [0] * n
-        for i, old in zip(ints, order):
-            new[old] = i
+        order, new = _label_order(ints, table)
         adj = [tuple(sorted(map(new.__getitem__, adj[old]))) for old in order]
         table = list(map(table.__getitem__, order))
     labels = tuple(table)
@@ -487,14 +483,16 @@ def audit_sequence(inst: ReductionInstance, sequence: BurningSequence | Sequence
     bl: frozenset[str] = frozenset()
     ub: frozenset[str] = frozenset()
     try:
-        schedule: BurningSchedule = simulate(inst.h_graph, sources)
+        _, time, resp = _schedule(inst.h_graph, sources)
     except InvalidSequenceError:
         valid = False
     else:
-        complete = schedule.complete
+        complete = _UNBURNED not in time
         if complete:
-            bl = last_step_set(schedule)
-            ub = uniquely_burned_set(schedule)
+            labels = inst.h_graph.labels
+            last, unique = _last_and_unique(k, time, resp)
+            bl = frozenset(map(labels.__getitem__, last))
+            ub = frozenset(map(labels.__getitem__, unique))
 
     return AuditReport(
         k=k,

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import io
 import itertools
+import random
 import re
 import shlex
 import tempfile
@@ -14,10 +15,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from burnkit import cli, gadgets
-from burnkit.burning import is_burning_sequence, read_sequence
+from burnkit.burning import (
+    InvalidSequenceError,
+    _repair_sequence,
+    is_burning_sequence,
+    last_step_set,
+    read_sequence,
+    simulate,
+    uniquely_burned_set,
+    write_sequence,
+)
 from burnkit.cli import export_dot, main
 from burnkit.gadgets import make_T
-from burnkit.generators import complete_graph, path_graph, prism_graph, random_cubic
+from burnkit.generators import complete_graph, path_graph, prism_graph, random_connected_graph, random_cubic
 from burnkit.graph import Graph, read_graph, write_graph
 from burnkit.lift import build_Hd
 from burnkit.reduction import build_H
@@ -102,6 +112,55 @@ def test_burn_reports_invalid(tmp_path, capsys):
     assert report["reason"] == (
         "source 'v4' placed at step 5 was already burned at step 3 by fire from 'v5'"
     )
+
+
+def _burn_oracle(g, seq) -> dict[str, str]:
+    """The burn report from ``simulate`` and the BL/UB set functions."""
+    report = {"length": str(len(seq))}
+    try:
+        schedule = simulate(g, seq)
+    except InvalidSequenceError as exc:
+        return {**report, "valid": "false", "reason": str(exc)}
+    report.update(
+        valid="true",
+        complete="true" if schedule.complete else "false",
+        unburned=str(len(schedule.unburned)),
+    )
+    if schedule.complete:
+        bl, ub = last_step_set(schedule), uniquely_burned_set(schedule)
+        report.update(
+            complete_at=str(schedule.k),
+            last_step_size=str(len(bl)),
+            uniquely_burned_size=str(len(ub)),
+            bl_ub_overlap=str(len(bl & ub)),
+        )
+    return report
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_burn_report_matches_simulate(tmp_path, capsys, seed):
+    """On a random connected graph, the burn report, read from the index
+    schedule, equals the one made from ``simulate``: for a complete valid
+    sequence, each of its proper prefixes (incomplete) and random
+    sequences (mostly invalid)."""
+    rng = random.Random(seed)
+    g = random_connected_graph(rng.randint(2, 12), seed)
+    order = list(g.vertices)
+    rng.shuffle(order)
+    witness, burns = _repair_sequence(g, order, g.vertex_count)
+    assert burns
+    sequences = [witness[:end] for end in range(1, len(witness) + 1)]
+    sequences += [rng.sample(order, rng.randint(1, len(order))) for _ in range(3)]
+    graph_file, seq_file = tmp_path / "g.g", tmp_path / "s.seq"
+    graph_file.write_text(write_graph(g), encoding="utf-8")
+    outcomes = set()
+    for seq in sequences:
+        seq_file.write_text(write_sequence(seq), encoding="utf-8")
+        report = parse_report(run(capsys, "burn", str(graph_file), str(seq_file)))
+        del report["command"], report["input"]
+        assert report == _burn_oracle(g, seq)
+        outcomes.add(report.get("complete", "invalid"))
+    assert "true" in outcomes
 
 
 @pytest.mark.parametrize("text", ["v1\nv2\nv1\n", "# no sources\n"])

@@ -161,6 +161,27 @@ def test_gadget_cap_refuses_before_building(monkeypatch):
     assert str(c.value) == f"C(1000000) has 1999997999999 vertices, {cap}"
 
 
+def test_c_witness_is_refused_where_make_c_is(monkeypatch):
+    """make_C_witness(m) refuses every m that make_C refuses, with the same
+    error and before it makes a label; it admits C(m) at exactly the cap."""
+    monkeypatch.setattr(gadgets, "_MAX_GADGET_VERTICES", 179)
+    assert len(make_C_witness(10)) == 10
+    monkeypatch.setattr(gadgets, "_MAX_GADGET_VERTICES", 178)
+    with pytest.raises(GadgetTooLargeError) as c:
+        make_C(10)
+    with pytest.raises(GadgetTooLargeError) as witness:
+        make_C_witness(10)
+    assert str(witness.value) == str(c.value) == "C(10) has 179 vertices, over the gadget cap of 178"
+    monkeypatch.undo()
+
+    def no_labels(*args):
+        raise AssertionError("a label was made")
+
+    monkeypatch.setattr(gadgets, "_c_middles", no_labels)
+    with pytest.raises(GadgetTooLargeError, match="^C\\(100000\\) has 19999799999 vertices"):
+        make_C_witness(100_000)
+
+
 # BTP-gadget -----------------------------------------------------------------
 
 

@@ -462,6 +462,71 @@ def test_write_graph_peak_is_near_the_text_it_returns(prism_h_text):
     assert peak <= 2.5 * sys.getsizeof(text)
 
 
+def _one_int_per_vertex(g) -> bool:
+    seen: dict[int, int] = {}
+    return all(seen.setdefault(w, w) is w for nbrs in g.adj for w in nbrs)
+
+
+def _mixed_text(edges, rnd) -> str:
+    """Edge-list text of ``edges`` in which some lines have write_graph's
+    shape and others follow a comment line or end in CRLF."""
+    lines = []
+    for u, v in edges:
+        if rnd.random() < 0.3:
+            lines.append("# a comment\r\n")
+        lines.append(f"{u} {v}" + ("\r\n" if rnd.random() < 0.3 else "\n"))
+    return "".join(lines)
+
+
+@given(random_graphs(), st.randoms(use_true_random=False), st.integers(min_value=1, max_value=12))
+@settings(max_examples=150, deadline=None)
+def test_read_graph_and_pairs_build_the_reference_core(g, rnd, chunk):
+    """``read_graph`` and ``Graph(pairs)`` build the parent constructor's
+    labels and adjacency, with one int object per vertex, from edges in
+    canonical order, shuffled, with endpoints swapped, and from text that
+    mixes write_graph's shape with comment and CRLF lines; the constructor
+    also keeps isolated ``vertices``."""
+    canonical = list(g.edges())
+    shuffled = canonical[:]
+    rnd.shuffle(shuffled)
+    swapped = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in shuffled]
+    isolated = [v for v in g.vertices if not g.degree(v)]
+    for edges in (canonical, shuffled, swapped):
+        labels, _, adj, edge_count = _reference_core(edges, isolated)
+        built = Graph(edges, vertices=isolated)
+        assert (built.labels, built.adj, built.edge_count) == (labels, adj, edge_count)
+        assert _one_int_per_vertex(built)
+        labels, _, adj, edge_count = _reference_core(edges)
+        texts = ["".join(f"{u} {v}\n" for u, v in edges), _mixed_text(edges, rnd)]
+        with mock.patch.object(graph_module, "_READ_CHUNK", chunk):
+            for text in texts:
+                read = read_graph(text)
+                assert (read.labels, read.adj, read.edge_count) == (labels, adj, edge_count)
+                assert _one_int_per_vertex(read)
+
+
+@pytest.mark.parametrize(
+    "edges, error",
+    [
+        (lambda: [("a", "b", "c")], ValueError),
+        (lambda: [("a",)], ValueError),
+        # together they hold two ends per pair, which must not pair up
+        (lambda: [("a", "b", "c"), ("d",)], ValueError),
+        (lambda: [("a",), ("b", "c", "d"), ("e", "f")], ValueError),
+        (lambda: [iter(("a", "b"))], ValueError),  # consumed before it is unpacked
+        (lambda: [("a", "b"), 7], TypeError),
+        (lambda: [("a", ["b"])], TypeError),
+    ],
+    ids=["three", "one", "three_then_one", "one_then_three", "iterator", "int", "unhashable"],
+)
+def test_graph_rejects_a_pair_of_other_than_two_labels(edges, error):
+    """A malformed pair raises what the parent constructor raised."""
+    with pytest.raises(error):
+        _reference_core(edges())
+    with pytest.raises(error):
+        Graph(edges())
+
+
 def _raises_unknown(call, *args) -> bool:
     try:
         call(*args)

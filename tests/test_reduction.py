@@ -6,7 +6,14 @@ import tracemalloc
 import pytest
 
 from burnkit import reduction
-from burnkit.burning import frontier_burn_times, is_burning_sequence
+from burnkit.burning import (
+    InvalidSequenceError,
+    frontier_burn_times,
+    is_burning_sequence,
+    last_step_set,
+    simulate,
+    uniquely_burned_set,
+)
 from burnkit.gadgets import _btp_parts, _c_parts, _y_parts, make_BTP
 from burnkit.generators import complete_bipartite, complete_graph, prism_graph, random_cubic
 from burnkit.graph import (
@@ -312,6 +319,33 @@ def test_audit_of_constructed_witness(k4_instance):
     assert all(where == "outside" for _, where in report.block_locations["middle"])
     assert all(where == "outside" for _, where in report.block_locations["end"])
     assert report.bl_ub
+
+
+def test_audit_bl_ub_match_simulate(k4_instance):
+    """The audit's BL and UB, read from the index schedule, are the sets
+    ``simulate`` and the BL/UB set functions give, on a complete, an
+    incomplete and an invalid sequence; both are empty unless complete."""
+    inst = k4_instance
+    h = inst.h_graph
+    witness = list(vc_to_witness(inst, vertex_cover_exact(inst.g_prime).witness))
+    early = frontier_burn_times(h, witness[:-1])
+    late = max(v for v in h.vertices if v not in early)  # unburned after k - 1 steps
+    burned = next(v for v in early if v not in witness)  # burned before step k
+    outcomes = []
+    for seq in (witness, witness[:-1] + [late], witness[:-1] + [burned]):
+        report = audit_sequence(inst, seq)
+        try:
+            schedule = simulate(h, seq)
+        except InvalidSequenceError:
+            want = (False, False, frozenset(), frozenset())
+        else:
+            complete = schedule.complete
+            bl = last_step_set(schedule) if complete else frozenset()
+            ub = uniquely_burned_set(schedule) if complete else frozenset()
+            want = (True, complete, bl, ub)
+        assert (report.valid, report.complete, report.last_step, report.uniquely_burned) == want
+        outcomes.append(want[:2])
+    assert outcomes == [(True, True), (True, False), (False, False)]
 
 
 def test_audit_too_short(k4_instance):
