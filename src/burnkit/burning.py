@@ -29,7 +29,11 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph import Graph, UnknownVertexError, _data_lines, _label_ok
 
-_UNBURNED = 1 << 60
+# The burn step of a vertex never reached.  Any value above every step
+# works, and a step never exceeds n + 1.  It is kept below 2**30 so that it
+# is a one-digit int: CPython 3.11 specialises ``time[w] > t`` only when both
+# sides are one-digit ints, and the kernel makes that check per edge end.
+_UNBURNED = (1 << 30) - 1
 
 
 class BurnError(Exception):

@@ -18,16 +18,31 @@ those ids, one pointer per edge end; ``Graph(pairs)`` numbers the pairs'
 labels and goes through the same core.  Edge-list I/O makes no object per
 edge that outlives a chunk of the text: ``write_graph`` joins its lines a
 block at a time.
+
+The bulk builders (the constructor's core ``_index``, ``reduction.build_H``
+and ``lift._from_blocks``) run with the cyclic collector paused.  They make
+one tracked container per vertex, a list and then a tuple, and none of them
+ends up as garbage in a cycle.  With the collector on, every 700 of them
+start a generation-0 collection, and the lists that survive drive
+generation-1 and full collections, which walk every tracked object in the
+process.  Paused, one generation-0 collection after the build looks at
+those containers once and stops tracking each tuple that holds only ints.
+The collector is turned back on after the build, on the error path too,
+only if it was on before.  The pause is process-wide: another thread that
+turns the collector off while a build runs may find it back on when the
+build ends.
 """
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
+from functools import wraps
 from itertools import chain, count, islice, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 
 class GraphError(Exception):
@@ -129,18 +144,23 @@ class Graph:
         return self
 
     def bfs(self, src: int) -> list[int]:
-        """Hop distances from index ``src``; -1 marks unreachable vertices."""
+        """Hop distances from index ``src``; -1 marks unreachable vertices.
+        The search goes one level at a time, so every vertex of a level
+        takes the level's distance."""
         dist = [-1] * len(self.labels)
         dist[src] = 0
-        queue = deque((src,))
         adj = self.adj
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
-            for w in adj[u]:
-                if dist[w] < 0:
-                    dist[w] = du + 1
-                    queue.append(w)
+        frontier = [src]
+        d = 0
+        while frontier:
+            d += 1
+            new = []
+            for u in frontier:
+                for w in adj[u]:
+                    if dist[w] < 0:
+                        dist[w] = d
+                        new.append(w)
+            frontier = new
         return dist
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -179,6 +199,25 @@ def _ints(n: int) -> list[int]:
     """The int objects 0..n-1, made by ``count`` as the constructor's ids
     are: tracemalloc sees each at 28 bytes, where ``range`` requests 32."""
     return list(islice(count(), n))
+
+
+def _nogc(build: Callable) -> Callable:
+    """``build`` run with the cyclic collector paused; see the module
+    docstring.  The collector is turned back on afterwards, raise or not,
+    only if it was on when ``build`` was called, so nested builds pause it
+    once."""
+
+    @wraps(build)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
 
 
 def _label_order(ints: list[int], labels: Sequence) -> tuple[list[int], list[int]]:
@@ -231,6 +270,7 @@ def _pair_ends(edges: Sequence[tuple[str, str]], vertices: Iterable[str]) -> _En
     return _Ends(ids, [ends])
 
 
+@_nogc
 def _index(source: _Ends) -> tuple[tuple, list[tuple[int, ...]] | None, int]:
     """The sorted label table, the adjacency (None when some edge is a
     self-loop or repeats another) and the edge count of ``source``, which is
@@ -295,7 +335,7 @@ def eccentricity(g: Graph, src: str) -> int:
 def is_connected(g: Graph) -> bool:
     if g.vertex_count == 0:
         return True
-    return all(d >= 0 for d in g.bfs(0))
+    return -1 not in g.bfs(0)
 
 
 def degree_histogram(g: Graph) -> dict[int, int]:
@@ -310,6 +350,15 @@ def _label_ok(label: str) -> bool:
     # split() keeps a label whole exactly when it is non-empty and has no
     # character for which str.isspace() holds
     return label.split() == [label] and not label.startswith("#")
+
+
+def _labels_ok(labels: tuple[str, ...]) -> bool:
+    """Whether :func:`_label_ok` holds for every label, checked at C level:
+    split() gives back the labels exactly when none is empty or holds
+    whitespace, and a label starts with '#' exactly when the joined text
+    does or has '#' after a newline."""
+    joined = "\n".join(labels)
+    return not joined.startswith("#") and "\n#" not in joined and joined.split() == list(labels)
 
 
 def _data_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -384,9 +433,7 @@ def _parse(text: str) -> _Ends:
     """The ids of the edge ends of ``text``; raises :class:`GraphFormatError`,
     naming no line, when some line holds other than two labels."""
     ids: defaultdict = defaultdict(count().__next__)
-    # one tuple per chunk: a tuple of ints leaves the cyclic collector's
-    # care, so its full collections while the graph is built skip the ends
-    ends: list[tuple[int, ...]] = []
+    ends: list[tuple[int, ...]] = []  # one tuple per chunk
     start = 0
     while start < len(text):
         stop = text.find("\n", start + _READ_CHUNK - 1) + 1 or len(text)
@@ -410,7 +457,9 @@ def write_graph(g: Graph) -> str:
     texts and the result.
     """
     labels, adj = tuple(g.labels), g.adj  # a view's labels made once, not per edge end
-    if not all(_label_ok(v) for v, nbrs in zip(labels, adj) if nbrs):
+    # when some label fails, scan the labels with an edge one by one: a bad
+    # isolated label is reported below as an isolated vertex
+    if not _labels_ok(labels) and not all(_label_ok(v) for v, nbrs in zip(labels, adj) if nbrs):
         # name the label that the canonical edge order reaches first
         bad = next(v for edge in g.edges() for v in edge if not _label_ok(v))
         raise GraphFormatError(f"label not representable in edge-list format: {bad!r}")

@@ -34,7 +34,7 @@ from itertools import chain
 from operator import itemgetter
 
 from .burning import BurningSequence, _repair_sequence, is_burning_sequence
-from .graph import Graph, _from_core, _ints, is_connected, is_regular
+from .graph import Graph, _from_core, _ints, _nogc, is_connected, is_regular
 
 _MAX_HD_EDGES = 10_000_000
 
@@ -136,10 +136,12 @@ class _BlockLabels(Sequence):
     __hash__ = None  # type: ignore[assignment]
 
 
+@_nogc
 def _from_blocks(base: Graph, copies: int) -> Graph:
     """``copies`` clique-joined copies of a cubic base, on the label table
     whose blocks of ``base.vertex_count`` labels are copies 1..copies in
-    ``_block_order``, each in base order."""
+    ``_block_order``, each in base order; built with the cyclic collector
+    paused (``graph._nogc``)."""
     n = base.vertex_count
     labels = _BlockLabels(tuple(_copy_label(j, "") for j in _block_order(copies)), base.labels)
     # Vertex i of block k: its clique twins in earlier blocks, its base

@@ -54,7 +54,16 @@ from .burning import (
 )
 from .gadgets import Landmark, _btp_half, _btp_parts, _c_middles, _c_parts, _y_parts
 from .gadgets import check_btp_inequalities
-from .graph import Graph, GraphFormatError, _from_core, _ints, _label_order, is_connected, is_regular
+from .graph import (
+    Graph,
+    GraphFormatError,
+    _from_core,
+    _ints,
+    _label_order,
+    _nogc,
+    is_connected,
+    is_regular,
+)
 
 # build_H refuses a larger H before building it: the cap admits the
 # 998,210-vertex H of random_cubic(14, 1) and refuses a 50-vertex cubic G's
@@ -284,11 +293,13 @@ def _btp_template(h: int, l1: int, l2: int):
     return template.labels, columns, roots, positions, template.edge_count, edges[0]
 
 
+@_nogc
 def build_H(g: Graph, edge: tuple[str, str] | None = None) -> ReductionInstance:
     """Full reduction: connected cubic G -> instance holding H and provenance.
 
     H is laid out on integers, one block per G' edge, as the module
-    docstring describes; no edge list of H is built.  When the closed form
+    docstring describes, with the cyclic collector paused
+    (``graph._nogc``); no edge list of H is built.  When the closed form
     :func:`expected_vertex_count` gives H more than ``_MAX_H_VERTICES``
     vertices, :class:`ReductionTooLargeError` is raised before any gadget
     is built.

@@ -1,9 +1,23 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from burnkit.generators import complete_bipartite, complete_graph, prism_graph
 from burnkit.reduction import build_H
+
+
+@pytest.fixture(autouse=True)
+def _collector_state_is_kept():
+    """Fail a test that leaves the cyclic collector switched otherwise than
+    it found it (the bulk builders pause it and must turn it back on), and
+    switch it back for the next test."""
+    enabled = gc.isenabled()
+    yield
+    if gc.isenabled() != enabled:
+        (gc.enable if enabled else gc.disable)()
+        pytest.fail(f"test left gc.isenabled() {not enabled}, found {enabled}")
 
 
 @pytest.fixture(scope="session")

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burnkit import lift, solvers
+from burnkit import burning, lift, reduction, solvers
 from burnkit.burning import (
+    _UNBURNED,
     BurningSequence,
     IncompleteScheduleError,
     InvalidSequenceError,
@@ -404,3 +405,30 @@ def test_callers_still_check_the_repair_verdict(monkeypatch):
         solvers.burning_number_exact(c4)
     with pytest.raises(solvers.SolverError, match="^internal: ball-cover sequence failed validation$"):
         solvers._ball_cover_upper_bound(c4)
+
+
+def test_unburned_sentinel_is_one_digit_and_above_every_step():
+    """``_UNBURNED`` fits one 30-bit digit of CPython's int, so the kernel's
+    ``time[w] > t`` stays on the int fast path, and it is above every step
+    the process reaches: a step never exceeds n + 1, and n stays far below
+    it for every graph the package builds."""
+    assert 0 < _UNBURNED < 1 << 30
+    assert _UNBURNED > reduction._MAX_H_VERTICES + 1
+    assert _UNBURNED > lift._MAX_HD_EDGES // 2 + 1  # H_d has 2E/d <= E/2 vertices
+    graphs = [
+        Graph([], vertices=["v"]),
+        path_graph(9),
+        complete_graph(5),
+        Graph([("a", "b"), ("c", "d")], vertices=["e"]),
+    ]
+    for g in graphs:
+        steps = []
+
+        def choose(t, time):
+            steps.append(t)
+            return time.index(_UNBURNED) if _UNBURNED in time else None
+
+        time, _, _ = burning._burn(g, _UNBURNED + 10, choose)
+        assert _UNBURNED not in time
+        assert max(steps) <= g.vertex_count + 1
+        assert max(time) <= g.vertex_count

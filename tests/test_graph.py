@@ -6,6 +6,7 @@ import string
 import sys
 import tracemalloc
 from bisect import bisect_left
+from collections import deque
 from itertools import combinations, repeat
 from unittest import mock
 
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burnkit import graph as graph_module
+from burnkit import lift
 from burnkit.burning import is_burning_sequence
 from burnkit.graph import (
     Graph,
@@ -28,7 +30,7 @@ from burnkit.graph import (
 )
 from burnkit.generators import path_graph, random_cubic
 from burnkit.lift import build_Hd, subgraph_for
-from burnkit.reduction import build_H
+from burnkit.reduction import NotConnectedError, build_H
 
 
 def test_bfs_path_distances():
@@ -632,3 +634,197 @@ def test_label_lookups_match_a_dict_on_h(labels, edge):
     btp:a:b:c: extends btp:a:b: and their blocks interleave."""
     k4 = _relabel(Graph(list(combinations("abcd", 2))), labels)
     assert_lookups_match_a_dict(build_H(k4, edge).h_graph)
+
+
+def _queue_bfs(g, src):
+    """The BFS as it stood before the level-synchronous walk: a FIFO queue."""
+    dist = [-1] * g.vertex_count
+    dist[src] = 0
+    queue = deque((src,))
+    while queue:
+        u = queue.popleft()
+        for w in g.adj[u]:
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def _assert_bfs_matches_a_queue_bfs(g):
+    for src in range(g.vertex_count):
+        assert g.bfs(src) == _queue_bfs(g, src)
+    assert is_connected(g) == (g.vertex_count == 0 or -1 not in _queue_bfs(g, 0))
+
+
+@given(random_graphs())
+@settings(max_examples=200)
+def test_level_bfs_matches_a_queue_bfs(g):
+    """Random graphs on 2..8 vertices, often disconnected or with isolated
+    vertices."""
+    _assert_bfs_matches_a_queue_bfs(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph([]),
+        Graph([], vertices=["a"]),
+        Graph([("a", "b"), ("c", "d")], vertices=["e", "f"]),
+        path_graph(40),
+        random_cubic(80, 1),
+        Graph([*random_cubic(20, 2).edges(), ("x", "y")], vertices=["z"]),
+    ],
+    ids=["empty", "one_vertex", "two_edges_two_isolated", "path", "cubic", "cubic_plus_parts"],
+)
+def test_level_bfs_matches_a_queue_bfs_on_fixed_graphs(g):
+    _assert_bfs_matches_a_queue_bfs(g)
+
+
+def _reference_write_outcome(g):
+    """write_graph's checks as they stood before the joined-label check: the
+    per-label scan over labels with an edge, then the isolated vertices."""
+
+    def ok(label):
+        return label.split() == [label] and not label.startswith("#")
+
+    labels, adj = tuple(g.labels), g.adj
+    if not all(ok(v) for v, nbrs in zip(labels, adj) if nbrs):
+        bad = next(v for edge in g.edges() for v in edge if not ok(v))
+        return GraphFormatError, f"label not representable in edge-list format: {bad!r}"
+    for v, nbrs in zip(labels, adj):
+        if not nbrs:
+            return GraphFormatError, f"isolated vertex {v!r} cannot be represented in edge-list format"
+    return reference_write(g)
+
+
+def _write_outcome(g):
+    try:
+        return write_graph(g)
+    except GraphFormatError as exc:
+        return type(exc), str(exc)
+
+
+_odd_labels = st.text(alphabet="a#\n \t\xa0\u2028", max_size=3)
+
+
+@given(
+    st.lists(st.tuples(_odd_labels, _odd_labels), max_size=12),
+    st.lists(_odd_labels, max_size=3),
+)
+@settings(max_examples=400)
+def test_write_graph_label_check_matches_the_per_label_scan(pairs, vertices):
+    """Labels that are empty, hold whitespace (a newline, a no-break space, a
+    line separator) or hold '#' anywhere: the same text, or the same error
+    naming the same label, as the per-label scan."""
+    edges = list({(u, v) if u < v else (v, u) for u, v in pairs if u != v})
+    g = Graph(edges, vertices=vertices)
+    assert _write_outcome(g) == _reference_write_outcome(g)
+
+
+def test_write_graph_accepts_hash_inside_a_label():
+    g = Graph([("a#", "b#c"), ("b#c", "d")])
+    text = write_graph(g)
+    assert text == "a# b#c\nb#c d\n"
+    assert read_graph(text).vertices == g.vertices
+
+
+@pytest.mark.parametrize("bad", ["#a", "#", "a b", "a\nb", "a\n#b", "\xa0", ""])
+def test_write_graph_refuses_a_bad_label_with_the_same_message(bad):
+    g = Graph([("m", bad), ("m", "n")])
+    with pytest.raises(GraphFormatError) as err:
+        write_graph(g)
+    assert str(err.value) == f"label not representable in edge-list format: {bad!r}"
+    # on an isolated vertex the isolated-vertex error still comes first
+    with pytest.raises(GraphFormatError) as err:
+        write_graph(Graph([("m", "n")], vertices=[bad]))
+    assert str(err.value) == f"isolated vertex {bad!r} cannot be represented in edge-list format"
+
+
+def _collections_started(call):
+    """The generations of the collections that start while ``call`` runs,
+    counted from an empty generation 0, so that what the caller allocated
+    before cannot start one at the call's first allocation."""
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        call()
+    finally:
+        gc.callbacks.remove(count)
+    return started
+
+
+def _builds(cubic):
+    """Every bulk build, by its public entry point, each as a call."""
+    return {
+        "read_graph": lambda: read_graph("a b\nb c\n"),
+        "Graph": lambda: Graph([("a", "b")], vertices=["c"]),
+        "build_H": lambda: build_H(cubic),
+        "build_Hd": lambda: build_Hd(cubic, 5),
+        "subgraph_for": lambda: subgraph_for(build_Hd(cubic, 6), 4),
+    }
+
+
+_FAILING_BUILDS = {
+    "read_graph_self_loop": (lambda: read_graph("a b\nc c\n"), GraphFormatError),
+    "Graph_self_loop": (lambda: Graph([("a", "a")]), GraphFormatError),
+    "Graph_duplicate_edge": (lambda: Graph([("a", "b"), ("b", "a")]), GraphFormatError),
+    "build_H_not_connected": (lambda: build_H(Graph([("a", "b"), ("c", "d")])), NotConnectedError),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector_on", "collector_off"])
+def test_builds_leave_the_collector_as_they_found_it(k4, enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for name, build in _builds(k4).items():
+            build()
+            assert gc.isenabled() is enabled, name
+        for name, (build, error) in _FAILING_BUILDS.items():
+            with pytest.raises(error):
+                build()
+            assert gc.isenabled() is enabled, name
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector_on", "collector_off"])
+def test_nogc_restores_the_collector_when_the_build_raises(enabled):
+    seen = []
+
+    @graph_module._nogc
+    def build(depth):
+        seen.append(gc.isenabled())
+        if depth:
+            build(depth - 1)  # a nested build pauses nothing more
+        raise KeyError(depth)
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(KeyError):
+            build(2)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False, False]
+    assert build.__name__ == "build" and build_H.__name__ == "build_H"
+
+
+def test_builds_start_no_collection(k4, k4_instance):
+    """No collection starts while H or H_5 is built.  build_Hd makes its
+    LiftedGraph after the adjacency, once the collector is back on, so it
+    sees the one generation-0 collection that looks at the build's tuples;
+    the same builds with the collector on start over 100."""
+    h = k4_instance.h_graph
+    assert _collections_started(lambda: build_H(k4)) == []
+    assert _collections_started(lambda: lift._from_blocks(h, 3)) == []
+    assert _collections_started(lambda: build_Hd(h, 5)) in ([], [0])
+    unpaused = _collections_started(lambda: lift._from_blocks.__wrapped__(h, 3))
+    assert unpaused.count(0) > 100
