@@ -40,7 +40,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from functools import wraps
-from itertools import chain, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
@@ -352,13 +352,13 @@ def _label_ok(label: str) -> bool:
     return label.split() == [label] and not label.startswith("#")
 
 
-def _labels_ok(labels: tuple[str, ...]) -> bool:
+def _labels_ok(labels: list[str]) -> bool:
     """Whether :func:`_label_ok` holds for every label, checked at C level:
     split() gives back the labels exactly when none is empty or holds
     whitespace, and a label starts with '#' exactly when the joined text
     does or has '#' after a newline."""
     joined = "\n".join(labels)
-    return not joined.startswith("#") and "\n#" not in joined and joined.split() == list(labels)
+    return not joined.startswith("#") and "\n#" not in joined and joined.split() == labels
 
 
 def _data_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -457,9 +457,9 @@ def write_graph(g: Graph) -> str:
     texts and the result.
     """
     labels, adj = tuple(g.labels), g.adj  # a view's labels made once, not per edge end
-    # when some label fails, scan the labels with an edge one by one: a bad
-    # isolated label is reported below as an isolated vertex
-    if not _labels_ok(labels) and not all(_label_ok(v) for v, nbrs in zip(labels, adj) if nbrs):
+    # only labels with an edge: a bad isolated label is reported below as an
+    # isolated vertex
+    if not _labels_ok(list(compress(labels, adj))):
         # name the label that the canonical edge order reaches first
         bad = next(v for edge in g.edges() for v in edge if not _label_ok(v))
         raise GraphFormatError(f"label not representable in edge-list format: {bad!r}")
