@@ -217,6 +217,11 @@ def _btp_half(label: str, l1: int) -> tuple[str, bool]:
     return head, column == "ap" or (column in ("l", "r") and int(pos) > l1)
 
 
+def _btp_size(h: int, l1: int, l2: int) -> int:
+    """|V(BTP(h, l1, l2))|: two BT(h) trees and 2^h T-gadgets between their leaves."""
+    return 2 * ((2 << h) - 1) + (1 << h) * (4 * l1 + 2 * l2)
+
+
 def make_BTP(h: int, l1: int, l2: int) -> GadgetHandle:
     """Two BT(h) trees whose paired leaves are joined by 2^h T-gadgets."""
     if h < 1 or l1 < 1 or l2 < 2:
@@ -224,9 +229,7 @@ def make_BTP(h: int, l1: int, l2: int) -> GadgetHandle:
     violated = check_btp_inequalities(h, l1, l2)
     if violated:
         raise ParamInequalityError(violated)
-    # two BT(h) trees and 2^h T-gadgets between their leaves
-    vertices = 2 * ((2 << h) - 1) + (1 << h) * (4 * l1 + 2 * l2)
-    check_vertex_count(f"BTP({h}, {l1}, {l2})", vertices)
+    check_vertex_count(f"BTP({h}, {l1}, {l2})", _btp_size(h, l1, l2))
     edges, landmarks = _btp_parts(h, l1, l2, "")
     return GadgetHandle(Graph(edges), landmarks)
 
@@ -293,11 +296,16 @@ def _y_parts(d1: int, d2: int, name: str):
     return edges, landmarks
 
 
+def _y_size(d1: int, d2: int) -> int:
+    """|V(Y(d1, d2))|: P(d1) twice and P(d2), 2d - 2 vertices each, and z."""
+    return 4 * d1 + 2 * d2 - 5
+
+
 def make_Y(d1: int, d2: int) -> GadgetHandle:
     """Three P-gadgets joined at a central vertex: 4*d1 + 2*d2 - 5 vertices."""
     if d1 < 3 or d2 < 3:
         raise InvalidParamsError(f"Y-gadget needs d1, d2 >= 3, got ({d1}, {d2})")
-    check_vertex_count(f"Y({d1}, {d2})", 4 * d1 + 2 * d2 - 5)
+    check_vertex_count(f"Y({d1}, {d2})", _y_size(d1, d2))
     edges, landmarks = _y_parts(d1, d2, "")
     return GadgetHandle(Graph(edges), landmarks)
 
@@ -384,10 +392,15 @@ def _c_parts(m: int, name: str):
     return edges, landmarks
 
 
+def _c_size(m: int) -> int:
+    """|V(C(m))|: 2m^2 - 2m - 1."""
+    return 2 * m * m - 2 * m - 1
+
+
 def _check_C_size(m: int):
-    """Refuse C(m) over the cap from its closed form, 2m^2 - 2m - 1 vertices."""
+    """Refuse C(m) over the cap from its closed form."""
     if m >= 4:  # _c_middles refuses a smaller m
-        check_vertex_count(f"C({m})", 2 * m * m - 2 * m - 1)
+        check_vertex_count(f"C({m})", _c_size(m))
 
 
 def make_C(m: int) -> GadgetHandle:

@@ -3,12 +3,11 @@ projection (copy collapsing) and the one-extra-step lift.
 
 H_d consists of d - 2 copies of the base graph with each vertex's copy set
 joined into a clique; labels are ``copy<j>:<v>``.  One layout of the copies'
-blocks in the sorted label table builds H_d, and ``subgraph_for`` builds a
-standalone H_d' the same way.  H_d holds no label string: its table is a
-view whose entry is a block's ``copy<j>:`` prefix joined to a base label,
-made when it is read, so a lifted graph is the base's labels, one prefix per
-copy and the adjacency.  Projection onto H_d' keeps vertices
-of the first d' - 2 copies and folds the rest onto copy 1; for d' = 3 the
+blocks in the sorted label table builds H_d.  H_d holds no label string: its
+table is a view whose entry is a block's ``copy<j>:`` prefix joined to a base
+label, made when it is read, so a lifted graph is the base's labels, one
+prefix per copy and the adjacency.  Projection onto H_d' keeps vertices of
+the first d' - 2 copies and folds the rest onto copy 1; for d' = 3 the
 result lives on the base graph itself.  Projection builds no H_d': H_d'
 is the subgraph of H_d induced on the kept copies' blocks, so it is burned
 inside H_d, with every other vertex marked burned before the first step.
@@ -57,11 +56,6 @@ class BadDegreeError(LiftError):
 
 class InputNotValidError(LiftError):
     """The supplied sequence does not validate on its graph."""
-
-
-class InternalContradictionError(LiftError):
-    """A projection of a sequence declared optimal has a mid-sequence
-    duplicate, contradicting the duplicates-at-the-end property."""
 
 
 @dataclass(frozen=True)
@@ -208,20 +202,6 @@ def project_vertex(label: str, d_prime: int) -> str:
     return _copy_label(1, v)
 
 
-def subgraph_for(lifted: LiftedGraph, d_prime: int) -> Graph:
-    """H_d' as a standalone graph: the base for d' = 3, ``lifted.graph`` for
-    d' = d, else copies 1..d' - 2 of the base laid out as ``build_Hd`` does,
-    on a label view over the base's labels; it is the subgraph of H_d
-    induced on those copies' blocks, whose relative order is the same."""
-    if d_prime == 3:
-        return lifted.base
-    if not 4 <= d_prime <= lifted.d:
-        raise BadDegreeError(f"d' must be in [3, {lifted.d}], got {d_prime}")
-    if d_prime == lifted.d:
-        return lifted.graph
-    return _from_blocks(lifted.base, d_prime - 2)
-
-
 def lift_sequence(lifted: LiftedGraph, sequence: BurningSequence | Sequence[str]) -> BurningSequence:
     """Play a base sequence of length k inside copy 1 and repair it with a
     horizon of k + 1 steps.
@@ -246,10 +226,7 @@ def lift_sequence(lifted: LiftedGraph, sequence: BurningSequence | Sequence[str]
 
 
 def project_sequence(
-    lifted: LiftedGraph,
-    sequence: BurningSequence | Sequence[str],
-    d_prime: int,
-    assume_optimal: bool = False,
+    lifted: LiftedGraph, sequence: BurningSequence | Sequence[str], d_prime: int
 ) -> BurningSequence:
     """Collapse a valid H_d sequence of length p onto H_d' (3 <= d' < d): the
     projection, duplicates dropped, repaired with a horizon of p steps.  For
@@ -273,11 +250,6 @@ def project_sequence(
       smallest vertex left unburned by step p - 1;
     - otherwise, the greedy repair of every placement that distance shrink
       or a duplicate broke.
-
-    With ``assume_optimal`` a duplicate anywhere but the last two slots
-    raises :class:`InternalContradictionError`, so callers probing the
-    duplicates-at-the-end property see the event loudly (such inputs do
-    exist even among optimal sequences; see the test suite).
     """
     if not 3 <= d_prime < lifted.d:
         raise BadDegreeError(f"d' must be in [3, {lifted.d - 1}], got {d_prime}")
@@ -292,11 +264,6 @@ def project_sequence(
         target, within = lifted.graph, _kept_blocks(lifted, d_prime)
     projected = [project_vertex(v, d_prime) for v in sources]
     deduped = list(dict.fromkeys(projected))
-    if assume_optimal and projected not in (deduped, deduped + deduped[-1:]):
-        pairs = [(projected.index(v), i) for i, v in enumerate(projected) if projected.index(v) < i]
-        raise InternalContradictionError(
-            f"mid-sequence duplicates {pairs} in the projection of a sequence declared optimal"
-        )
     repaired, _ = _repair_sequence(target, deduped, len(projected), within)
     return BurningSequence.of(repaired)
 

@@ -52,8 +52,8 @@ from .burning import (
     _schedule,
     is_burning_sequence,
 )
-from .gadgets import Landmark, _btp_half, _btp_parts, _c_middles, _c_parts, _y_parts
-from .gadgets import check_btp_inequalities
+from .gadgets import Landmark, _btp_half, _btp_parts, _btp_size, _c_middles, _c_parts, _c_size
+from .gadgets import _y_parts, _y_size, check_btp_inequalities
 from .graph import (
     Graph,
     GraphFormatError,
@@ -388,10 +388,8 @@ def build_H(g: Graph, edge: tuple[str, str] | None = None) -> ReductionInstance:
 
 def expected_vertex_count(params: ReductionParams, n_edges_gprime: int) -> int:
     """Closed-form |V(H)|: cores + BTPs + Y + C."""
-    btp = 2 * ((1 << (params.h + 1)) - 1) + (1 << params.h) * (4 * params.l1 + 2 * params.l2)
-    y = 4 * params.d1 + 2 * params.d2 - 5
-    c = 2 * params.m * params.m - 2 * params.m - 1
-    return params.n_prime + n_edges_gprime * btp + y + c
+    btp = _btp_size(params.h, params.l1, params.l2)
+    return params.n_prime + n_edges_gprime * btp + _y_size(params.d1, params.d2) + _c_size(params.m)
 
 
 def witness_sources(

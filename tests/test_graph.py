@@ -29,7 +29,7 @@ from burnkit.graph import (
     write_graph,
 )
 from burnkit.generators import path_graph, random_cubic
-from burnkit.lift import build_Hd, subgraph_for
+from burnkit.lift import build_Hd
 from burnkit.reduction import NotConnectedError, build_H
 
 
@@ -61,6 +61,12 @@ def test_predicates(k4):
     assert is_regular(k4, 3)
     p3 = path_graph(3)
     assert not any(is_regular(p3, d) for d in range(5))
+    # the empty graph is d-regular for every d; K5 minus an edge, of degrees
+    # {3, 4}, is regular for none
+    assert all(is_regular(Graph([]), d) for d in range(5))
+    k5_less = Graph(list(combinations(range(5), 2))[1:])
+    assert degree_histogram(k5_less) == {3: 2, 4: 3}
+    assert not any(is_regular(k5_less, d) for d in range(6))
     assert is_connected(k4)
     assert not is_connected(Graph([("a", "b"), ("c", "d")]))
     assert degree_histogram(k4) == {3: 4}
@@ -581,13 +587,11 @@ def _relabel(g, names):
 @st.composite
 def built_graphs(draw):
     """A graph built by the constructor (isolated vertices included, and
-    also on int labels), by ``read_graph``, by ``build_Hd`` at d in
-    {4, 5, 12, 13} (``copy10:`` sorts first at d >= 12) or by
-    ``subgraph_for``; string labels come from a small alphabet, so that one
-    label is often a prefix of another."""
-    how = draw(
-        st.sampled_from(["constructor", "int_labels", "read_graph", "build_Hd", "subgraph_for"])
-    )
+    also on int labels), by ``read_graph``, or by ``build_Hd`` at d in
+    {4, 5, 12, 13} (``copy10:`` sorts first at d >= 12) or at a d' drawn
+    below one of those; string labels come from a small alphabet, so that
+    one label is often a prefix of another."""
+    how = draw(st.sampled_from(["constructor", "int_labels", "read_graph", "build_Hd", "smaller_d"]))
     if how == "int_labels":
         ints = st.integers(0, 9)
         pairs = draw(st.lists(st.tuples(ints, ints), max_size=20))
@@ -603,10 +607,10 @@ def built_graphs(draw):
     label = st.text(alphabet="ab:1", min_size=1, max_size=3)
     names = draw(st.lists(label, min_size=n, max_size=n, unique=True))
     base = _relabel(random_cubic(n, draw(st.integers(1, 5))), names)
-    lifted = build_Hd(base, draw(st.sampled_from([4, 5, 12, 13])))
-    if how == "build_Hd":
-        return lifted.graph
-    return subgraph_for(lifted, draw(st.integers(4, lifted.d)))
+    d = draw(st.sampled_from([4, 5, 12, 13]))
+    if how == "smaller_d":
+        d = draw(st.integers(4, d))
+    return build_Hd(base, d).graph
 
 
 @given(built_graphs())
@@ -766,7 +770,6 @@ def _builds(cubic):
         "Graph": lambda: Graph([("a", "b")], vertices=["c"]),
         "build_H": lambda: build_H(cubic),
         "build_Hd": lambda: build_Hd(cubic, 5),
-        "subgraph_for": lambda: subgraph_for(build_Hd(cubic, 6), 4),
     }
 
 

@@ -6,7 +6,6 @@ import itertools
 import random
 import sys
 import tracemalloc
-from bisect import bisect_left
 
 import pytest
 
@@ -26,7 +25,6 @@ from burnkit.graph import Graph, bfs_distances, is_connected, is_regular, write_
 from burnkit.lift import (
     BadDegreeError,
     InputNotValidError,
-    InternalContradictionError,
     LiftedGraph,
     LiftError,
     LiftTooLargeError,
@@ -35,7 +33,6 @@ from burnkit.lift import (
     project_sequence,
     project_vertex,
     split_label,
-    subgraph_for,
 )
 from burnkit.reduction import build_H, vc_to_witness
 from burnkit.solvers import burning_number_exact, burning_number_naive, vertex_cover_exact
@@ -70,6 +67,12 @@ def reference_hd(base, d):
     return Graph(edges)
 
 
+def standalone(lifted, d_prime):
+    """H_d' built on its own, as a reference for projection onto it: the
+    base for d' = 3, else ``build_Hd(lifted.base, d')``'s graph."""
+    return lifted.base if d_prime == 3 else build_Hd(lifted.base, d_prime).graph
+
+
 @pytest.mark.parametrize("d", [4, 5, 12])
 def test_build_hd_matches_reference(k4, k33, prism, d):
     # at d = 12, copy10: sorts before copy1:, so index order is not (copy, base index)
@@ -86,27 +89,27 @@ def test_build_hd_matches_reference(k4, k33, prism, d):
 
 @pytest.mark.parametrize("d", [4, 5, 12, 13])
 def test_label_view_reads_as_the_reference_tuple(k4, prism, d):
-    """The label table of H_d, and of H_d read out of H_13, behaves as the
-    reference's label tuple wherever callers read it: length, every index
-    both ways, IndexError one past either end (no division by an empty
-    base's n), slices as tuples, iteration, ``==`` both ways, no hash."""
+    """The label table of H_d behaves as the reference's label tuple wherever
+    callers read it: length, every index both ways, IndexError one past
+    either end (no division by an empty base's n), slices as tuples,
+    iteration, ``==`` both ways, no hash."""
     for base in (k4, prism, random_cubic(16, 3), Graph([])):
         ref = reference_hd(base, d).labels
-        for labels in (build_Hd(base, d).graph.labels, subgraph_for(build_Hd(base, 13), d).labels):
-            n = len(ref)
-            assert len(labels) == n
-            assert [labels[i] for i in range(-n, n)] == list(ref + ref)
-            for i in (n, -n - 1):
-                with pytest.raises(IndexError):
-                    labels[i]
-            cuts = (slice(None), slice(1, None), slice(-3), slice(3, n // 2, 2), slice(None, None, -5))
-            for cut in cuts:
-                assert labels[cut] == ref[cut] and type(labels[cut]) is tuple
-            assert list(labels) == [labels[i] for i in range(n)]
-            assert labels == ref and ref == labels
-            assert (labels != ref[:-1]) == (ref[1:] != labels) == (n > 0)
-            with pytest.raises(TypeError):
-                hash(labels)
+        labels = build_Hd(base, d).graph.labels
+        n = len(ref)
+        assert len(labels) == n
+        assert [labels[i] for i in range(-n, n)] == list(ref + ref)
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                labels[i]
+        cuts = (slice(None), slice(1, None), slice(-3), slice(3, n // 2, 2), slice(None, None, -5))
+        for cut in cuts:
+            assert labels[cut] == ref[cut] and type(labels[cut]) is tuple
+        assert list(labels) == [labels[i] for i in range(n)]
+        assert labels == ref and ref == labels
+        assert (labels != ref[:-1]) == (ref[1:] != labels) == (n > 0)
+        with pytest.raises(TypeError):
+            hash(labels)
 
 
 def test_whole_graph_walks_read_the_label_view_once(monkeypatch):
@@ -131,27 +134,6 @@ def test_whole_graph_walks_read_the_label_view_once(monkeypatch):
     ref = reference_hd(base, 5)
     assert text == write_graph(ref)
     assert edges == list(ref.edges())
-
-
-@pytest.mark.parametrize("d", [5, 6, 11, 12, 13, 22])
-def test_subgraph_for_matches_build_hd(k4, prism, d):
-    """H_d' read out of H_d is build_Hd's H_d' for every d' <= d, each of its
-    labels found in H_d's table by bisection, holding one int per vertex; at
-    d >= 12, copy10: sorts before copy1: in H_d.  The empty base has empty
-    blocks."""
-    for base in (k4, prism, random_cubic(16, 3), Graph([])):
-        lifted = build_Hd(base, d)
-        own = lifted.graph
-        for dp in range(4, d + 1):
-            sub = subgraph_for(lifted, dp)
-            ref = build_Hd(base, dp).graph
-            assert sub.labels == ref.labels
-            assert sub.adj == ref.adj
-            assert sub.edge_count == ref.edge_count
-            assert all(v == own.labels[bisect_left(own.labels, v)] for v in sub.labels)
-            seen: dict[int, int] = {}
-            assert all(seen.setdefault(w, w) is w for nbrs in sub.adj for w in nbrs)
-        assert subgraph_for(lifted, d) is own
 
 
 def test_projection_does_not_build_hd(k4, monkeypatch):
@@ -180,20 +162,6 @@ def _retained(call, *args):
         tracemalloc.stop()
     del result
     return retained
-
-
-@pytest.mark.parametrize("d", [5, 6, 11, 12, 13, 22])
-def test_subgraph_for_memory_is_below_a_fresh_build(d):
-    """H_d' read out of H_d holds no label strings, as H_d' built afresh
-    holds none, so it retains no more than the fresh build, up to less than
-    half the strings' size: a relapse to making the labels as strings, by
-    formatting or by slicing H_d's table, adds all of it."""
-    base = random_cubic(1000, 1)
-    lifted = build_Hd(base, d)
-    for dp in sorted({4, d - 1}):
-        fresh = _retained(lambda: build_Hd(base, dp).graph)
-        label_bytes = sum(map(sys.getsizeof, subgraph_for(lifted, dp).labels))
-        assert _retained(subgraph_for, lifted, dp) < fresh + label_bytes // 2
 
 
 def test_lifted_graph_retains_only_labels_and_adjacency():
@@ -302,9 +270,9 @@ def test_projection_never_increases_distance(k4):
     lifted = build_Hd(k4, 6)
     g = lifted.graph
     verts = list(g.vertices)
+    sub = standalone(lifted, 4)
     for u in verts[::3]:
         dm = bfs_distances(g, u)
-        sub = subgraph_for(lifted, 4)
         pu = project_vertex(u, 4)
         dmp = bfs_distances(sub, pu)
         for v in verts[::4]:
@@ -378,26 +346,22 @@ def test_project_optimal_sequences(k4, k33, prism):
             result = burning_number_exact(lifted.graph)
             for dp in range(3, d):
                 projected = project_sequence(lifted, result.witness, dp)
-                target = subgraph_for(lifted, dp)
-                assert is_burning_sequence(target, projected)
+                assert is_burning_sequence(standalone(lifted, dp), projected)
                 assert len(projected) <= result.value
 
 
 def test_mid_sequence_duplicate_is_a_real_phenomenon(k4):
     """An optimal H_5(K4) sequence whose H_4 projection duplicates a vertex in
-    slots 1-2 (of 3): the duplicates-at-the-end property does not hold for it.
-    The strict mode surfaces this loudly; the default mode repairs it."""
+    slots 1-2 (of 3): the duplicates-at-the-end property does not hold for it,
+    and the projection repairs it into a sequence that burns H_4."""
     lifted = build_Hd(k4, 5)
     seq = ["copy1:v1", "copy3:v1", "copy2:v2"]
     assert is_burning_sequence(lifted.graph, seq)
     assert burning_number_exact(lifted.graph).value == len(seq)  # seq is optimal
     projected_raw = [project_vertex(v, 4) for v in seq]
     assert projected_raw[0] == projected_raw[1]  # duplicate, not in last two slots
-    with pytest.raises(InternalContradictionError):
-        project_sequence(lifted, seq, 4, assume_optimal=True)
     repaired = project_sequence(lifted, seq, 4)
-    h4 = subgraph_for(lifted, 4)
-    assert is_burning_sequence(h4, repaired)
+    assert is_burning_sequence(standalone(lifted, 4), repaired)
     assert len(repaired) <= len(seq)
 
 
@@ -437,7 +401,7 @@ def test_project_random_cubic_bases():
             assert b <= result.value <= b + 1
             for dp in range(3, d):
                 projected = project_sequence(lifted, result.witness, dp)
-                assert is_burning_sequence(subgraph_for(lifted, dp), projected)
+                assert is_burning_sequence(standalone(lifted, dp), projected)
                 assert len(projected) <= result.value
 
 
@@ -466,13 +430,13 @@ def reference_lift_sequence(lifted, sequence):
     return result
 
 
-def reference_project_sequence(lifted, sequence, d_prime, assume_optimal=False):
+def reference_project_sequence(lifted, sequence, d_prime):
     if not 3 <= d_prime < lifted.d:
         raise BadDegreeError(f"d' must be in [3, {lifted.d - 1}], got {d_prime}")
     sources = list(sequence)
     if not is_burning_sequence(lifted.graph, sources):
         raise InputNotValidError("sequence does not burn the lifted graph")
-    target = subgraph_for(lifted, d_prime)
+    target = standalone(lifted, d_prime)
     projected = [project_vertex(v, d_prime) for v in sources]
     p = len(projected)
 
@@ -491,11 +455,6 @@ def reference_project_sequence(lifted, sequence, d_prime, assume_optimal=False):
     at_end_only = duplicate_positions == [(p - 2, p - 1)]
 
     if not at_end_only:
-        if assume_optimal:
-            raise InternalContradictionError(
-                f"mid-sequence duplicates {duplicate_positions} in the projection "
-                "of a sequence declared optimal"
-            )
         deduped = list(dict.fromkeys(projected))
         if is_burning_sequence(target, deduped):
             return BurningSequence.of(deduped)
@@ -548,8 +507,7 @@ def _random_sequences(g, r, count, lengths):
 def test_lift_and_project_match_the_reference(k4, k33, prism):
     """Over lifts of base witnesses, exact witnesses of H_d and random valid
     H_d sequences, both functions give the reference's sequence, or raise its
-    type with its message, with ``assume_optimal`` off and on; every
-    projection shape occurs."""
+    type with its message; every projection shape occurs."""
     r = random.Random(8)
     bases = [k4, k33, prism] + [random_cubic(n, seed) for n in (8, 10, 12, 14, 16) for seed in (1, 2)]
     shapes = {"none": 0, "trailing": 0, "mid": 0}
@@ -575,10 +533,9 @@ def test_lift_and_project_match_the_reference(k4, k33, prism):
                 for dp in range(3, d):
                     if is_burning_sequence(lifted.graph, seq):
                         shapes[_shape([project_vertex(v, dp) for v in seq])] += 1
-                    for strict in (False, True):
-                        args = (lifted, seq, dp, strict)
-                        expected = _outcome(reference_project_sequence, *args)
-                        assert _outcome(project_sequence, *args) == expected
+                    args = (lifted, seq, dp)
+                    expected = _outcome(reference_project_sequence, *args)
+                    assert _outcome(project_sequence, *args) == expected
     assert min(shapes.values()) >= 50, shapes
 
 
@@ -628,7 +585,7 @@ def test_one_kernel_run_per_lifted_sequence(k4_instance, monkeypatch):
 def test_projection_builds_no_graph(k4_instance, monkeypatch):
     """Projecting onto H_4 and onto the base builds no graph: H_4 is burned
     inside H_5, and the base is the lifted graph's own.  The counters do see
-    a build, as ``subgraph_for`` and ``Graph`` at the end show."""
+    a build, as ``build_Hd`` and ``Graph`` at the end show."""
     lifted = build_Hd(k4_instance.h_graph, 5)
     seq = lift_sequence(lifted, _reduction_witness(k4_instance))
     built = []
@@ -646,7 +603,7 @@ def test_projection_builds_no_graph(k4_instance, monkeypatch):
     monkeypatch.setattr(lift, "_from_blocks", counted_from_blocks)
     projected = {dp: project_sequence(lifted, seq, dp) for dp in (4, 3)}
     assert built == []
-    subgraph_for(lifted, 4)
+    build_Hd(k4_instance.h_graph, 4)
     Graph([("a", "b")])
     assert built == ["_from_blocks", "Graph"]
     monkeypatch.undo()
@@ -658,8 +615,8 @@ def test_projection_builds_no_graph(k4_instance, monkeypatch):
 def test_projection_matches_the_reference_when_blocks_are_not_a_prefix(k4, prism, d):
     """At d >= 12, copy10: sorts before copy1:, so the kept blocks of H_d'
     are not a prefix of H_d's label table: the projection burned inside H_d
-    still gives the reference's sequence or error, which builds H_d' with
-    ``subgraph_for``, onto every d' < d, with ``assume_optimal`` off and on."""
+    still gives the reference's sequence or error, which burns a standalone
+    H_d' built by ``build_Hd``, onto every d' < d."""
     r = random.Random(d)
     repaired = 0
     for base in (k4, prism, random_cubic(10, 1)):
@@ -669,12 +626,11 @@ def test_projection_matches_the_reference_when_blocks_are_not_a_prefix(k4, prism
         seqs += _random_sequences(lifted.graph, r, 12, (b.value, b.value + 1, b.value + 2))
         for seq in seqs:
             for dp in range(3, d):
-                for strict in (False, True):
-                    args = (lifted, seq, dp, strict)
-                    expected = _outcome(reference_project_sequence, *args)
-                    assert _outcome(project_sequence, *args) == expected
-                    raw = [project_vertex(v, dp) for v in seq]
-                    repaired += not isinstance(expected, tuple) and list(expected) != raw
+                args = (lifted, seq, dp)
+                expected = _outcome(reference_project_sequence, *args)
+                assert _outcome(project_sequence, *args) == expected
+                raw = [project_vertex(v, dp) for v in seq]
+                repaired += not isinstance(expected, tuple) and list(expected) != raw
     assert repaired >= 20, repaired
 
 
@@ -688,10 +644,9 @@ def test_projections_of_a_remembered_sequence_match(k4, k33, prism):
             lifted = build_Hd(base, d)
             seq = lift_sequence(lifted, witness)
             for dp in range(3, d):
-                for strict in (False, True):
-                    got = _outcome(project_sequence, lifted, seq, dp, strict)
-                    assert got == _outcome(reference_project_sequence, lifted, seq, dp, strict)
-                    assert got == _outcome(project_sequence, build_Hd(base, d), seq, dp, strict)
+                got = _outcome(project_sequence, lifted, seq, dp)
+                assert got == _outcome(reference_project_sequence, lifted, seq, dp)
+                assert got == _outcome(project_sequence, build_Hd(base, d), seq, dp)
             assert lifted._burns == seq.sources
 
 

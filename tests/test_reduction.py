@@ -14,7 +14,7 @@ from burnkit.burning import (
     simulate,
     uniquely_burned_set,
 )
-from burnkit.gadgets import _btp_parts, _c_parts, _y_parts, make_BTP
+from burnkit.gadgets import _btp_parts, _c_parts, _y_parts, make_BTP, make_C, make_Y
 from burnkit.generators import complete_bipartite, complete_graph, prism_graph, random_cubic
 from burnkit.graph import (
     Graph,
@@ -131,6 +131,17 @@ def test_build_h_cap_is_on_the_closed_form_vertex_count(k4, monkeypatch):
     assert str(small.value) == "H has 80294 vertices, over the reduction's cap of 80293"
     assert str(large.value) == "H has 58166512 vertices, over the reduction's cap of 2000000"
     assert issubclass(ReductionTooLargeError, ReductionError)
+
+
+@pytest.mark.parametrize("n_prime", [6, 8, 10])
+def test_expected_vertex_count_sums_the_built_gadgets(n_prime):
+    """|V(H)| by its closed form is n' + e·|BTP| + |Y| + |C|, with each
+    gadget's size counted on the gadget built from ``choose_params(n')``."""
+    p = choose_params(n_prime)
+    btp = make_BTP(p.h, p.l1, p.l2).graph.vertex_count
+    y_and_c = make_Y(p.d1, p.d2).graph.vertex_count + make_C(p.m).graph.vertex_count
+    for e in (0, 1, 3 * n_prime // 2 - 1):
+        assert expected_vertex_count(p, e) == n_prime + e * btp + y_and_c
 
 
 def test_build_h_count_and_regularity(k4_instance):
