@@ -6,7 +6,10 @@ is ignited, provided ``b_t`` was still unburned at the end of step ``t-1``.
 A source reached by older fire exactly at its own step is a valid placement;
 strictly earlier is not.
 
-One step-wise frontier kernel runs that process.  ``frontier_burn_times``,
+One step-wise frontier kernel runs that process on the graph's adjacency
+columns: each step gathers the frontier's entries of a column at C level,
+and the vertices that burn at one step are listed in index order, so burn
+order is by step, then by label.  ``frontier_burn_times``,
 ``is_burning_sequence``, ``simulate`` (which adds the responsible-source sets
 in one pass over the burn-order DAG) and the sequence repair used by the
 solvers and the lift all drive it.  ``simulate`` keys its schedule by label;
@@ -25,9 +28,11 @@ distances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, groupby, repeat
+from operator import eq
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .graph import Graph, UnknownVertexError, _data_lines, _label_ok
+from .graph import Graph, UnknownVertexError, _data_lines, _gather, _label_ok, _spread
 
 # The burn step of a vertex never reached.  Any value above every step
 # works, and a step never exceeds n + 1.  It is kept below 2**30 so that it
@@ -131,23 +136,32 @@ def _burn(
     vertex ignited at ``t``; ``None`` ends the process early, and so does a
     vertex that burned before ``t``, which is then not placed.  Returns
     ``time`` (vertex -> burn step, ``_UNBURNED`` if never reached), the burned
-    vertices in burn order, and the ignited vertex of each step.  A given
-    ``time`` is the starting state, updated in place: a vertex marked 0 there
-    never enters a frontier, so the fire spreads only through the others.
+    vertices in burn order, and the ignited vertex of each step.  ``time``
+    has one entry more than ``g`` has vertices: the padding sentinel's, 0.
+    A given ``time`` of that length is the starting state, updated in place:
+    a vertex marked 0 there never enters a frontier, so the fire spreads only
+    through the others.
+
+    Each step gathers the frontier's entries of a column at C level
+    (``graph._spread``); only the ``time[w] > t`` test runs per edge end.
+    The vertices that burn at one step are in index order in the burn order,
+    which also walks the columns in order at the next step.
     """
-    adj = g.adj
+    cols, over = g.cols, g.over
     if time is None:
-        time = [_UNBURNED] * len(adj)
+        time = [_UNBURNED] * g.vertex_count
+        time.append(0)
     order: list[int] = []
     placed: list[int] = []
     frontier: list[int] = []
     for t in range(1, steps + 1):
         new = []
-        for u in frontier:
-            for w in adj[u]:
-                if time[w] > t:
-                    time[w] = t
-                    new.append(w)
+        if frontier:
+            for ws in _spread(cols, over, frontier):
+                for w in ws:
+                    if time[w] > t:
+                        time[w] = t
+                        new.append(w)
         b = choose(t, time)
         if b is None or time[b] < t:
             break
@@ -155,6 +169,7 @@ def _burn(
             time[b] = t
             new.append(b)
         placed.append(b)
+        new.sort()
         order += new
         frontier = new
     return time, order, placed
@@ -174,22 +189,32 @@ def _responsible(
     A source's fire reaches ``v`` at its burn time exactly when it reaches a
     neighbour burned one step earlier, so ``v`` inherits those neighbours'
     sets, plus itself when it is ignited in place.  Every placed vertex
-    burned at its own step, which the process checked.
+    burned at its own step, which the process checked.  The pass goes one
+    step at a time and one column at a time: the step's entries of a column
+    and their burn times are gathered at C level, and only the neighbours
+    burned one step earlier reach Python.  At step 1 only the first source
+    burns, and it has no such neighbour.
     """
-    adj, labels = g.adj, g.labels
-    own = {b: frozenset((labels[b],)) for b in placed}
-    resp: list[frozenset[str] | None] = [None] * len(adj)
-    for v in order:
-        prev = time[v] - 1
-        r = own.get(v)
-        for u in adj[v]:
-            if time[u] == prev:
-                s = resp[u]
+    labels, cols, over = g.labels, g.cols, g.over
+    resp: list[frozenset[str] | None] = [None] * g.vertex_count
+    for b in placed:
+        resp[b] = frozenset((labels[b],))
+    for t, step in groupby(order, time.__getitem__):
+        if t == 1:
+            continue
+        step = list(step)
+        # (vertices, their neighbours) per column, then per overflow row
+        groups = [(step, us) for us in map(_gather(step), cols)]
+        if over:
+            groups += [(repeat(v), over[v]) for v in step if v in over]
+        for vs, us in groups:
+            earlier = map(eq, map(time.__getitem__, us), repeat(t - 1))
+            for v, u in compress(zip(vs, us), earlier):
+                r, s = resp[v], resp[u]
                 if r is None:
-                    r = s
+                    resp[v] = s
                 elif s is not r:
-                    r = r | s
-        resp[v] = r
+                    resp[v] = r | s
     return resp
 
 
@@ -213,8 +238,9 @@ def frontier_burn_times(
     g: Graph, sequence: BurningSequence | Sequence[str]
 ) -> dict[str, int]:
     """Map vertex -> burn step for all vertices burned within ``len(sequence)``
-    steps, in burn order.  Raises :class:`InvalidSequenceError` exactly when a
-    source is burned strictly before its own step.
+    steps, in burn order: by step, then by label.  Raises
+    :class:`InvalidSequenceError` exactly when a source is burned strictly
+    before its own step.
     """
     time, order, _ = _valid_burn(g, sequence)
     labels = tuple(g.labels)  # a view's labels made once, not per vertex
@@ -225,7 +251,8 @@ def _schedule(
     g: Graph, sequence: BurningSequence | Sequence[str]
 ) -> tuple[int, list[int], list[frozenset[str] | None]]:
     """The schedule of :func:`simulate` by vertex index: the step count ``k``,
-    each vertex's burn step (``_UNBURNED`` if never reached) and each burned
+    each vertex's burn step (``_UNBURNED`` if never reached; one entry more,
+    the padding sentinel's 0, as :func:`_burn` gives it) and each burned
     vertex's responsible sources."""
     time, order, placed = _valid_burn(g, sequence)
     return len(placed), time, _responsible(g, time, order, placed)
@@ -291,7 +318,7 @@ def _repair_sequence(
     want = [None if v is None else g._at(v) for v in intended]
     time = None
     if within is not None:
-        time = [0] * g.vertex_count
+        time = [0] * (g.vertex_count + 1)  # the padding sentinel's 0 included
         for start, stop in within:
             time[start:stop] = [_UNBURNED] * (stop - start)
 

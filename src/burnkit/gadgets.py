@@ -7,7 +7,9 @@ the reduction address vertices only through them.
 
 Each ``_*_parts`` builder formats every vertex label exactly once, into a
 label table: one list per column, arm row, tree level or spine.  Its edges
-and landmarks index that table, and a set landmark (a half, the leaves, the
+are one flat list of labels, two ends per edge (no tuple per edge, so a
+build gives the cyclic collector nothing to count); its landmarks index
+that table, and a set landmark (a half, the leaves, the
 majors, a trunk) is a slice or a concatenation of it, so the strings are
 shared rather than formatted again.  One builder serves both the ``make_*``
 constructor and ``reduction.build_H``.  Every ``make_*`` constructor with
@@ -27,9 +29,10 @@ are asserted in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .burning import BurningSequence
-from .graph import Graph
+from .graph import Graph, _edge_ends
 
 Landmark = str | tuple[str, ...]
 
@@ -68,6 +71,11 @@ def check_vertex_count(name: str, vertices: int):
         )
 
 
+def _pairs(us: list[str], vs: list[str]) -> list[str]:
+    """The ends of the edges ``(us[i], vs[i])``, flat."""
+    return list(chain.from_iterable(zip(us, vs)))
+
+
 @dataclass(frozen=True)
 class GadgetHandle:
     graph: Graph
@@ -82,25 +90,23 @@ class GadgetHandle:
 
 
 def _t_parts(l1: int, l2: int, name: str, p_hook: str, q_hook: str):
-    """Edges and landmarks of one T-gadget wired between two hook vertices."""
+    """Edge ends and landmarks of one T-gadget wired between two hook vertices."""
     top = 2 * l1
     # level i of a column and position i of an arm row are entry i - 1
     left, right = ([f"{name}{column}:{i}" for i in range(1, top + 1)] for column in "lr")
     aq, ap = ([f"{name}{row}:{i}" for i in range(1, l2 + 1)] for row in ("aq", "ap"))
-    edges = [(q_hook, left[0]), (q_hook, right[0]), (p_hook, left[-1]), (p_hook, right[-1])]
+    ends = [q_hook, left[0], q_hook, right[0], p_hook, left[-1], p_hook, right[-1]]
     for i in range(top - 1):
-        edges.append((left[i], left[i + 1]))
+        ends += (left[i], left[i + 1])
         if i != l1 - 1:  # right column is severed at the floating-arm junction
-            edges.append((right[i], right[i + 1]))
-    edges += zip(left, right)
-    edges.append((right[l1 - 1], aq[0]))
-    edges.append((right[l1], ap[0]))
+            ends += (right[i], right[i + 1])
+    ends += _pairs(left, right)
+    ends += (right[l1 - 1], aq[0], right[l1], ap[0])
     for row in (aq, ap):
-        edges += zip(row, row[1:])
-    edges.append((aq[-2], ap[-1]))
-    edges.append((ap[-2], aq[-1]))
-    edges += zip(aq[:-2], ap[:-2])
-    edges.append((aq[-1], ap[-1]))
+        ends += _pairs(row, row[1:])
+    ends += (aq[-2], ap[-1], ap[-2], aq[-1])
+    ends += _pairs(aq[:-2], ap[:-2])
+    ends += (aq[-1], ap[-1])
 
     landmarks: dict[str, Landmark] = {
         "f1_qp": left[0],
@@ -118,7 +124,7 @@ def _t_parts(l1: int, l2: int, name: str, p_hook: str, q_hook: str):
         "half_pq": tuple(left[l1:] + right[l1:] + ap),
         "half_qp": tuple(left[:l1] + right[:l1] + aq),
     }
-    return edges, landmarks
+    return ends, landmarks
 
 
 def make_T(l1: int, l2: int) -> GadgetHandle:
@@ -126,13 +132,13 @@ def make_T(l1: int, l2: int) -> GadgetHandle:
     if l1 < 1 or l2 < 2:
         raise InvalidParamsError(f"T-gadget needs l1 >= 1 and l2 >= 2, got ({l1}, {l2})")
     check_vertex_count(f"T({l1}, {l2})", 4 * l1 + 2 * l2 + 2)
-    edges, landmarks = _t_parts(l1, l2, "", "p", "q")
+    ends, landmarks = _t_parts(l1, l2, "", "p", "q")
     landmarks["p"] = "p"
     landmarks["q"] = "q"
     landmarks["ends"] = tuple(
         landmarks[name] for name in ("f1_pq", "f2_pq", "f1_qp", "f2_qp")
     )
-    return GadgetHandle(Graph(edges), landmarks)
+    return GadgetHandle(Graph(_edge_ends(ends)), landmarks)
 
 
 # ---------------------------------------------------------------------------
@@ -140,14 +146,13 @@ def make_T(l1: int, l2: int) -> GadgetHandle:
 
 
 def _bt_parts(h: int, name: str):
-    """Edges and the level table of a BT(h): ``levels[k][i]`` is vertex i of level k."""
+    """Edge ends and the level table of a BT(h): ``levels[k][i]`` is vertex i of level k."""
     levels = [[f"{name}{level}:{i}" for i in range(1 << level)] for level in range(h + 1)]
-    edges = []
+    ends = []
     for parents, children in zip(levels, levels[1:]):
         for parent, left, right in zip(parents, children[::2], children[1::2]):
-            edges.append((parent, left))
-            edges.append((parent, right))
-    return edges, levels
+            ends += (parent, left, parent, right)
+    return ends, levels
 
 
 def make_BT(h: int) -> GadgetHandle:
@@ -155,10 +160,10 @@ def make_BT(h: int) -> GadgetHandle:
     if h < 1:
         raise InvalidParamsError(f"BT-gadget needs h >= 1, got {h}")
     check_vertex_count(f"BT({h})", (2 << h) - 1)
-    edges, levels = _bt_parts(h, "bt:")
+    ends, levels = _bt_parts(h, "bt:")
     root, leaves = levels[0][0], tuple(levels[-1])
     return GadgetHandle(
-        Graph(edges),
+        Graph(_edge_ends(ends)),
         {"root": root, "leaves": leaves, "ends": (root,) + leaves},
     )
 
@@ -177,16 +182,16 @@ def check_btp_inequalities(h: int, l1: int, l2: int) -> list[str]:
 
 
 def _btp_parts(h: int, l1: int, l2: int, name: str):
-    """Edges plus landmark map for a BTP; side 'ab' is the first endpoint's."""
-    edges_ab, levels_ab = _bt_parts(h, f"{name}bt:ab:")
-    edges_ba, levels_ba = _bt_parts(h, f"{name}bt:ba:")
-    edges = edges_ab + edges_ba
+    """Edge ends plus landmark map for a BTP; side 'ab' is the first endpoint's."""
+    ends_ab, levels_ab = _bt_parts(h, f"{name}bt:ab:")
+    ends_ba, levels_ba = _bt_parts(h, f"{name}bt:ba:")
+    ends = ends_ab + ends_ba
     tips_ab, tips_ba = [], []
     half_ab = [v for level in levels_ab for v in level]
     half_ba = [v for level in levels_ba for v in level]
     for i, (pa, pb) in enumerate(zip(levels_ab[-1], levels_ba[-1])):
-        t_edges, t_marks = _t_parts(l1, l2, f"{name}t:{i}:", pa, pb)
-        edges += t_edges
+        t_ends, t_marks = _t_parts(l1, l2, f"{name}t:{i}:", pa, pb)
+        ends += t_ends
         tips_ab.append(t_marks["tip_pq"])
         tips_ba.append(t_marks["tip_qp"])
         half_ab += t_marks["half_pq"]
@@ -203,7 +208,7 @@ def _btp_parts(h: int, l1: int, l2: int, name: str):
         "b_half": tuple(half_ba),
         "ends": (r_ab, r_ba),
     }
-    return edges, landmarks
+    return ends, landmarks
 
 
 def _btp_half(label: str, l1: int) -> tuple[str, bool]:
@@ -230,8 +235,8 @@ def make_BTP(h: int, l1: int, l2: int) -> GadgetHandle:
     if violated:
         raise ParamInequalityError(violated)
     check_vertex_count(f"BTP({h}, {l1}, {l2})", _btp_size(h, l1, l2))
-    edges, landmarks = _btp_parts(h, l1, l2, "")
-    return GadgetHandle(Graph(edges), landmarks)
+    ends, landmarks = _btp_parts(h, l1, l2, "")
+    return GadgetHandle(Graph(_edge_ends(ends)), landmarks)
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +247,10 @@ def _p_parts(d: int, name: str):
     # majors[i - 1] is a_i (1 <= i <= d), minors[i - 2] is b_i (2 <= i < d)
     majors = [f"{name}a{i}" for i in range(1, d + 1)]
     minors = [f"{name}b{i}" for i in range(2, d)]
-    edges = list(zip(majors, majors[1:]))
-    edges += zip(minors, minors[1:])
-    edges += zip(majors[1:-1], minors)
-    edges.append((majors[0], minors[0]))
-    edges.append((majors[-1], minors[-1]))
+    ends = _pairs(majors, majors[1:])
+    ends += _pairs(minors, minors[1:])
+    ends += _pairs(majors[1:-1], minors)
+    ends += (majors[0], minors[0], majors[-1], minors[-1])
     landmarks: dict[str, Landmark] = {
         "a1": majors[0],
         "ad": majors[-1],
@@ -255,7 +259,7 @@ def _p_parts(d: int, name: str):
         "minors": tuple(minors),
         "ends": (majors[0], majors[-1]),
     }
-    return edges, landmarks
+    return ends, landmarks
 
 
 def make_P(d: int) -> GadgetHandle:
@@ -263,8 +267,8 @@ def make_P(d: int) -> GadgetHandle:
     if d < 3:
         raise InvalidParamsError(f"P-gadget needs d >= 3, got {d}")
     check_vertex_count(f"P({d})", 2 * d - 2)
-    edges, landmarks = _p_parts(d, "")
-    return GadgetHandle(Graph(edges), landmarks)
+    ends, landmarks = _p_parts(d, "")
+    return GadgetHandle(Graph(_edge_ends(ends)), landmarks)
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +277,11 @@ def make_P(d: int) -> GadgetHandle:
 
 def _y_parts(d1: int, d2: int, name: str):
     z = f"{name}z"
-    edges_x, marks_x = _p_parts(d1, f"{name}px:")
-    edges_y, marks_y = _p_parts(d1, f"{name}py:")
-    edges_z, marks_z = _p_parts(d2, f"{name}pz:")
-    edges = edges_x + edges_y + edges_z
-    edges.append((marks_x["ad"], z))
-    edges.append((marks_y["ad"], z))
-    edges.append((z, marks_z["a1"]))
+    ends_x, marks_x = _p_parts(d1, f"{name}px:")
+    ends_y, marks_y = _p_parts(d1, f"{name}py:")
+    ends_z, marks_z = _p_parts(d2, f"{name}pz:")
+    ends = ends_x + ends_y + ends_z
+    ends += (marks_x["ad"], z, marks_y["ad"], z, z, marks_z["a1"])
     landmarks: dict[str, Landmark] = {
         "x_a": marks_x["a1"],
         "x_b": marks_x["ad"],
@@ -293,7 +295,7 @@ def _y_parts(d1: int, d2: int, name: str):
         "pz": marks_z["majors"] + marks_z["minors"],
         "ends": (marks_x["a1"], marks_y["a1"], marks_z["ad"]),
     }
-    return edges, landmarks
+    return ends, landmarks
 
 
 def _y_size(d1: int, d2: int) -> int:
@@ -306,8 +308,8 @@ def make_Y(d1: int, d2: int) -> GadgetHandle:
     if d1 < 3 or d2 < 3:
         raise InvalidParamsError(f"Y-gadget needs d1, d2 >= 3, got ({d1}, {d2})")
     check_vertex_count(f"Y({d1}, {d2})", _y_size(d1, d2))
-    edges, landmarks = _y_parts(d1, d2, "")
-    return GadgetHandle(Graph(edges), landmarks)
+    ends, landmarks = _y_parts(d1, d2, "")
+    return GadgetHandle(Graph(_edge_ends(ends)), landmarks)
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +319,10 @@ def make_Y(d1: int, d2: int) -> GadgetHandle:
 def _tail_parts(name: str):
     spine = [f"{name}v{i}" for i in range(1, 10)]  # v_i is spine[i - 1]
     p, q, r = f"{name}p", f"{name}q", f"{name}r"
-    edges = list(zip(spine, spine[1:]))
-    edges += [(p, spine[1]), (p, spine[2]), (p, spine[3])]
-    edges += [(q, spine[4]), (q, spine[6]), (q, spine[8])]
-    edges += [(r, spine[0]), (r, spine[5]), (r, spine[7])]
+    ends = _pairs(spine, spine[1:])
+    ends += (p, spine[1], p, spine[2], p, spine[3])
+    ends += (q, spine[4], q, spine[6], q, spine[8])
+    ends += (r, spine[0], r, spine[5], r, spine[7])
     landmarks: dict[str, Landmark] = {f"v{i}": v for i, v in enumerate(spine, 1)}
     landmarks.update(
         p=p,
@@ -332,13 +334,13 @@ def _tail_parts(name: str):
         spine=tuple(spine),
         ends=(spine[0], spine[-1]),
     )
-    return edges, landmarks
+    return ends, landmarks
 
 
 def make_Tail() -> GadgetHandle:
     """Spine of nine vertices plus three degree-3 hubs: 12 vertices."""
-    edges, landmarks = _tail_parts("")
-    return GadgetHandle(Graph(edges), landmarks)
+    ends, landmarks = _tail_parts("")
+    return GadgetHandle(Graph(_edge_ends(ends)), landmarks)
 
 
 # ---------------------------------------------------------------------------
@@ -357,21 +359,20 @@ def _c_middles(m: int, name: str) -> tuple[str, ...]:
 def _c_parts(m: int, name: str):
     middles = _c_middles(m, name)
     vm2 = f"{name}vm2"
-    edges: list[tuple[str, str]] = []
+    ends: list[str] = []
     p_marks: list[dict[str, Landmark]] = []  # P_m down to P_4
     for i in range(m, 3, -1):
         d = 2 * m - 2 if i == m else 2 * i - 1
-        part_edges, marks = _p_parts(d, f"{name}p{i}:")
-        edges += part_edges
+        part_ends, marks = _p_parts(d, f"{name}p{i}:")
+        ends += part_ends
         p_marks.append(marks)
-    tail_edges, tail_marks = _tail_parts(f"{name}tail:")
-    edges += tail_edges
+    tail_ends, tail_marks = _tail_parts(f"{name}tail:")
+    ends += tail_ends
 
-    edges.append((vm2, p_marks[0]["a1"]))
+    ends += (vm2, p_marks[0]["a1"])
     for marks, next_marks in zip(p_marks, p_marks[1:]):
-        edges.append((marks["ad"], next_marks["a1"]))
-    edges.append((p_marks[-1]["ad"], tail_marks["v9"]))
-    edges.append((tail_marks["v1"], vm2))
+        ends += (marks["ad"], next_marks["a1"])
+    ends += (p_marks[-1]["ad"], tail_marks["v9"], tail_marks["v1"], vm2)
 
     # both cycles run v_m2 and the majors, then close through the Tail: the
     # trunk along the whole spine, trunk' through the hub r
@@ -389,7 +390,7 @@ def _c_parts(m: int, name: str):
         "middles": middles,
         "ends": (vm2,),
     }
-    return edges, landmarks
+    return ends, landmarks
 
 
 def _c_size(m: int) -> int:
@@ -406,8 +407,8 @@ def _check_C_size(m: int):
 def make_C(m: int) -> GadgetHandle:
     """Chained P-gadgets closed through a Tail: 2m^2 - 2m - 1 vertices."""
     _check_C_size(m)
-    edges, landmarks = _c_parts(m, "")
-    return GadgetHandle(Graph(edges), landmarks)
+    ends, landmarks = _c_parts(m, "")
+    return GadgetHandle(Graph(_edge_ends(ends)), landmarks)
 
 
 def make_C_witness(m: int) -> BurningSequence:

@@ -1,48 +1,52 @@
 """Labeled simple undirected graphs with BFS, structural predicates, and edge-list I/O.
 
 Vertices are string labels.  A graph is one integer core: the sorted label
-table ``labels`` and ``adj``, the sorted tuple of neighbour indices of each
-vertex.  Index order equals lexicographic label order, so sorted indices are
-sorted labels; canonical edge order and the repair tie-breaks rely on it,
-and a label's index is found by bisection on the table, with no map beside
-it.  Every label-keyed query reads the core.  Graphs are immutable after
-construction, so every read operation is safe to call concurrently.  All
-iteration orders are canonical (lexicographic on labels) to keep downstream
-output diffable.
+table ``labels`` and a fixed-width column layout of the adjacency.  Index
+order equals lexicographic label order, so sorted indices are sorted labels;
+canonical edge order and the repair tie-breaks rely on it, and a label's
+index is found by bisection on the table, with no map beside it.  Every
+label-keyed query reads the core.  Graphs are immutable after construction,
+so every read operation is safe to call concurrently.  All iteration orders
+are canonical (lexicographic on labels) to keep downstream output diffable.
+
+The adjacency is W columns, each an ``array('i')`` of one entry per vertex:
+``cols[j][v]`` is the (j + 1)-th smallest neighbour of v.  A vertex of
+degree below W pads the rest of its row with the sentinel index n, one past
+the last vertex; the sentinel sorts after every neighbour, and the walks
+give it a fixed state (burned at step 0, at distance 0) so it never enters a
+frontier.  A vertex of degree above W keeps its neighbours past column W,
+in order, in the overflow map ``over`` (vertex -> ``array('i')``).  W is the
+largest degree, capped at 4m/n so that the column slots stay within twice
+the 2m edge ends: the chain's large graphs are regular, with no padding and
+no overflow, and a star pays for its hub in the overflow map, not n slots
+per leaf.  ``adj`` is a read-only view of the same rows as sorted tuples,
+made when they are read, for small graphs and callers that want rows; the
+whole-graph walks (BFS, the burning kernel, edge and degree scans) read the
+columns, gathering one frontier's entries of a column at C level.
 
 The constructor works on integers from the start: it numbers the labels
-in first-seen order, sorts them once, keeps those numbers as the indices
-(one int object per vertex) and fills the adjacency by list indexing.
-``read_graph`` numbers each label as it parses and hands the constructor
-those ids, one pointer per edge end; ``Graph(pairs)`` numbers the pairs'
-labels and goes through the same core.  Edge-list I/O makes no object per
-edge that outlives a chunk of the text: ``write_graph`` joins its lines a
-block at a time.
-
-The bulk builders (the constructor's core ``_index``, ``reduction.build_H``
-and ``lift._from_blocks``) run with the cyclic collector paused.  They make
-one tracked container per vertex, a list and then a tuple, and none of them
-ends up as garbage in a cycle.  With the collector on, every 700 of them
-start a generation-0 collection, and the lists that survive drive
-generation-1 and full collections, which walk every tracked object in the
-process.  Paused, one generation-0 collection after the build looks at
-those containers once and stops tracking each tuple that holds only ints.
-The collector is turned back on after the build, on the error path too,
-only if it was on before.  The pause is process-wide: another thread that
-turns the collector off while a build runs may find it back on when the
-build ends.
+in first-seen order, sorts them once and puts each edge end in the next
+free slot of its row.  On canonical text (``write_graph``'s edge order)
+that leaves every row sorted, which one C-level pass per column pair
+confirms; each row that the pass finds out of order is sorted in place and
+checked for a repeat, which a self-loop or a repeated edge leaves.  ``read_graph``
+numbers each label as it parses and hands the constructor those ids, one
+pointer per edge end; ``Graph(pairs)`` numbers the pairs' labels and goes
+through the same core.  No build keeps a container per vertex, so the
+cyclic collector has nothing to walk in a graph.  Edge-list I/O makes no
+object per edge that outlives a chunk of the text: ``write_graph`` joins
+its lines a block at a time.
 """
 
 from __future__ import annotations
 
-import gc
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
-from functools import wraps
 from itertools import chain, compress, count, islice, repeat
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NoReturn, Sequence
+from operator import ge, itemgetter, ne
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 
 class GraphError(Exception):
@@ -62,26 +66,28 @@ class Graph:
 
     ``labels`` is the strictly increasing label table: a tuple, or for a
     lifted graph a read-only view that makes each label when it is read.
-    ``adj[i]`` is the sorted tuple of the neighbour indices of ``labels[i]``;
-    all entries that name one vertex are one int object.  No self-loops, no
-    parallel edges, symmetric adjacency.
+    ``cols`` is the tuple of W adjacency columns and ``over`` the overflow
+    map, as the module docstring describes; ``adj`` is their rows as sorted
+    tuples, made on read.  No self-loops, no parallel edges, symmetric
+    adjacency.
     """
 
-    __slots__ = ("labels", "adj", "_edge_count")
+    __slots__ = ("labels", "cols", "over", "_edge_count")
 
     def __init__(self, edges: Iterable[tuple[str, str]], vertices: Iterable[str] = ()):
-        if isinstance(edges, _Ends):  # read_graph's parse, which replays its own faults
-            labels, adj, edge_count = _index(edges)
+        if isinstance(edges, _Ends):  # read_graph's parse or a builder's ends
+            labels, cols, over, edge_count = _index(edges)
         else:
             if not isinstance(edges, (list, tuple)):
                 edges = list(edges)  # read twice, and again on the error path
-            labels, adj, edge_count = _index(_pair_ends(edges, vertices))
-            if adj is None:
+            labels, cols, over, edge_count = _index(_pair_ends(edges, vertices))
+            if cols is None:
                 _reject_first_bad_edge(edges)
-        if adj is None:
+        if cols is None:
             raise GraphFormatError("self-loop or duplicate edge")
         self.labels: Sequence[str] = labels
-        self.adj: list[tuple[int, ...]] = adj
+        self.cols: tuple[array, ...] = cols
+        self.over: dict[int, array] = over
         self._edge_count = edge_count
 
     @property
@@ -95,6 +101,16 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return self._edge_count
+
+    @property
+    def adj(self) -> "_Rows":
+        """The sorted tuple of neighbour indices of each vertex, made when it
+        is read from the columns: a read-only sequence."""
+        return _Rows(self)
+
+    def _full(self) -> bool:
+        """Whether every row fills the columns exactly: no padding, no overflow."""
+        return not self.over and len(self.cols) * len(self.labels) == 2 * self._edge_count
 
     def _find(self, v: str) -> int | None:
         """The index of label ``v``, or None when ``v`` is not a vertex (a
@@ -140,27 +156,30 @@ class Graph:
                 yield (u, labels[b])
 
     def indexed(self) -> "Graph":
-        """The integer view (``labels``, ``adj``): the graph itself."""
+        """The integer view (``labels`` and the columns): the graph itself."""
         return self
 
     def bfs(self, src: int) -> list[int]:
         """Hop distances from index ``src``; -1 marks unreachable vertices.
         The search goes one level at a time, so every vertex of a level
-        takes the level's distance."""
+        takes the level's distance, and gathers each level's entries of a
+        column at C level."""
         dist = [-1] * len(self.labels)
+        dist.append(0)  # the padding sentinel: never unreached, so never queued
         dist[src] = 0
-        adj = self.adj
+        cols, over = self.cols, self.over
         frontier = [src]
         d = 0
         while frontier:
             d += 1
             new = []
-            for u in frontier:
-                for w in adj[u]:
+            for ws in _spread(cols, over, frontier):
+                for w in ws:
                     if dist[w] < 0:
                         dist[w] = d
                         new.append(w)
             frontier = new
+        dist.pop()
         return dist
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -170,6 +189,73 @@ class Graph:
 # perfbench's tracer rebinds the module name ``Graph`` to a wrapper function;
 # code that needs the class itself goes through this alias.
 _Graph = Graph
+
+
+class _Rows(Sequence):
+    """``Graph.adj``: entry v is the sorted tuple of v's neighbour indices,
+    made when it is read from the columns (padding dropped) and the overflow
+    map.  Read-only; slices are tuples, and it equals a list or tuple of the
+    same rows.  It has no hash, as a list of rows has none."""
+
+    __slots__ = ("cols", "over", "n", "full")
+
+    def __init__(self, g: Graph):
+        self.cols = g.cols
+        self.over = g.over
+        self.n = len(g.labels)
+        self.full = g._full()
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, v):
+        n = self.n
+        if isinstance(v, slice):
+            return tuple(map(self.__getitem__, range(*v.indices(n))))
+        if not -n <= v < n:
+            raise IndexError("vertex index out of range")
+        if v < 0:
+            v += n
+        return self._row(v, tuple([col[v] for col in self.cols]))
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        rows = zip(*self.cols) if self.cols else repeat((), self.n)
+        return rows if self.full else map(self._row, count(), rows)
+
+    def _row(self, v: int, row: tuple[int, ...]) -> tuple[int, ...]:
+        """Row v from its column entries: padding dropped, overflow added."""
+        n = self.n
+        if row and row[-1] == n:
+            return row[: row.index(n)]
+        extra = self.over.get(v)
+        return row + tuple(extra) if extra else row
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, tuple, _Rows)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+def _gather(vertices: list[int]) -> itemgetter:
+    """A C-level getter of ``vertices``' entries of a column, as a sequence
+    in the order of ``vertices`` (not empty): ``itemgetter`` returns a bare
+    entry for one index, so one vertex gets a one-entry slice."""
+    if len(vertices) == 1:
+        v = vertices[0]
+        return itemgetter(slice(v, v + 1))
+    return itemgetter(*vertices)
+
+
+def _spread(cols: Sequence[array], over: dict[int, array], frontier: list[int]) -> Iterator:
+    """The neighbour entries of the vertices of ``frontier`` (not empty), in
+    groups: one per column, gathered at C level, then the overflow row of
+    each frontier vertex that has one.  A padded row gives the sentinel n."""
+    groups = map(_gather(frontier), cols)
+    if over:
+        return chain(groups, filter(None, map(over.get, frontier)))
+    return groups
 
 
 def _reject_first_bad_edge(edges: Iterable[tuple[str, str]], where: Iterable[str] = repeat("")):
@@ -184,45 +270,32 @@ def _reject_first_bad_edge(edges: Iterable[tuple[str, str]], where: Iterable[str
         seen.add(key)
 
 
-def _from_core(labels: Sequence[str], adj: list[tuple[int, ...]], edge_count: int) -> Graph:
-    """A graph from a strictly increasing label table and a valid sorted int
-    adjacency, trusted as given: no sort, no duplicate scan.  Callers fill
-    the adjacency with one int object per vertex, as the constructor does."""
+def _from_core(
+    labels: Sequence[str], cols: Sequence[array], over: dict[int, array], edge_count: int
+) -> Graph:
+    """A graph from a strictly increasing label table and valid sorted
+    columns and overflow map, trusted as given: no sort, no duplicate scan.
+    W must be the largest degree capped at :func:`_width`, as the
+    constructor makes it."""
     g = object.__new__(_Graph)
     g.labels = labels
-    g.adj = adj
+    g.cols = tuple(cols)
+    g.over = over
     g._edge_count = edge_count
     return g
 
 
-def _ints(n: int) -> list[int]:
-    """The int objects 0..n-1, made by ``count`` as the constructor's ids
-    are: tracemalloc sees each at 28 bytes, where ``range`` requests 32."""
-    return list(islice(count(), n))
-
-
-def _nogc(build: Callable) -> Callable:
-    """``build`` run with the cyclic collector paused; see the module
-    docstring.  The collector is turned back on afterwards, raise or not,
-    only if it was on when ``build`` was called, so nested builds pause it
-    once."""
-
-    @wraps(build)
-    def paused(*args, **kwargs):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return build(*args, **kwargs)
-        finally:
-            if enabled:
-                gc.enable()
-
-    return paused
+def _width(n: int, edge_count: int) -> int:
+    """The most columns a graph of n vertices and ``edge_count`` edges may
+    have: W·n column slots stay within twice the 2m edge ends.  A graph has
+    as many columns as its largest degree, up to this."""
+    return 4 * edge_count // n if n else 0
 
 
 def _label_order(ints: list[int], labels: Sequence) -> tuple[list[int], list[int]]:
     """The ints ``0..n-1`` of an unsorted label table in label order, and the
-    rank of each in that order, held as an object of ``ints``."""
+    rank of each in that order, held as an object of ``ints``: the
+    constructor passes its ids, so the permutation makes no int."""
     order = sorted(ints, key=labels.__getitem__)
     rank = [0] * len(ints)
     for i, j in zip(ints, order):
@@ -231,10 +304,10 @@ def _label_order(ints: list[int], labels: Sequence) -> tuple[list[int], list[int
 
 
 class _Ends:
-    """Edges as dense ids, from a parse or a list of pairs to the constructor:
-    ``ids`` maps each label to its id, numbered from 0 in first-seen order,
-    and ``ends`` is a list of tuples of ids, each holding whole edges as two
-    consecutive ends, in order."""
+    """Edges as dense ids, from a parse, a list of pairs or a builder's flat
+    ends to the constructor: ``ids`` maps each label to its id, numbered
+    from 0 in first-seen order, and ``ends`` is a list of tuples of ids,
+    each holding whole edges as two consecutive ends, in order."""
 
     __slots__ = ("ids", "ends")
 
@@ -253,11 +326,19 @@ def _number(ids: defaultdict, labels: Sequence) -> tuple[int, ...]:
     return itemgetter(*labels)(ids)
 
 
-def _pair_ends(edges: Sequence[tuple[str, str]], vertices: Iterable[str]) -> _Ends:
-    """The ids of ``vertices`` and of the ends of each pair of ``edges``."""
+def _edge_ends(ends: Sequence[str], vertices: Iterable[str] = ()) -> _Ends:
+    """The ids of ``vertices`` and of ``ends``, edges' labels two by two in
+    one flat sequence: a builder's own edges, which make no tuple per edge.
+    ``Graph`` of it reports a self-loop or a repeated edge without naming
+    it, as it does for ``read_graph``'s parse."""
     ids: defaultdict = defaultdict(count().__next__)
     deque(map(ids.__getitem__, vertices), 0)
-    ends = _number(ids, tuple(chain.from_iterable(edges)))
+    return _Ends(ids, [_number(ids, ends)])
+
+
+def _pair_ends(edges: Sequence[tuple[str, str]], vertices: Iterable[str]) -> _Ends:
+    """The ids of ``vertices`` and of the ends of each pair of ``edges``."""
+    source = _edge_ends(tuple(chain.from_iterable(edges)), vertices)
     # a pair of other than two labels would shift every later end by one:
     # unpacking each pair raises as ``for u, v in edges`` does
     try:
@@ -267,39 +348,86 @@ def _pair_ends(edges: Sequence[tuple[str, str]], vertices: Iterable[str]) -> _En
     if not pairs:
         for u, v in edges:
             pass
-    return _Ends(ids, [ends])
+    return source
 
 
-@_nogc
-def _index(source: _Ends) -> tuple[tuple, list[tuple[int, ...]] | None, int]:
-    """The sorted label table, the adjacency (None when some edge is a
-    self-loop or repeats another) and the edge count of ``source``, which is
-    emptied as it is read.  Its ids become the indices: one int object per
-    vertex."""
+def _index(source: _Ends) -> tuple[tuple, tuple[array, ...] | None, dict[int, array], int]:
+    """The sorted label table, the columns (None when some edge is a
+    self-loop or repeats another), the overflow map and the edge count of
+    ``source``, which is emptied as it is read."""
     first = list(source.ids)  # the label of each id
     ids = list(source.ids.values())  # ids[j] is j
     source.ids.clear()
     order, rank = _label_order(ids, first)
     labels = tuple(map(first.__getitem__, order))
     del first, ids, order
-    adj: list = [[] for _ in labels]
-    edge_count = 0
+    n = len(labels)
     chunks = source.ends
+    edge_count = sum(map(len, chunks)) // 2
+    width = _width(n, edge_count)
+    cols: list[array] = []
+    over: dict[int, list[int]] = {}
+    deg = [0] * n
     for at, chunk in enumerate(chunks):
         chunks[at] = None  # the ends of a chunk are freed once it is read
-        edge_count += len(chunk) // 2
         ends = map(rank.__getitem__, chunk)
+        # each end goes to the next free slot of its row; the step is
+        # written out for both ends, so the loop runs once per edge
         for a, b in zip(ends, ends):
-            adj[a].append(b)
-            adj[b].append(a)
+            k = deg[a]
+            try:
+                cols[k][a] = b
+            except IndexError:  # past the columns made so far
+                _spill(cols, over, width, n, a, b)
+            deg[a] = k + 1
+            k = deg[b]
+            try:
+                cols[k][b] = a
+            except IndexError:
+                _spill(cols, over, width, n, b, a)
+            deg[b] = k + 1
     del rank
-    for a, nbrs in enumerate(adj):
-        nbrs.sort()
-        adj[a] = tuple(nbrs)
-    # a self-loop or a parallel edge repeats an entry of some tuple
-    if any(len(set(nbrs)) != len(nbrs) for nbrs in adj):
-        return labels, None, edge_count
-    return labels, adj, edge_count
+    if not _sort_rows(cols, over, deg):
+        return labels, None, {}, edge_count
+    return labels, tuple(cols), {v: array("i", row) for v, row in over.items()}, edge_count
+
+
+def _spill(cols: list[array], over: dict[int, list[int]], width: int, n: int, v: int, w: int):
+    """Put ``w`` in the first slot of v's row past the columns made so far:
+    a new column, padded with the sentinel n, while there are fewer than
+    ``width``, else v's overflow row."""
+    if len(cols) < width:
+        cols.append(array("i", [n]) * n)
+        cols[-1][v] = w
+    else:
+        over.setdefault(v, []).append(w)
+
+
+def _sort_rows(cols: list[array], over: dict[int, list[int]], deg: list[int]) -> bool:
+    """Sort, in place, each row that the fill left out of order; False when
+    some row repeats an entry (a self-loop or a repeated edge), which no
+    strictly increasing row does.  A row is out of order where a column's
+    entry is not below the next column's (found at C level; padding, which
+    trails, shows there too and sorts back in place) or where it runs on in
+    the overflow map."""
+    width = len(cols)
+    unsorted = set(over)
+    for col, nxt in zip(cols, cols[1:]):
+        unsorted.update(compress(range(len(deg)), map(ge, col, nxt)))
+    for v in unsorted:
+        d = deg[v]
+        row = [col[v] for col in cols]
+        extra = over.get(v)
+        if extra:
+            row += extra
+        row.sort()
+        if len(set(row[:d])) < d:
+            return False
+        for col, w in zip(cols, row):
+            col[v] = w
+        if extra:
+            extra[:] = row[width:]
+    return True
 
 
 @dataclass(frozen=True)
@@ -339,11 +467,30 @@ def is_connected(g: Graph) -> bool:
 
 
 def degree_histogram(g: Graph) -> dict[int, int]:
-    return dict(sorted(Counter(map(len, g.adj)).items()))
+    """Vertices per degree, counted on the columns: column j's entries that
+    are not padding are the vertices of degree above j, and an overflow row
+    adds its length to W."""
+    n, width = g.vertex_count, len(g.cols)
+    above = [n] + [n - col.count(n) for col in g.cols]  # above[j]: degree >= j
+    hist = Counter({j: above[j] - above[j + 1] for j in range(width)})
+    hist[width] += above[width] - len(g.over)
+    hist.update(width + len(row) for row in g.over.values())
+    return {d: hist[d] for d in sorted(hist) if hist[d]}
 
 
 def is_regular(g: Graph, d: int) -> bool:
-    return {*map(len, g.adj)} <= {d}
+    """Every degree is d: W is d and every row fills the columns exactly."""
+    return g.vertex_count == 0 or (len(g.cols) == d and g._full())
+
+
+def _linked(g: Graph) -> bytes:
+    """1 for each vertex with an edge, 0 for an isolated one: whether its
+    first column entry is a neighbour, not padding (with no column, whether
+    it has an overflow row)."""
+    n = g.vertex_count
+    if g.cols:
+        return bytes(map(ne, g.cols[0], repeat(n)))
+    return bytes(map(g.over.__contains__, range(n)))
 
 
 def _label_ok(label: str) -> bool:
@@ -456,18 +603,17 @@ def write_graph(g: Graph) -> str:
     32,768, so at most one block of line strings is alive beside the block
     texts and the result.
     """
-    labels, adj = tuple(g.labels), g.adj  # a view's labels made once, not per edge end
+    labels = tuple(g.labels)  # a view's labels made once, not per edge end
+    linked = _linked(g)
     # only labels with an edge: a bad isolated label is reported below as an
     # isolated vertex
-    if not _labels_ok(list(compress(labels, adj))):
+    if not _labels_ok(list(compress(labels, linked))):
         # name the label that the canonical edge order reaches first
         bad = next(v for edge in g.edges() for v in edge if not _label_ok(v))
         raise GraphFormatError(f"label not representable in edge-list format: {bad!r}")
-    for v, nbrs in zip(labels, adj):
-        if not nbrs:
-            raise GraphFormatError(
-                f"isolated vertex {v!r} cannot be represented in edge-list format"
-            )
+    if 0 in linked:
+        v = labels[linked.index(0)]
+        raise GraphFormatError(f"isolated vertex {v!r} cannot be represented in edge-list format")
     # the canonical order of edges(), without a tuple per edge
-    lines = (f"{labels[a]} {labels[b]}\n" for a, nbrs in enumerate(adj) for b in nbrs if b > a)
+    lines = (f"{labels[a]} {labels[b]}\n" for a, nbrs in enumerate(g.adj) for b in nbrs if b > a)
     return "".join(iter(lambda: "".join(islice(lines, _WRITE_BLOCK)), ""))

@@ -28,15 +28,16 @@ adjacency.  Every label that starts with ``btp:`` sorts before every other,
 so H's label table is one block per G' edge, in head order (``btp:v10:``
 before ``btp:v1:``, unlike G' edge order), then the tail: the C- and
 Y-gadgets and the cores, built through ``Graph`` as one block.  A block's
-labels are its head joined to each suffix, and its adjacency is the
-template's shifted to the block's start, its two roots taking their core as
-third neighbour.  Where one head extends another (``btp:a:b:`` and
+labels are its head joined to each suffix, and its part of H's three
+adjacency columns is the template's shifted to the block's start, its two
+roots taking their core as third neighbour.  Where one head extends another (``btp:a:b:`` and
 ``btp:a:b:c:``) the blocks interleave, and one sort of the label table
 permutes H into order.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -57,10 +58,9 @@ from .gadgets import _y_parts, _y_size, check_btp_inequalities
 from .graph import (
     Graph,
     GraphFormatError,
+    _edge_ends,
     _from_core,
-    _ints,
     _label_order,
-    _nogc,
     is_connected,
     is_regular,
 )
@@ -272,34 +272,30 @@ class ReductionInstance:
 def _btp_template(h: int, l1: int, l2: int):
     """The BTP with the empty head, as :func:`build_H` lays it out.
 
-    Returns its sorted label suffixes; its adjacency as three itemgetters
-    over a block's indices, one per column, where each root's third entry
-    (its core neighbour in H) holds the root itself; the positions of its two
+    Returns its sorted label suffixes; its three adjacency columns as
+    itemgetters over a block's indices, where each root's third entry (its
+    core neighbour in H) is the template's padding; the positions of its two
     roots; the positions of its landmarks; its edge count; and its first
     edge.
     """
-    edges, marks = _btp_parts(h, l1, l2, "")
-    template = Graph(edges)
+    ends, marks = _btp_parts(h, l1, l2, "")
+    template = Graph(_edge_ends(ends))
     at = template._at
     roots = (at(marks["r_ab"]), at(marks["r_ba"]))
-    padded = list(template.adj)
-    for r in roots:
-        padded[r] += (r,)
     positions = {
         name: at(value) if isinstance(value, str) else tuple(map(at, value))
         for name, value in marks.items()
     }
-    columns = [itemgetter(*column) for column in zip(*padded)]
-    return template.labels, columns, roots, positions, template.edge_count, edges[0]
+    columns = [itemgetter(*col) for col in template.cols]
+    return template.labels, columns, roots, positions, template.edge_count, ends[:2]
 
 
-@_nogc
 def build_H(g: Graph, edge: tuple[str, str] | None = None) -> ReductionInstance:
     """Full reduction: connected cubic G -> instance holding H and provenance.
 
     H is laid out on integers, one block per G' edge, as the module
-    docstring describes, with the cyclic collector paused
-    (``graph._nogc``); no edge list of H is built.  When the closed form
+    docstring describes, straight into its three adjacency columns; no
+    edge list of H is built.  When the closed form
     :func:`expected_vertex_count` gives H more than ``_MAX_H_VERTICES``
     vertices, :class:`ReductionTooLargeError` is raised before any gadget
     is built.
@@ -318,13 +314,11 @@ def build_H(g: Graph, edge: tuple[str, str] | None = None) -> ReductionInstance:
         )
 
     core = {v: _core_label(v) for v in g_prime.vertices}
-    y_edges, y_marks = _y_parts(params.d1, params.d2, "y:")
-    c_edges, c_marks = _c_parts(params.m, "c:")
-    tail_edges = y_edges + c_edges
-    tail_edges.append((core[x], y_marks["x_a"]))
-    tail_edges.append((core[y], y_marks["y_a"]))
-    tail_edges.append((y_marks["z_b"], c_marks["v_m2"]))
-    tail = Graph(tail_edges, vertices=core.values())
+    y_ends, y_marks = _y_parts(params.d1, params.d2, "y:")
+    c_ends, c_marks = _c_parts(params.m, "c:")
+    tail_ends = y_ends + c_ends
+    tail_ends += (core[x], y_marks["x_a"], core[y], y_marks["y_a"], y_marks["z_b"], c_marks["v_m2"])
+    tail = Graph(_edge_ends(tail_ends, core.values()))
     suffixes, columns, roots, positions, btp_edges, (a, b) = _btp_template(
         params.h, params.l1, params.l2
     )
@@ -338,12 +332,10 @@ def build_H(g: Graph, edge: tuple[str, str] | None = None) -> ReductionInstance:
     size = len(suffixes)
     n_btp = len(heads) * size
     n = n_btp + tail.vertex_count
-    ints = _ints(n)  # every index held by H is one of these objects
-    tail_ints = ints[n_btp:]
-    core_roots: dict[int, list[int]] = {tail._at(label): [] for label in core.values()}
+    cols = [array("i", [n]) * n for _ in columns]  # sized once: a grown array keeps spare slots
     table: list[str] = []
-    adj: list = [None] * n  # sized once: a grown list keeps spare slots
     marks_of: dict[str, dict[str, Landmark]] = {}
+    core_roots: dict[int, list[int]] = {tail._at(label): [] for label in core.values()}
     for start, head in zip(range(0, n_btp, size), sorted(heads)):
         block = list(map(head.__add__, suffixes))
         marks_of[head] = {
@@ -351,26 +343,32 @@ def build_H(g: Graph, edge: tuple[str, str] | None = None) -> ReductionInstance:
             for name, p in positions.items()
         }
         table += block
-        local = ints[start : start + size]
-        block_adj = list(zip(*(column(local) for column in columns)))
+        local = list(range(start, start + size + 1))  # with the template's padding
+        for col, column in zip(cols, columns):
+            col[start : start + size] = array("i", column(local))
         for r, owner in zip(roots, heads[head]):
             at = tail._at(core[owner])
-            block_adj[r] = block_adj[r][:2] + (tail_ints[at],)
-            core_roots[at].append(local[r])
-        adj[start : start + size] = block_adj
+            cols[2][start + r] = n_btp + at  # the core sorts after every BTP vertex
+            core_roots[at].append(start + r)
     table += tail.labels
+    # the tail's rows: a core's BTP roots, then its tail neighbours shifted
+    # into H; H is cubic, so each row fills the three columns
     for at, nbrs in enumerate(tail.adj):
-        adj[n_btp + at] = tuple(core_roots.get(at, []) + list(map(tail_ints.__getitem__, nbrs)))
+        row = core_roots.get(at, []) + [n_btp + w for w in nbrs]
+        for col, w in zip(cols, row):
+            col[n_btp + at] = w
 
     # The blocks are in label order unless one head extends another
     # (btp:a:b: and btp:a:b:c:): then they interleave, and H is permuted.
     if not all(map(str.__lt__, table, islice(table, 1, None))):
-        order, new = _label_order(ints, table)
-        adj = [tuple(sorted(map(new.__getitem__, adj[old]))) for old in order]
+        order, rank = _label_order(list(range(len(table))), table)
+        rows = [sorted(map(rank.__getitem__, row)) for row in zip(*cols)]
+        cols = [array("i", col) for col in zip(*map(rows.__getitem__, order))]
+        del rows
         table = list(map(table.__getitem__, order))
     labels = tuple(table)
     del table
-    h_graph = _from_core(labels, adj, len(heads) * (btp_edges + 2) + tail.edge_count)
+    h_graph = _from_core(labels, cols, {}, len(heads) * (btp_edges + 2) + tail.edge_count)
 
     return ReductionInstance(
         g=g,

@@ -306,7 +306,7 @@ def burning_number_naive(g: Graph) -> SolveResult:
     if n > _MAX_NAIVE_VERTICES:
         raise TooLargeError(f"{n} vertices exceeds the naive guard of {_MAX_NAIVE_VERTICES}")
     start = time.monotonic()
-    adj, labels = g.adj, g.labels
+    adj, labels = tuple(g.adj), g.labels  # rows made once, not per node
     nodes = 0
 
     def extend(t: int, k: int, burned_at: dict[int, int], frontier: list[int], acc: list[int]):

@@ -11,8 +11,8 @@ from burnkit.reduction import build_H
 @pytest.fixture(autouse=True)
 def _collector_state_is_kept():
     """Fail a test that leaves the cyclic collector switched otherwise than
-    it found it (the bulk builders pause it and must turn it back on), and
-    switch it back for the next test."""
+    it found it (no build may switch it), and switch it back for the next
+    test."""
     enabled = gc.isenabled()
     yield
     if gc.isenabled() != enabled:

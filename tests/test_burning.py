@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import itertools
+import random
+from collections import Counter, deque
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +26,15 @@ from burnkit.burning import (
 )
 from burnkit.gadgets import make_C, make_C_witness
 from burnkit.generators import complete_graph, path_graph, random_connected_graph
-from burnkit.graph import Graph, bfs_distances
+from burnkit.graph import (
+    Graph,
+    bfs_distances,
+    degree_histogram,
+    is_connected,
+    is_regular,
+    read_graph,
+    write_graph,
+)
 
 
 def test_single_vertex():
@@ -432,3 +443,160 @@ def test_unburned_sentinel_is_one_digit_and_above_every_step():
         assert _UNBURNED not in time
         assert max(steps) <= g.vertex_count + 1
         assert max(time) <= g.vertex_count
+
+
+@st.composite
+def skewed_graphs(draw):
+    """A graph of skewed degrees and its edge list: up to three hubs joined
+    to many of up to 30 other vertices, a few edges among those, and
+    isolated vertices, given to the constructor in shuffled order.  W is
+    capped at 4m/n, so a hub's row often runs into the overflow map, rows of
+    low degree are padded, and with few edges W is 0."""
+    hubs = [f"h{i}" for i in range(draw(st.integers(1, 3)))]
+    others = [f"v{i:02d}" for i in range(draw(st.integers(2, 30)))]
+    edges = set()
+    for hub in hubs:
+        edges.update((hub, v) for v in draw(st.sets(st.sampled_from(others))))
+    for _ in range(draw(st.integers(0, len(others)))):
+        u, v = sorted(draw(st.lists(st.sampled_from(others), min_size=2, max_size=2)))
+        if u != v:
+            edges.add((u, v))
+    edges = sorted(edges)
+    return Graph(draw(st.permutations(edges)), vertices=hubs + others), edges
+
+
+def _queue_distances(rows, src):
+    """Hop distances from ``src`` over an adjacency dict, by a FIFO queue."""
+    dist = {src: 0}
+    queue = deque((src,))
+    while queue:
+        u = queue.popleft()
+        for w in sorted(rows[u]):
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+@given(skewed_graphs(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_skewed_graphs_match_the_oracles(case, rnd):
+    """On padded rows, overflow rows and isolated vertices, the column
+    readers agree with the edge list: BFS distances with a queue BFS, burn
+    times, responsible sets and invalid placements with the closed form,
+    degrees, regularity, rows and edges, and write/read round trips."""
+    g, edges = case
+    rows = {v: set() for v in g.vertices}
+    for u, v in edges:
+        rows[u].add(v)
+        rows[v].add(u)
+    for src in g.vertices:
+        assert bfs_distances(g, src).dist == _queue_distances(rows, src)
+    assert is_connected(g) == (len(_queue_distances(rows, g.vertices[0])) == g.vertex_count)
+    assert g.adj == [tuple(sorted(map(g._at, rows[v]))) for v in g.vertices]
+    assert list(g.edges()) == edges
+    degrees = Counter(map(len, rows.values()))
+    assert degree_histogram(g) == dict(sorted(degrees.items()))
+    for d in {0, 1, 2, 3, len(g.cols), *degrees}:
+        assert is_regular(g, d) == (set(degrees) <= {d})
+
+    seq = rnd.sample(list(g.vertices), rnd.randint(1, min(6, g.vertex_count)))
+    try:
+        burn_time, responsible, unburned = closed_form(g, seq)
+    except InvalidSequenceError as exc:
+        fields = (exc.step, exc.source, exc.burned_step, exc.cause)
+        assert _error_fields(simulate, g, seq) == fields
+        assert _error_fields(frontier_burn_times, g, seq) == fields
+    else:
+        assert frontier_burn_times(g, seq) == burn_time
+        sch = simulate(g, seq)
+        assert (sch.burn_time, sch.responsible, sch.unburned) == (burn_time, responsible, unburned)
+
+    if edges:  # edge-list text cannot hold the isolated vertices
+        linked = Graph(edges)
+        back = read_graph(write_graph(linked))
+        assert (back.labels, back.cols, back.over) == (linked.labels, linked.cols, linked.over)
+        assert back.adj == linked.adj
+
+
+def _row_major_burn(g, steps, choose, time=None):
+    """The kernel as it stood with a tuple of neighbours per vertex: each
+    step walks the frontier in order and each row in order."""
+    adj = tuple(g.adj)
+    if time is None:
+        time = [_UNBURNED] * g.vertex_count + [0]
+    order, placed, frontier = [], [], []
+    for t in range(1, steps + 1):
+        new = []
+        for u in frontier:
+            for w in adj[u]:
+                if time[w] > t:
+                    time[w] = t
+                    new.append(w)
+        b = choose(t, time)
+        if b is None or time[b] < t:
+            break
+        if time[b] > t:
+            time[b] = t
+            new.append(b)
+        placed.append(b)
+        order += new
+        frontier = new
+    return time, order, placed
+
+
+def _row_major_responsible(g, time, order, placed):
+    """``_responsible`` as it stood: one pass over each burned vertex's row."""
+    adj, labels = tuple(g.adj), g.labels
+    own = {b: frozenset((labels[b],)) for b in placed}
+    resp = [None] * g.vertex_count
+    for v in order:
+        prev = time[v] - 1
+        r = own.get(v)
+        for u in adj[v]:
+            if time[u] == prev:
+                s = resp[u]
+                r = s if r is None else r | s
+        resp[v] = r
+    return resp
+
+
+def _assert_step_order_only_changed(g, sources):
+    """The column kernel burns the same vertices at the same steps as the
+    row-major one, lists each step's vertices in index order, and gives the
+    same responsible sets."""
+    src = [g._at(v) for v in sources]
+    time, order, placed = burning._burn_sequence(g, src)
+    ref_time, ref_order, ref_placed = _row_major_burn(g, len(src), lambda t, _time: src[t - 1])
+    assert (time, placed) == (ref_time, ref_placed)
+    assert order == sorted(ref_order, key=lambda v: (time[v], v))
+    resp = burning._responsible(g, time, order, placed)
+    assert resp == _row_major_responsible(g, ref_time, ref_order, ref_placed)
+
+
+@given(st.integers(min_value=0, max_value=500))
+@settings(max_examples=80, deadline=None)
+def test_burn_order_within_a_step_is_index_order(seed):
+    """``frontier_burn_times`` lists vertices by burn step, then by label
+    (index order); the step of each vertex, the responsible sets and the
+    repair's result are the row-major kernel's, on valid and repaired
+    sequences of random connected graphs."""
+    r = random.Random(seed)
+    g = random_connected_graph(r.randint(2, 12), seed)
+    seq = _random_valid_sequence(g, seed)
+    times = frontier_burn_times(g, seq)
+    assert list(times.items()) == sorted(times.items(), key=lambda item: (item[1], item[0]))
+    _assert_step_order_only_changed(g, seq)
+    intended = [r.choice([None, *g.vertices]) for _ in range(r.randint(0, g.vertex_count))]
+    horizon = r.randint(1, g.vertex_count)
+    with mock.patch.object(burning, "_burn", _row_major_burn):
+        want = _repair_sequence(g, intended, horizon)
+    assert _repair_sequence(g, intended, horizon) == want
+
+
+def test_step_order_only_changed_on_h(k4_instance):
+    """The same on the K4 reduction graph H with its witness, whose steps
+    burn thousands of vertices each."""
+    inst = k4_instance
+    cover = solvers.vertex_cover_exact(inst.g_prime).witness
+    _assert_step_order_only_changed(inst.h_graph, list(reduction.vc_to_witness(inst, cover)))

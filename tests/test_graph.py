@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from bisect import bisect_left
 from collections import deque
+from array import array
 from itertools import combinations, repeat
 from unittest import mock
 
@@ -15,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burnkit import graph as graph_module
-from burnkit import lift
 from burnkit.burning import is_burning_sequence
 from burnkit.graph import (
     Graph,
@@ -439,8 +439,10 @@ def prism_h_text(prism):
 
 def test_read_graph_peak_is_near_the_graph_it_returns(prism_h_text):
     """One string per label and one pointer per edge end while parsing: the
-    peak stays within 1.6x of the graph it returns (2.2x when every line,
-    token and edge tuple was held at once)."""
+    peak stays within 4x the 6.4 MB text it reads (when every line, token
+    and edge tuple was held at once it was 6.6x, and the bound of 1.6x the
+    graph that the tuple layout returned admitted 4.8x), and the graph it
+    returns is its labels and three int columns, less than half of that."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -450,9 +452,9 @@ def test_read_graph_peak_is_near_the_graph_it_returns(prism_h_text):
     finally:
         tracemalloc.stop()
     assert g.vertex_count == 109_478
-    assert peak <= 1.6 * retained
-    seen: dict[int, int] = {}
-    assert all(seen.setdefault(w, w) is w for nbrs in g.adj for w in nbrs)
+    assert peak <= 4.0 * sys.getsizeof(prism_h_text)
+    assert retained <= 0.5 * peak
+    assert len(g.cols) == 3 and g.over == {} and _is_column_core(g)
 
 
 def test_write_graph_peak_is_near_the_text_it_returns(prism_h_text):
@@ -470,9 +472,22 @@ def test_write_graph_peak_is_near_the_text_it_returns(prism_h_text):
     assert peak <= 2.5 * sys.getsizeof(text)
 
 
-def _one_int_per_vertex(g) -> bool:
-    seen: dict[int, int] = {}
-    return all(seen.setdefault(w, w) is w for nbrs in g.adj for w in nbrs)
+def _is_column_core(g) -> bool:
+    """Whether ``g``'s adjacency is W ``array('i')`` columns of one entry per
+    vertex, W the largest degree capped at 4m/n, padded with the sentinel n
+    after a row's neighbours, and an overflow row (an ``array('i')``) for
+    exactly the vertices of degree above W: no object per vertex."""
+    n, rows = g.vertex_count, list(g.adj)
+    width = min(max(map(len, rows), default=0), 4 * g.edge_count // n if n else 0)
+    if len(g.cols) != width or any(type(col) is not array or col.typecode != "i" for col in g.cols):
+        return False
+    padded = [row[:width] + (n,) * (width - len(row)) for row in rows]
+    if [tuple(col) for col in g.cols] != [tuple(col) for col in zip(*padded)][:width]:
+        return False
+    extra = {v: tuple(row[width:]) for v, row in enumerate(rows) if len(row) > width}
+    return all(type(r) is array and r.typecode == "i" for r in g.over.values()) and {
+        v: tuple(r) for v, r in g.over.items()
+    } == extra
 
 
 def _mixed_text(edges, rnd) -> str:
@@ -490,7 +505,7 @@ def _mixed_text(edges, rnd) -> str:
 @settings(max_examples=150, deadline=None)
 def test_read_graph_and_pairs_build_the_reference_core(g, rnd, chunk):
     """``read_graph`` and ``Graph(pairs)`` build the parent constructor's
-    labels and adjacency, with one int object per vertex, from edges in
+    labels and adjacency, as int columns and overflow rows, from edges in
     canonical order, shuffled, with endpoints swapped, and from text that
     mixes write_graph's shape with comment and CRLF lines; the constructor
     also keeps isolated ``vertices``."""
@@ -503,14 +518,14 @@ def test_read_graph_and_pairs_build_the_reference_core(g, rnd, chunk):
         labels, _, adj, edge_count = _reference_core(edges, isolated)
         built = Graph(edges, vertices=isolated)
         assert (built.labels, built.adj, built.edge_count) == (labels, adj, edge_count)
-        assert _one_int_per_vertex(built)
+        assert _is_column_core(built)
         labels, _, adj, edge_count = _reference_core(edges)
         texts = ["".join(f"{u} {v}\n" for u, v in edges), _mixed_text(edges, rnd)]
         with mock.patch.object(graph_module, "_READ_CHUNK", chunk):
             for text in texts:
                 read = read_graph(text)
                 assert (read.labels, read.adj, read.edge_count) == (labels, adj, edge_count)
-                assert _one_int_per_vertex(read)
+                assert _is_column_core(read)
 
 
 @pytest.mark.parametrize(
@@ -797,37 +812,78 @@ def test_builds_leave_the_collector_as_they_found_it(k4, enabled):
         (gc.enable if was else gc.disable)()
 
 
-@pytest.mark.parametrize("enabled", [True, False], ids=["collector_on", "collector_off"])
-def test_nogc_restores_the_collector_when_the_build_raises(enabled):
-    seen = []
-
-    @graph_module._nogc
-    def build(depth):
-        seen.append(gc.isenabled())
-        if depth:
-            build(depth - 1)  # a nested build pauses nothing more
-        raise KeyError(depth)
-
-    was = gc.isenabled()
-    (gc.enable if enabled else gc.disable)()
-    try:
-        with pytest.raises(KeyError):
-            build(2)
-        assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if was else gc.disable)()
-    assert seen == [False, False, False]
-    assert build.__name__ == "build" and build_H.__name__ == "build_H"
-
-
-def test_builds_start_no_collection(k4, k4_instance):
-    """No collection starts while H or H_5 is built.  build_Hd makes its
-    LiftedGraph after the adjacency, once the collector is back on, so it
-    sees the one generation-0 collection that looks at the build's tuples;
-    the same builds with the collector on start over 100."""
+def test_builds_start_no_collection(k4, k4_instance, prism_h_text):
+    """With the collector on, no collection starts while H, H_5 or the
+    prism's H from its text is built: no build makes a container per vertex
+    or per edge (the gadget builders lay their edges out as flat label
+    lists), so none feeds the collector."""
+    assert gc.isenabled()
     h = k4_instance.h_graph
     assert _collections_started(lambda: build_H(k4)) == []
-    assert _collections_started(lambda: lift._from_blocks(h, 3)) == []
-    assert _collections_started(lambda: build_Hd(h, 5)) in ([], [0])
-    unpaused = _collections_started(lambda: lift._from_blocks.__wrapped__(h, 3))
-    assert unpaused.count(0) > 100
+    assert _collections_started(lambda: build_Hd(h, 5)) == []
+    assert _collections_started(lambda: read_graph(prism_h_text)) == []
+
+
+def _hub_and_cycle(n: int) -> list[tuple[str, str]]:
+    """A cycle of n vertices, each also joined to one hub: degrees 3 and n."""
+    ring = [f"r{i:06d}" for i in range(n)]
+    return [*zip(ring, ring[1:] + ring[:1]), *(("hub", v) for v in ring)]
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [[("hub", f"v{i:06d}") for i in range(100_000)], _hub_and_cycle(100_000)],
+    ids=["star", "hub_and_cycle"],
+)
+def test_skewed_graph_keeps_near_2m_column_slots(edges):
+    """A graph of one huge degree holds its labels' table and about its 2m
+    edge ends, not n slots per column up to the largest degree: W stays at
+    most 4m/n and the hub's row runs on in the overflow map.  The bound is
+    the label table plus 2.5x the 2m four-byte ends; W = n would be n² of
+    them."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        g = Graph(edges)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n, m = g.vertex_count, g.edge_count
+    assert len(g.cols) <= 4 * m // n and list(g.over) == [g._at("hub")]
+    assert retained <= sys.getsizeof(g.labels) + 2.5 * 2 * m * 4
+    assert g.degree("hub") == 100_000
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph([]),
+        Graph([], vertices=["a", "b"]),
+        Graph([("a", "b")], vertices=["c", "d", "e", "f", "g"]),
+        Graph([("hub", f"v{i}") for i in range(12)], vertices=["w"]),
+        random_cubic(20, 1),
+    ],
+    ids=["empty", "isolated", "no_column", "star_plus_isolated", "cubic"],
+)
+def test_adj_is_a_read_only_view_of_the_rows(g):
+    """``Graph.adj`` reads as the list of sorted neighbour tuples, whatever
+    the columns hold: padding dropped and overflow rows appended; indexing
+    both ways with IndexError one past either end, slices as tuples,
+    iteration, ``==`` with a list or tuple both ways, no hash, no item
+    assignment."""
+    ref = [tuple(sorted(g._at(w) for w in g.neighbors(v))) for v in g.vertices]
+    adj, n = g.adj, g.vertex_count
+    assert len(adj) == n and list(adj) == ref
+    assert [adj[i] for i in range(-n, n)] == ref + ref
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            adj[i]
+    for cut in (slice(None), slice(1, None), slice(None, None, -2)):
+        assert adj[cut] == tuple(ref[cut]) and type(adj[cut]) is tuple
+    assert adj == ref and ref == adj and adj == tuple(ref) and adj == g.adj
+    assert adj != ref + [()]
+    with pytest.raises(TypeError):
+        hash(adj)
+    with pytest.raises(TypeError):
+        adj[0] = ()

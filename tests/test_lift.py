@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import itertools
+from array import array
 import random
 import sys
 import tracemalloc
@@ -165,29 +166,27 @@ def _retained(call, *args):
 
 
 def test_lifted_graph_retains_only_labels_and_adjacency():
-    """H_5 of a 1000-vertex base holds its label view, its adjacency tuples
-    and list and one int per vertex, and next to nothing else: no label
-    string (a tuple of the labels beside them is 1.6x of that, and a label
-    -> index dict more again)."""
+    """H_5 of a 1000-vertex base holds its label view and its adjacency, W·n
+    four-byte column entries, and next to nothing else: no label string, no
+    object per vertex, no spare slots (a tuple of the labels beside them is
+    several times that, and a label -> index dict more again)."""
     base = random_cubic(1000, 1)
     g = build_Hd(base, 5).graph
-    floor = (
-        sys.getsizeof(g.labels)
-        + sum(map(sys.getsizeof, g.adj))
-        + sys.getsizeof(g.adj)
-        + g.vertex_count * sys.getsizeof(g.vertex_count)
-    )
+    floor = sys.getsizeof(g.labels) + len(g.cols) * g.vertex_count * 4
     del g
     assert _retained(lambda: build_Hd(base, 5).graph) <= 1.05 * floor
 
 
-def test_build_hd_adjacency_shares_the_index_ints():
-    """Every adjacency entry of one index is one int object, so a lifted
-    graph holds one int per vertex (ints above 256 are not cached by the
-    interpreter, hence the 200-vertex base)."""
-    g = build_Hd(random_cubic(200, 1), 5).graph
-    seen: dict[int, int] = {}
-    assert all(seen.setdefault(w, w) is w for nbrs in g.adj for w in nbrs)
+def test_build_hd_adjacency_is_d_int_columns():
+    """H_d is d-regular, so its adjacency is d ``array('i')`` columns of one
+    entry per vertex, with no padding and no overflow row: a lifted graph
+    holds no object per vertex."""
+    for d in (4, 5, 12):
+        g = build_Hd(random_cubic(200, 1), d).graph
+        assert len(g.cols) == d and g.over == {}
+        assert all(type(col) is array and col.typecode == "i" for col in g.cols)
+        assert all(len(col) == g.vertex_count for col in g.cols)
+        assert g.vertex_count not in g.cols[-1]  # no padding sentinel
 
 
 def test_build_hd_rejects_bad_inputs(k4):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -412,6 +413,11 @@ def test_k33_pipeline_exact_power_branch(k33):
     assert witness_to_vc(inst, witness) == cover.witness
 
 
+def _pairs(ends):
+    """The edges of a gadget builder's flat ends, two labels per edge."""
+    return zip(ends[::2], ends[1::2])
+
+
 def reference_build_H(g, edge=None):
     """Slow reference: H from one string edge list through ``Graph``."""
     if not is_connected(g):
@@ -426,19 +432,19 @@ def reference_build_H(g, edge=None):
     edges = []
     btp_landmarks = {}
     for u, v in g_prime.edges():
-        marks_edges, marks = _btp_parts(params.h, params.l1, params.l2, f"btp:{u}:{v}:")
-        edges += marks_edges
+        marks_ends, marks = _btp_parts(params.h, params.l1, params.l2, f"btp:{u}:{v}:")
+        edges += _pairs(marks_ends)
         edges.append((core[u], marks["r_ab"]))
         edges.append((core[v], marks["r_ba"]))
         btp_landmarks[(u, v)] = marks
 
-    y_edges, y_marks = _y_parts(params.d1, params.d2, "y:")
-    edges += y_edges
+    y_ends, y_marks = _y_parts(params.d1, params.d2, "y:")
+    edges += _pairs(y_ends)
     edges.append((core[x], y_marks["x_a"]))
     edges.append((core[y], y_marks["y_a"]))
 
-    c_edges, c_marks = _c_parts(params.m, "c:")
-    edges += c_edges
+    c_ends, c_marks = _c_parts(params.m, "c:")
+    edges += _pairs(c_ends)
     edges.append((y_marks["z_b"], c_marks["v_m2"]))
 
     return ReductionInstance(
@@ -510,12 +516,15 @@ def test_build_h_matches_reference(case):
         assert labels.index("btp:a:b:c:bt:ab:0:0") < labels.index("btp:a:b:t:0:l:1")
 
 
-def test_build_h_adjacency_shares_the_index_ints(k4_instance):
-    """Every adjacency entry of one index is one int object: H holds one
-    int per vertex."""
+def test_build_h_adjacency_is_three_int_columns(k4_instance):
+    """H is cubic, so its adjacency is three ``array('i')`` columns of one
+    entry per vertex, with no padding and no overflow row: H holds no
+    object per vertex beside its label."""
     g = k4_instance.h_graph
-    seen: dict[int, int] = {}
-    assert all(seen.setdefault(w, w) is w for nbrs in g.adj for w in nbrs)
+    assert len(g.cols) == 3 and g.over == {}
+    assert all(type(col) is array and col.typecode == "i" for col in g.cols)
+    assert all(len(col) == g.vertex_count for col in g.cols)
+    assert g.vertex_count not in g.cols[2]  # no padding sentinel
 
 
 def _traced(build, g):
@@ -533,8 +542,9 @@ def _traced(build, g):
 
 
 def test_build_h_memory_is_no_worse_than_reference(k4):
-    """Shared index ints: a relapse to per-entry shifted ints or a second
-    copy of the label table shows up in retained bytes or in the peak."""
+    """Columns sized once and no container per vertex: a relapse to grown
+    arrays (spare slots), per-vertex tuples or a second copy of the label
+    table shows up in retained bytes or in the peak."""
     retained, peak = _traced(build_H, k4)
     ref_retained, ref_peak = _traced(reference_build_H, k4)
     assert retained <= ref_retained
