@@ -7,15 +7,17 @@ A source reached by older fire exactly at its own step is a valid placement;
 strictly earlier is not.
 
 One step-wise frontier kernel runs that process on the graph's adjacency
-columns: each step gathers the frontier's entries of a column at C level,
-and the vertices that burn at one step are listed in index order, so burn
-order is by step, then by label.  ``frontier_burn_times``,
-``is_burning_sequence``, ``simulate`` (which adds the responsible-source sets
-in one pass over the burn-order DAG) and the sequence repair used by the
-solvers and the lift all drive it.  ``simulate`` keys its schedule by label;
-the CLI's ``burn`` report and ``reduction.audit_sequence`` read the same two
-passes by vertex index (``_schedule``) and take BL and UB from it, with no
-label-keyed dict.  The kernel only stops at an invalid placement; the
+columns: each step gathers the frontier's entries of a column at C level.
+Besides each vertex's burn step it holds only the current frontier, sorted
+into index order; it counts the vertices it burns and lists none of them.
+``frontier_burn_times``, ``is_burning_sequence``, ``simulate`` (which adds
+the responsible-source sets in a second walk, step by step forward from the
+sources) and the sequence repair used by the solvers and the lift all drive
+it.  ``frontier_burn_times`` lists its vertices by step, then by label.
+``simulate`` keys its schedule by label; the CLI's ``burn`` report and
+``reduction.audit_sequence`` read the same two passes by vertex index
+(``_schedule``) and take BL and UB from it, with no label-keyed dict.
+The kernel only stops at an invalid placement; the
 functions that raise :class:`InvalidSequenceError` work out its ``cause``,
 and ``is_burning_sequence`` never does.  The repair reports
 whether its own fire burned every vertex, which is the verdict of
@@ -28,7 +30,7 @@ distances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, groupby, repeat
+from itertools import compress, repeat
 from operator import eq
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -129,29 +131,31 @@ def _burn(
     steps: int,
     choose: Callable[[int, list[int]], int | None],
     time: list[int] | None = None,
-) -> tuple[list[int], list[int], list[int]]:
+) -> tuple[list[int], int, list[int]]:
     """The burning process itself, the one frontier loop of the package.
 
     At step ``t`` the fire spreads one hop, then ``choose(t, time)`` names the
     vertex ignited at ``t``; ``None`` ends the process early, and so does a
     vertex that burned before ``t``, which is then not placed.  Returns
-    ``time`` (vertex -> burn step, ``_UNBURNED`` if never reached), the burned
-    vertices in burn order, and the ignited vertex of each step.  ``time``
-    has one entry more than ``g`` has vertices: the padding sentinel's, 0.
-    A given ``time`` of that length is the starting state, updated in place:
-    a vertex marked 0 there never enters a frontier, so the fire spreads only
-    through the others.
+    ``time`` (vertex -> burn step, ``_UNBURNED`` if never reached), the number
+    of vertices burned at the steps whose source was placed, and the ignited
+    vertex of each step.  ``time`` has one entry more than ``g`` has
+    vertices: the padding sentinel's, 0.  A given ``time`` of that length is
+    the starting state, updated in place: a vertex marked 0 there never
+    enters a frontier, so the fire spreads only through the others.
 
-    Each step gathers the frontier's entries of a column at C level
+    Besides ``time`` the process holds only the current frontier, the
+    vertices burned at the last step; no list of every burned vertex is
+    kept.  Each step gathers the frontier's entries of a column at C level
     (``graph._spread``); only the ``time[w] > t`` test runs per edge end.
-    The vertices that burn at one step are in index order in the burn order,
-    which also walks the columns in order at the next step.
+    The frontier is sorted into index order, so the next step walks the
+    columns in order.
     """
     cols, over = g.cols, g.over
     if time is None:
         time = [_UNBURNED] * g.vertex_count
         time.append(0)
-    order: list[int] = []
+    burned = 0
     placed: list[int] = []
     frontier: list[int] = []
     for t in range(1, steps + 1):
@@ -170,68 +174,73 @@ def _burn(
             new.append(b)
         placed.append(b)
         new.sort()
-        order += new
+        burned += len(new)
         frontier = new
-    return time, order, placed
+    return time, burned, placed
 
 
-def _burn_sequence(g: Graph, sources: list[int]) -> tuple[list[int], list[int], list[int]]:
+def _burn_sequence(g: Graph, sources: list[int]) -> tuple[list[int], int, list[int]]:
     """:func:`_burn` of a fixed source list; it stopped at an invalid
     placement exactly when fewer than ``len(sources)`` sources are placed."""
     return _burn(g, len(sources), lambda t, _time: sources[t - 1])
 
 
-def _responsible(
-    g: Graph, time: list[int], order: list[int], placed: list[int]
-) -> list[frozenset[str] | None]:
-    """Responsible-source sets of the vertices in ``order``, in one pass.
+def _responsible(g: Graph, time: list[int], placed: list[int]) -> list[frozenset[str] | None]:
+    """Responsible-source sets of the vertices burned at the placed steps,
+    walking the steps forward from the sources; ``None`` for the others.
 
-    A source's fire reaches ``v`` at its burn time exactly when it reaches a
-    neighbour burned one step earlier, so ``v`` inherits those neighbours'
-    sets, plus itself when it is ignited in place.  Every placed vertex
-    burned at its own step, which the process checked.  The pass goes one
-    step at a time and one column at a time: the step's entries of a column
-    and their burn times are gathered at C level, and only the neighbours
-    burned one step earlier reach Python.  At step 1 only the first source
-    burns, and it has no such neighbour.
+    A source's fire reaches ``w`` at its burn time exactly when it reaches a
+    neighbour burned one step earlier, so each vertex burned at step
+    ``t - 1`` passes its set on to its neighbours burned at ``t``, and a
+    placed vertex adds itself.  Step ``t``'s vertices are those neighbours
+    plus the source placed at ``t`` (every placed vertex burned at its own
+    step, which the process checked), so only one step is held at a time,
+    and it is sorted into index order for the column walk, as in
+    :func:`_burn`.  The step's entries of a column and their burn times are
+    gathered at C level; only the neighbours burned at ``t`` reach Python.
     """
     labels, cols, over = g.labels, g.cols, g.over
     resp: list[frozenset[str] | None] = [None] * g.vertex_count
     for b in placed:
         resp[b] = frozenset((labels[b],))
-    for t, step in groupby(order, time.__getitem__):
-        if t == 1:
-            continue
-        step = list(step)
-        # (vertices, their neighbours) per column, then per overflow row
-        groups = [(step, us) for us in map(_gather(step), cols)]
-        if over:
-            groups += [(repeat(v), over[v]) for v in step if v in over]
-        for vs, us in groups:
-            earlier = map(eq, map(time.__getitem__, us), repeat(t - 1))
-            for v, u in compress(zip(vs, us), earlier):
-                r, s = resp[v], resp[u]
-                if r is None:
-                    resp[v] = s
-                elif s is not r:
-                    resp[v] = r | s
+    step: list[int] = []
+    for t, b in enumerate(placed, 1):
+        new = []
+        if step:
+            # (vertices, their neighbours) per column, then per overflow row
+            groups = [(step, ws) for ws in map(_gather(step), cols)]
+            if over:
+                groups += [(repeat(u), over[u]) for u in step if u in over]
+            for us, ws in groups:
+                reached = map(eq, map(time.__getitem__, ws), repeat(t))
+                for u, w in compress(zip(us, ws), reached):
+                    r, s = resp[w], resp[u]
+                    if r is None:
+                        resp[w] = s
+                        new.append(w)
+                    elif s is not r:
+                        resp[w] = r | s
+        new.append(b)
+        new.sort()
+        step = new
     return resp
 
 
 def _valid_burn(
     g: Graph, sequence: BurningSequence | Sequence[str]
-) -> tuple[list[int], list[int], list[int]]:
-    """:func:`_burn_sequence` of a sequence; at an invalid placement it raises
-    :class:`InvalidSequenceError` naming the earliest-placed responsible source."""
+) -> tuple[list[int], list[int]]:
+    """``time`` and ``placed`` of :func:`_burn_sequence` of a sequence; at an
+    invalid placement it raises :class:`InvalidSequenceError` naming the
+    earliest-placed responsible source."""
     sources = _source_indices(g, sequence)
-    time, order, placed = _burn_sequence(g, sources)
+    time, _, placed = _burn_sequence(g, sources)
     if len(placed) < len(sources):
-        resp = _responsible(g, time, order, placed)
+        resp = _responsible(g, time, placed)
         b = sources[len(placed)]
         step = {g.labels[v]: i for i, v in enumerate(placed)}
         cause = min(resp[b], key=step.__getitem__)
         raise InvalidSequenceError(len(placed) + 1, g.labels[b], time[b], cause)
-    return time, order, placed
+    return time, placed
 
 
 def frontier_burn_times(
@@ -242,9 +251,12 @@ def frontier_burn_times(
     :class:`InvalidSequenceError` exactly when a source is burned strictly
     before its own step.
     """
-    time, order, _ = _valid_burn(g, sequence)
+    time, placed = _valid_burn(g, sequence)
+    k = len(placed)
+    # a stable sort keeps index (label) order within a step
+    by_step = sorted(range(g.vertex_count), key=time.__getitem__)
     labels = tuple(g.labels)  # a view's labels made once, not per vertex
-    return {labels[v]: time[v] for v in order}
+    return {labels[v]: time[v] for v in by_step if time[v] <= k}
 
 
 def _schedule(
@@ -253,9 +265,10 @@ def _schedule(
     """The schedule of :func:`simulate` by vertex index: the step count ``k``,
     each vertex's burn step (``_UNBURNED`` if never reached; one entry more,
     the padding sentinel's 0, as :func:`_burn` gives it) and each burned
-    vertex's responsible sources."""
-    time, order, placed = _valid_burn(g, sequence)
-    return len(placed), time, _responsible(g, time, order, placed)
+    vertex's responsible sources.  Besides ``time`` and the responsible
+    sets, neither pass holds more than one step's vertices."""
+    time, placed = _valid_burn(g, sequence)
+    return len(placed), time, _responsible(g, time, placed)
 
 
 def _last_and_unique(
@@ -327,15 +340,18 @@ def _repair_sequence(
         if b is not None and time[b] >= t:
             return b
         # index order equals lexicographic label order
-        if _UNBURNED in time:
+        try:
             return time.index(_UNBURNED)
-        if t in time:
+        except ValueError:
+            pass
+        try:
             return time.index(t)
-        return None
+        except ValueError:
+            return None
 
     size = g.vertex_count if time is None else time.count(_UNBURNED)
-    _, order, placed = _burn(g, horizon, choose, time)
-    return [g.labels[b] for b in placed], bool(placed) and len(order) == size
+    _, burned, placed = _burn(g, horizon, choose, time)
+    return [g.labels[b] for b in placed], bool(placed) and burned == size
 
 
 def is_burning_sequence(g: Graph, sequence: BurningSequence | Sequence[str]) -> bool:
@@ -347,8 +363,8 @@ def is_burning_sequence(g: Graph, sequence: BurningSequence | Sequence[str]) -> 
         indices = _source_indices(g, sources)
     except (UnknownVertexError, MalformedSequenceError):
         return False
-    _, order, placed = _burn_sequence(g, indices)
-    return len(placed) == len(indices) and len(order) == g.vertex_count
+    _, burned, placed = _burn_sequence(g, indices)
+    return len(placed) == len(indices) and burned == g.vertex_count
 
 
 def last_step_set(schedule: BurningSchedule) -> frozenset[str]:

@@ -394,8 +394,17 @@ def witness_sources(
     cover: Iterable[str], x: str, y: str, m: int, gprime_edges: Iterable[tuple[str, str]]
 ) -> list[str]:
     """Source labels of the constructive witness: x (or y) first, then the
-    rest of the cover lexicographically, then the C-gadget middles."""
+    rest of the cover lexicographically, then the C-gadget middles.
+
+    The witness's |cover| + m sources are distinct vertices of H, so when
+    that exceeds ``_MAX_H_VERTICES`` no H the reduction builds has them:
+    :class:`ReductionTooLargeError` is raised before any label is made.
+    """
     q = set(cover)
+    if len(q) + m > _MAX_H_VERTICES:
+        raise ReductionTooLargeError(
+            f"witness has {len(q) + m} sources, over the reduction's cap of {_MAX_H_VERTICES}"
+        )
     if x in q:
         first = x
     elif y in q:

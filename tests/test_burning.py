@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from collections import Counter, deque
 from unittest import mock
 
@@ -35,6 +36,7 @@ from burnkit.graph import (
     read_graph,
     write_graph,
 )
+from burnkit.solvers import path_cycle_witness
 
 
 def test_single_vertex():
@@ -561,16 +563,36 @@ def _row_major_responsible(g, time, order, placed):
     return resp
 
 
+def _row_major_count(g, steps, choose, time=None):
+    """:func:`_row_major_burn` with its burn order replaced by its length,
+    as the kernel returns it."""
+    time, order, placed = _row_major_burn(g, steps, choose, time)
+    return time, len(order), placed
+
+
+def _row_major_error(g, src):
+    """The fields of ``InvalidSequenceError`` for the index sources ``src``
+    by the row-major kernel and responsible sets, or ``None`` if valid."""
+    time, order, placed = _row_major_burn(g, len(src), lambda t, _time: src[t - 1])
+    if len(placed) == len(src):
+        return None
+    b = src[len(placed)]
+    resp = _row_major_responsible(g, time, order, placed)
+    step = {g.labels[v]: i for i, v in enumerate(placed)}
+    return len(placed) + 1, g.labels[b], time[b], min(resp[b], key=step.__getitem__)
+
+
 def _assert_step_order_only_changed(g, sources):
     """The column kernel burns the same vertices at the same steps as the
-    row-major one, lists each step's vertices in index order, and gives the
-    same responsible sets."""
+    row-major one and counts them, ``frontier_burn_times`` lists each step's
+    vertices in index order, and the responsible sets are the same."""
     src = [g._at(v) for v in sources]
-    time, order, placed = burning._burn_sequence(g, src)
+    time, burned, placed = burning._burn_sequence(g, src)
     ref_time, ref_order, ref_placed = _row_major_burn(g, len(src), lambda t, _time: src[t - 1])
-    assert (time, placed) == (ref_time, ref_placed)
-    assert order == sorted(ref_order, key=lambda v: (time[v], v))
-    resp = burning._responsible(g, time, order, placed)
+    assert (time, burned, placed) == (ref_time, len(ref_order), ref_placed)
+    by_step = sorted(ref_order, key=lambda v: (time[v], v))
+    assert list(frontier_burn_times(g, sources)) == [g.labels[v] for v in by_step]
+    resp = burning._responsible(g, time, placed)
     assert resp == _row_major_responsible(g, ref_time, ref_order, ref_placed)
 
 
@@ -578,18 +600,25 @@ def _assert_step_order_only_changed(g, sources):
 @settings(max_examples=80, deadline=None)
 def test_burn_order_within_a_step_is_index_order(seed):
     """``frontier_burn_times`` lists vertices by burn step, then by label
-    (index order); the step of each vertex, the responsible sets and the
-    repair's result are the row-major kernel's, on valid and repaired
-    sequences of random connected graphs."""
+    (index order); the step of each vertex, the burned count, the responsible
+    sets, the error fields of an invalid placement and the repair's result
+    are the row-major kernel's, on valid, extended and repaired sequences of
+    random connected graphs."""
     r = random.Random(seed)
     g = random_connected_graph(r.randint(2, 12), seed)
     seq = _random_valid_sequence(g, seed)
     times = frontier_burn_times(g, seq)
     assert list(times.items()) == sorted(times.items(), key=lambda item: (item[1], item[0]))
     _assert_step_order_only_changed(g, seq)
+    bad = seq + [r.choice(g.vertices)]
+    want_error = _row_major_error(g, [g._at(v) for v in bad])
+    if want_error is None:
+        _assert_step_order_only_changed(g, bad)
+    else:
+        assert _error_fields(simulate, g, bad) == want_error
     intended = [r.choice([None, *g.vertices]) for _ in range(r.randint(0, g.vertex_count))]
     horizon = r.randint(1, g.vertex_count)
-    with mock.patch.object(burning, "_burn", _row_major_burn):
+    with mock.patch.object(burning, "_burn", _row_major_count):
         want = _repair_sequence(g, intended, horizon)
     assert _repair_sequence(g, intended, horizon) == want
 
@@ -600,3 +629,22 @@ def test_step_order_only_changed_on_h(k4_instance):
     inst = k4_instance
     cover = solvers.vertex_cover_exact(inst.g_prime).witness
     _assert_step_order_only_changed(inst.h_graph, list(reduction.vc_to_witness(inst, cover)))
+
+
+def test_kernel_holds_burn_times_and_one_frontier():
+    """The kernel keeps each vertex's burn step and the current frontier, and
+    lists no burned vertex: on P_200000 with its ceil(sqrt n)-source witness,
+    whose frontier holds at most 2 vertices per source, checking the
+    sequence peaks below 1.5 times the 8-byte-per-vertex ``time`` list.  A
+    burn-order list would add about 32 bytes per vertex."""
+    n = 200_000
+    g = path_graph(n)
+    seq = list(path_cycle_witness(n, "path"))
+    tracemalloc.start()
+    try:
+        burns = is_burning_sequence(g, seq)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert burns
+    assert peak < 1.5 * 8 * (n + 1)

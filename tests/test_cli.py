@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from burnkit import cli, gadgets
+from burnkit import cli, gadgets, reduction
 from burnkit.burning import (
     InvalidSequenceError,
     _repair_sequence,
@@ -414,6 +414,22 @@ def test_witness_meta_with_huge_m_builds_no_gadget(tmp_path, capsys, monkeypatch
     middles = seq_file.read_text(encoding="utf-8").split()[-2000:]
     assert middles[:2] == ["c:p2000:a1999", "c:p1999:a1999"]
     assert middles[-4:] == ["c:p4:a4", "c:tail:v7", "c:tail:v3", "c:tail:v1"]
+
+
+def test_witness_meta_with_m_past_the_h_cap_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    """A witness's |cover| + m sources are distinct vertices of H, so an m of
+    10**9 is refused by the reduction's cap before any C(m) label is made."""
+
+    def no_labels(*args):
+        raise AssertionError("witness made the C(m) labels")
+
+    monkeypatch.setattr(reduction, "_c_middles", no_labels)
+    meta_file = tmp_path / "h.meta"
+    meta_file.write_text(_META.replace("m\t4", "m\t1000000000"), encoding="utf-8")
+    seq_file = tmp_path / "w.seq"
+    assert main(["witness", str(meta_file), "-o", str(seq_file)]) == 1
+    assert capsys.readouterr().err.startswith("error\tReductionTooLargeError\t")
+    assert not seq_file.exists()
 
 
 def test_reduce_rejects_colliding_btp_heads(tmp_path, capsys):
