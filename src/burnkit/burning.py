@@ -7,24 +7,24 @@ A source reached by older fire exactly at its own step is a valid placement;
 strictly earlier is not.
 
 One step-wise frontier kernel runs that process on the graph's adjacency
-columns: each step gathers the frontier's entries of a column at C level.
-Besides each vertex's burn step it holds only the current frontier, sorted
-into index order; it counts the vertices it burns and lists none of them.
-``frontier_burn_times``, ``is_burning_sequence``, ``simulate`` (which adds
-the responsible-source sets in a second walk, step by step forward from the
-sources) and the sequence repair used by the solvers and the lift all drive
-it.  ``frontier_burn_times`` lists its vertices by step, then by label.
-``simulate`` keys its schedule by label; the CLI's ``burn`` report and
-``reduction.audit_sequence`` read the same two passes by vertex index
-(``_schedule``) and take BL and UB from it, with no label-keyed dict.
-The kernel only stops at an invalid placement; the
-functions that raise :class:`InvalidSequenceError` work out its ``cause``,
-and ``is_burning_sequence`` never does.  The repair reports
-whether its own fire burned every vertex, which is the verdict of
-``is_burning_sequence`` on the sequence it returns, so its callers validate
-that sequence without a second run.  The test suite cross-checks the kernel
-against the closed form ``min_i (i + d(b_i, v))`` over per-source BFS
-distances.
+columns, one ``graph._advance`` (the step ``Graph.bfs`` takes per level)
+per step.  Besides each vertex's burn step it holds only the current
+frontier, sorted into index order, and counts the vertices it burns.
+``frontier_burn_times`` (by step, then by label), ``is_burning_sequence``,
+``simulate`` and the sequence repair used by the solvers and the lift all
+drive it.  A second walk, forward from the sources, gives each vertex's
+responsible sources as an int mask (bit i: the source placed at step
+i + 1), which the cyclic collector never tracks; ``simulate`` makes one
+frozenset per distinct mask and keys its schedule by label.  The CLI's
+``burn`` report and ``reduction.audit_sequence`` read both passes by vertex
+index (``_schedule``) and take BL and UB from them.  The kernel only stops
+at an invalid placement; the functions that raise
+:class:`InvalidSequenceError` take its ``cause`` from the masks, and
+``is_burning_sequence`` never does.  The repair reports whether its own
+fire burned every vertex, which is the verdict of ``is_burning_sequence``
+on the sequence it returns, so its callers validate that sequence without
+a second run.  The test suite cross-checks the kernel against the closed
+form ``min_i (i + d(b_i, v))`` over per-source BFS distances.
 """
 
 from __future__ import annotations
@@ -34,13 +34,7 @@ from itertools import compress, repeat
 from operator import eq
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .graph import Graph, UnknownVertexError, _data_lines, _gather, _label_ok, _spread
-
-# The burn step of a vertex never reached.  Any value above every step
-# works, and a step never exceeds n + 1.  It is kept below 2**30 so that it
-# is a one-digit int: CPython 3.11 specialises ``time[w] > t`` only when both
-# sides are one-digit ints, and the kernel makes that check per edge end.
-_UNBURNED = (1 << 30) - 1
+from .graph import _UNBURNED, Graph, UnknownVertexError, _advance, _data_lines, _gather, _label_ok
 
 
 class BurnError(Exception):
@@ -146,10 +140,9 @@ def _burn(
 
     Besides ``time`` the process holds only the current frontier, the
     vertices burned at the last step; no list of every burned vertex is
-    kept.  Each step gathers the frontier's entries of a column at C level
-    (``graph._spread``); only the ``time[w] > t`` test runs per edge end.
-    The frontier is sorted into index order, so the next step walks the
-    columns in order.
+    kept.  Each step's spread is one ``graph._advance``, the frontier step
+    that ``Graph.bfs`` also takes.  The frontier is sorted into index order,
+    so the next step walks the columns in order.
     """
     cols, over = g.cols, g.over
     if time is None:
@@ -159,13 +152,7 @@ def _burn(
     placed: list[int] = []
     frontier: list[int] = []
     for t in range(1, steps + 1):
-        new = []
-        if frontier:
-            for ws in _spread(cols, over, frontier):
-                for w in ws:
-                    if time[w] > t:
-                        time[w] = t
-                        new.append(w)
+        new = _advance(cols, over, frontier, time, t) if frontier else []
         b = choose(t, time)
         if b is None or time[b] < t:
             break
@@ -185,24 +172,25 @@ def _burn_sequence(g: Graph, sources: list[int]) -> tuple[list[int], int, list[i
     return _burn(g, len(sources), lambda t, _time: sources[t - 1])
 
 
-def _responsible(g: Graph, time: list[int], placed: list[int]) -> list[frozenset[str] | None]:
-    """Responsible-source sets of the vertices burned at the placed steps,
-    walking the steps forward from the sources; ``None`` for the others.
+def _responsible(g: Graph, time: list[int], placed: list[int]) -> list[int]:
+    """Each vertex's responsible sources as a mask, walking the steps
+    forward from the sources: bit i is set when the source placed at step
+    i + 1 reaches the vertex at its burn time; 0 for a vertex not burned.
 
     A source's fire reaches ``w`` at its burn time exactly when it reaches a
     neighbour burned one step earlier, so each vertex burned at step
-    ``t - 1`` passes its set on to its neighbours burned at ``t``, and a
-    placed vertex adds itself.  Step ``t``'s vertices are those neighbours
-    plus the source placed at ``t`` (every placed vertex burned at its own
-    step, which the process checked), so only one step is held at a time,
-    and it is sorted into index order for the column walk, as in
+    ``t - 1`` passes its mask on to its neighbours burned at ``t``, and a
+    placed vertex starts with its own bit.  Step ``t``'s vertices are those
+    neighbours plus the source placed at ``t`` (every placed vertex burned
+    at its own step, which the process checked), so only one step is held
+    at a time, and it is sorted into index order for the column walk, as in
     :func:`_burn`.  The step's entries of a column and their burn times are
     gathered at C level; only the neighbours burned at ``t`` reach Python.
     """
-    labels, cols, over = g.labels, g.cols, g.over
-    resp: list[frozenset[str] | None] = [None] * g.vertex_count
-    for b in placed:
-        resp[b] = frozenset((labels[b],))
+    cols, over = g.cols, g.over
+    resp = [0] * g.vertex_count
+    for i, b in enumerate(placed):
+        resp[b] = 1 << i
     step: list[int] = []
     for t, b in enumerate(placed, 1):
         new = []
@@ -215,10 +203,10 @@ def _responsible(g: Graph, time: list[int], placed: list[int]) -> list[frozenset
                 reached = map(eq, map(time.__getitem__, ws), repeat(t))
                 for u, w in compress(zip(us, ws), reached):
                     r, s = resp[w], resp[u]
-                    if r is None:
+                    if not r:
                         resp[w] = s
                         new.append(w)
-                    elif s is not r:
+                    elif r != s:
                         resp[w] = r | s
         new.append(b)
         new.sort()
@@ -231,14 +219,14 @@ def _valid_burn(
 ) -> tuple[list[int], list[int]]:
     """``time`` and ``placed`` of :func:`_burn_sequence` of a sequence; at an
     invalid placement it raises :class:`InvalidSequenceError` naming the
-    earliest-placed responsible source."""
+    earliest-placed responsible source: the lowest bit of the source's
+    mask."""
     sources = _source_indices(g, sequence)
     time, _, placed = _burn_sequence(g, sources)
     if len(placed) < len(sources):
-        resp = _responsible(g, time, placed)
         b = sources[len(placed)]
-        step = {g.labels[v]: i for i, v in enumerate(placed)}
-        cause = min(resp[b], key=step.__getitem__)
+        mask = _responsible(g, time, placed)[b]
+        cause = g.labels[placed[(mask & -mask).bit_length() - 1]]
         raise InvalidSequenceError(len(placed) + 1, g.labels[b], time[b], cause)
     return time, placed
 
@@ -261,35 +249,37 @@ def frontier_burn_times(
 
 def _schedule(
     g: Graph, sequence: BurningSequence | Sequence[str]
-) -> tuple[int, list[int], list[frozenset[str] | None]]:
+) -> tuple[int, list[int], list[int]]:
     """The schedule of :func:`simulate` by vertex index: the step count ``k``,
     each vertex's burn step (``_UNBURNED`` if never reached; one entry more,
-    the padding sentinel's 0, as :func:`_burn` gives it) and each burned
-    vertex's responsible sources.  Besides ``time`` and the responsible
-    sets, neither pass holds more than one step's vertices."""
+    the padding sentinel's 0, as :func:`_burn` gives it) and each vertex's
+    responsible-source mask from :func:`_responsible` (0 if not burned).
+    Besides ``time`` and the masks, neither pass holds more than one step's
+    vertices."""
     time, placed = _valid_burn(g, sequence)
     return len(placed), time, _responsible(g, time, placed)
 
 
-def _last_and_unique(
-    k: int, time: list[int], resp: list[frozenset[str] | None]
-) -> tuple[list[int], list[int]]:
-    """The indices of BL (burned at step ``k``) and of UB (one responsible
-    source) in a complete index schedule."""
+def _last_and_unique(k: int, time: list[int], resp: list[int]) -> tuple[list[int], list[int]]:
+    """The indices of BL (burned at step ``k``) and of UB (a mask of one
+    bit: one responsible source) in a complete index schedule."""
     last = [v for v, t in enumerate(time) if t == k]
-    return last, [v for v, r in enumerate(resp) if len(r) == 1]
+    return last, [v for v, r in enumerate(resp) if not r & (r - 1)]
 
 
 def simulate(g: Graph, sequence: BurningSequence | Sequence[str]) -> BurningSchedule:
     """Burn times, responsible-source sets and the unburned set of a sequence."""
-    k, time, resp = _schedule(g, sequence)
+    sources = tuple(sequence)
+    k, time, resp = _schedule(g, sources)
+    # one frozenset per distinct mask; bit i is sources[i], which was placed
+    sets = {m: frozenset(b for i, b in enumerate(sources) if m >> i & 1) for m in set(resp)}
     burn_time: dict[str, int] = {}
     responsible: dict[str, frozenset[str]] = {}
     unburned: list[str] = []
     for v, label in enumerate(g.labels):
         if time[v] <= k:
             burn_time[label] = time[v]
-            responsible[label] = resp[v]
+            responsible[label] = sets[resp[v]]
         else:
             unburned.append(label)
     return BurningSchedule(

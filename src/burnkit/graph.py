@@ -22,7 +22,8 @@ no overflow, and a star pays for its hub in the overflow map, not n slots
 per leaf.  ``adj`` is a read-only view of the same rows as sorted tuples,
 made when they are read, for small graphs and callers that want rows; the
 whole-graph walks (BFS, the burning kernel, edge and degree scans) read the
-columns, gathering one frontier's entries of a column at C level.
+columns; BFS and the burning kernel share one frontier step, ``_advance``,
+which gathers a frontier's entries of a column at C level.
 
 The constructor works on integers from the start: it numbers the labels
 in first-seen order, sorts them once and puts each edge end in the next
@@ -45,8 +46,15 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from itertools import chain, compress, count, islice, repeat
-from operator import ge, itemgetter, ne
+from operator import eq, ge, itemgetter, ne
 from typing import Iterable, Iterator, NoReturn, Sequence
+
+
+# The step or distance of a vertex never reached: above every step (a step
+# never exceeds n + 1) and below 2**30, a one-digit int, because CPython 3.11
+# specialises ``time[w] > t``, which :func:`_advance` makes per edge end, only
+# when both sides are one-digit ints.
+_UNBURNED = (1 << 30) - 1
 
 
 class GraphError(Exception):
@@ -160,26 +168,23 @@ class Graph:
         return self
 
     def bfs(self, src: int) -> list[int]:
-        """Hop distances from index ``src``; -1 marks unreachable vertices.
-        The search goes one level at a time, so every vertex of a level
-        takes the level's distance, and gathers each level's entries of a
-        column at C level."""
-        dist = [-1] * len(self.labels)
-        dist.append(0)  # the padding sentinel: never unreached, so never queued
+        """Hop distances from index ``src`` (-n <= src < n, as ``adj`` reads
+        it), -1 for unreachable vertices: one :func:`_advance` per level."""
+        n = len(self.labels)
+        if not -n <= src < n:
+            raise IndexError("vertex index out of range")
+        src %= n
+        dist = [_UNBURNED] * n
+        dist.append(0)  # the padding sentinel: reached at 0, so never queued
         dist[src] = 0
-        cols, over = self.cols, self.over
         frontier = [src]
         d = 0
         while frontier:
             d += 1
-            new = []
-            for ws in _spread(cols, over, frontier):
-                for w in ws:
-                    if dist[w] < 0:
-                        dist[w] = d
-                        new.append(w)
-            frontier = new
+            frontier = _advance(self.cols, self.over, frontier, dist, d)
         dist.pop()
+        for v in compress(count(), map(eq, dist, repeat(_UNBURNED))):
+            dist[v] = -1
         return dist
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -248,14 +253,23 @@ def _gather(vertices: list[int]) -> itemgetter:
     return itemgetter(*vertices)
 
 
-def _spread(cols: Sequence[array], over: dict[int, array], frontier: list[int]) -> Iterator:
-    """The neighbour entries of the vertices of ``frontier`` (not empty), in
-    groups: one per column, gathered at C level, then the overflow row of
-    each frontier vertex that has one.  A padded row gives the sentinel n."""
+def _advance(
+    cols: Sequence[array], over: dict[int, array], frontier: list[int], time: list[int], t: int
+) -> list[int]:
+    """One frontier step, shared by BFS and the burning kernel: each
+    neighbour ``w`` of ``frontier`` (not empty) with ``time[w] > t`` (the
+    sentinel's entry never is) takes ``t``; returns them in the order
+    reached.  Columns are gathered at C level, then the overflow rows."""
     groups = map(_gather(frontier), cols)
     if over:
-        return chain(groups, filter(None, map(over.get, frontier)))
-    return groups
+        groups = chain(groups, filter(None, map(over.get, frontier)))
+    new = []
+    for ws in groups:
+        for w in ws:
+            if time[w] > t:
+                time[w] = t
+                new.append(w)
+    return new
 
 
 def _reject_first_bad_edge(edges: Iterable[tuple[str, str]], where: Iterable[str] = repeat("")):

@@ -48,7 +48,6 @@ from operator import or_
 
 from .burning import BurningSequence, _repair_sequence, is_burning_sequence
 from .graph import Graph
-from .generators import cycle_graph, path_graph
 
 _MEMO_CAP = 1 << 21
 # the exhaustive solvers refuse larger graphs before any work
@@ -399,11 +398,6 @@ def path_cycle_witness(n: int, kind: str) -> BurningSequence:
         centers[0] = s1 + delta
         centers[1] = s1 + ell1 + (k - 2)
     return BurningSequence.of(f"v{c}" for c in centers)
-
-
-def path_cycle_graph(n: int, kind: str) -> Graph:
-    _check_kind(n, kind)
-    return path_graph(n) if kind == "path" else cycle_graph(n)
 
 
 def _take(nbrs: list[set[int]], deg: list[int], trail: list[int], v: int):

@@ -592,7 +592,11 @@ def _assert_step_order_only_changed(g, sources):
     assert (time, burned, placed) == (ref_time, len(ref_order), ref_placed)
     by_step = sorted(ref_order, key=lambda v: (time[v], v))
     assert list(frontier_burn_times(g, sources)) == [g.labels[v] for v in by_step]
-    resp = burning._responsible(g, time, placed)
+    labels = [g.labels[b] for b in placed]
+    resp = [
+        frozenset(b for i, b in enumerate(labels) if m >> i & 1) if m else None
+        for m in burning._responsible(g, time, placed)
+    ]
     assert resp == _row_major_responsible(g, ref_time, ref_order, ref_placed)
 
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burnkit import graph as graph_module
-from burnkit.burning import is_burning_sequence
+from burnkit.burning import _UNBURNED, _schedule, is_burning_sequence
 from burnkit.graph import (
     Graph,
     GraphFormatError,
@@ -30,7 +30,8 @@ from burnkit.graph import (
 )
 from burnkit.generators import path_graph, random_cubic
 from burnkit.lift import build_Hd
-from burnkit.reduction import NotConnectedError, build_H
+from burnkit.reduction import NotConnectedError, build_H, vc_to_witness
+from burnkit.solvers import vertex_cover_exact
 
 
 def test_bfs_path_distances():
@@ -49,6 +50,18 @@ def test_bfs_complete_graph(k4):
 def test_bfs_unknown_vertex(k4):
     with pytest.raises(UnknownVertexError):
         bfs_distances(k4, "nope")
+
+
+def test_bfs_reads_its_index_as_adj_does():
+    """-n <= src < n, negatives counted from the end; any other index raises
+    before the search writes anything, as ``adj`` does."""
+    g = path_graph(4)
+    assert g.bfs(-1) == g.bfs(3) == [3, 2, 1, 0]
+    assert g.bfs(-4) == g.bfs(0) == [0, 1, 2, 3]
+    for graph, src in [(g, 4), (g, 5), (g, -5), (Graph([]), 0), (Graph([]), -1)]:
+        for read in (graph.adj.__getitem__, graph.bfs):
+            with pytest.raises(IndexError, match="^vertex index out of range$"):
+                read(src)
 
 
 def test_bfs_unreachable_absent():
@@ -822,6 +835,20 @@ def test_builds_start_no_collection(k4, k4_instance, prism_h_text):
     assert _collections_started(lambda: build_H(k4)) == []
     assert _collections_started(lambda: build_Hd(h, 5)) == []
     assert _collections_started(lambda: read_graph(prism_h_text)) == []
+
+
+def test_schedule_starts_no_collection_and_its_masks_are_untracked(k4_instance):
+    """The responsible sources are one int per vertex, which the cyclic
+    collector never tracks, so no collection starts while the burning
+    schedule runs on the K4 H's constructive witness; a frozenset per vertex
+    started three generation-0 collections there."""
+    inst = k4_instance
+    seq = list(vc_to_witness(inst, vertex_cover_exact(inst.g_prime).witness))
+    schedule = []
+    assert _collections_started(lambda: schedule.extend(_schedule(inst.h_graph, seq))) == []
+    _, time, resp = schedule
+    assert _UNBURNED not in time
+    assert not any(map(gc.is_tracked, resp))
 
 
 def _hub_and_cycle(n: int) -> list[tuple[str, str]]:

@@ -26,7 +26,6 @@ from burnkit.solvers import (
     burning_number_naive,
     ceil_sqrt,
     path_cycle_burning_number,
-    path_cycle_graph,
     path_cycle_witness,
     vertex_cover_exact,
 )
@@ -247,11 +246,6 @@ def test_path_witness_validates(n):
 @settings(max_examples=120, deadline=None)
 def test_cycle_witness_validates(n):
     assert is_burning_sequence(cycle_graph(n), path_cycle_witness(n, "cycle"))
-
-
-def test_path_cycle_graph_helper():
-    assert path_cycle_graph(4, "path").edge_count == 3
-    assert path_cycle_graph(4, "cycle").edge_count == 4
 
 
 @given(st.integers(min_value=0, max_value=10_000))
