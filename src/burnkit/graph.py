@@ -466,14 +466,6 @@ def bfs_distances(g: Graph, src: str) -> DistanceMap:
     return DistanceMap(source=src, dist=dist)
 
 
-def eccentricity(g: Graph, src: str) -> int:
-    """Maximum BFS distance from ``src``; raises if the graph is disconnected."""
-    dm = bfs_distances(g, src)
-    if len(dm.dist) != g.vertex_count:
-        raise GraphError("eccentricity undefined on a disconnected graph")
-    return max(dm.dist.values())
-
-
 def is_connected(g: Graph) -> bool:
     if g.vertex_count == 0:
         return True

@@ -6,12 +6,12 @@ k-1, k-2, ..., 0.  The search is one depth-first loop over an explicit stack,
 so its depth is not bounded by the recursion limit.  The radii still to
 place are one bitmask, which with the covered set keys a memo of failed
 nodes.  Distances come only from the balls, one bitmask per vertex and
-radius; the set-up's one BFS per vertex keeps no row.  A ball cover of that
-shape always converts into a valid burning sequence (sources distinct, each
-unburned when chosen): walk the positions in order and, whenever the
-intended center is already burned, substitute any still-unburned vertex --
-the fire that burned the center is ahead of schedule, so coverage is
-preserved.  The converse is immediate, so the
+radius; the set-up takes the root and the components from them too.  A
+ball cover of that shape always converts into a valid burning sequence
+(sources distinct, each unburned when chosen): walk the positions in order
+and, whenever the intended center is already burned, substitute any
+still-unburned vertex -- the fire that burned the center is ahead of
+schedule, so coverage is preserved.  The converse is immediate, so the
 cover decision equals the sequence decision; the test suite additionally
 asserts agreement with the exhaustive oracle on small graphs.
 
@@ -141,16 +141,21 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _eccentricities(g: Graph) -> tuple[list[int], list[int]]:
-    """Each vertex's eccentricity within its component, and its component,
-    named by the component's first vertex: one BFS per vertex, no row kept."""
-    ecc, comp = [], [-1] * g.vertex_count
-    for v in range(g.vertex_count):
-        row = g.bfs(v)
-        ecc.append(max(row))
-        if comp[v] < 0:
-            comp = [v if d >= 0 else c for c, d in zip(comp, row)]
-    return ecc, comp
+def _root_and_components(adj: list[tuple[int, ...]]) -> tuple[int, int, list[int]]:
+    """The largest eccentricity D over all components, the first vertex of
+    eccentricity D, and each vertex's component, named by its lowest vertex.
+    The ball masks grow one radius at a time until none changes, two radii
+    held at once: a ball grows at radius r exactly when its center's
+    eccentricity is at least r, so D is the number of radii at which one
+    grows, and a final ball is its center's component."""
+    adj = tuple(adj)  # rows made once, not per radius
+    masks = _ball_masks(adj, None)
+    diameter = root = 0
+    while (grown := _ball_masks(adj, masks)) != masks:
+        diameter += 1
+        root = next(v for v, (a, b) in enumerate(zip(masks, grown)) if a != b)
+        masks = grown
+    return diameter, root, [(m & -m).bit_length() - 1 for m in masks]
 
 
 def _branches(
@@ -187,9 +192,10 @@ def _branches(
 def burning_number_exact(g: Graph, node_budget: int = 10_000_000) -> SolveResult:
     """Exact burning number with a validated witness sequence.
 
-    The set-up runs one BFS per vertex and the search keeps n ball masks of
-    up to n bits per radius, so a graph of more than ``_MAX_EXACT_VERTICES``
-    vertices is refused with ``TooLargeError`` before either.
+    The set-up grows n ball masks of up to n bits radius by radius to the
+    diameter and the search keeps one such set per radius, so a graph of
+    more than ``_MAX_EXACT_VERTICES`` vertices is refused with
+    ``TooLargeError`` before either.
     """
     n = g.vertex_count
     if n == 0:
@@ -197,9 +203,7 @@ def burning_number_exact(g: Graph, node_budget: int = 10_000_000) -> SolveResult
     if n > _MAX_EXACT_VERTICES:
         raise TooLargeError(f"{n} vertices exceeds the exact solver's guard of {_MAX_EXACT_VERTICES}")
     start = time.monotonic()
-    ecc, comp = _eccentricities(g)
-    diameter = max(ecc)  # the largest eccentricity, over all components
-    root = ecc.index(diameter)
+    diameter, root, comp = _root_and_components(g.adj)
     full = (1 << n) - 1
     budget = _Budget(node_budget)
     prunes = volume = 0

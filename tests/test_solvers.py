@@ -156,6 +156,25 @@ def test_exact_search_tree_is_pinned(case):
     assert (result.value, list(result.witness), result.stats.nodes) == (value, witness.split(), nodes)
 
 
+def test_exact_runs_no_bfs_before_a_budget_stop(monkeypatch):
+    """The root and the components come from the ball masks, so only the
+    ball-cover bound of a budget stop runs a BFS."""
+    shapes = [
+        Graph([], vertices=["a", "b"]),
+        Graph([("a", "b"), ("b", "c"), ("d", "e")]),
+        Graph([("a", "b")], vertices=["a", "b", "z"]),
+    ]
+    cases = [(make(), value) for make, value, _, _ in _PINNED_SEARCHES.values()]
+    cases += [(g, burning_number_naive(g).value) for g in shapes]
+
+    def no_bfs(self, src):
+        raise AssertionError("Graph.bfs called")
+
+    monkeypatch.setattr(Graph, "bfs", no_bfs)
+    for g, value in cases:
+        assert burning_number_exact(g).value == value
+
+
 @pytest.mark.parametrize("n, seed, budget, stop", [(80, 1, 1000, (5, 7, 1001)), (70, 2, 50, (5, 6, 51))])
 def test_exact_budget_stop_is_pinned(n, seed, budget, stop):
     with pytest.raises(BudgetExceededError) as info:
@@ -198,10 +217,21 @@ def test_exact_builds_no_masks_past_the_largest_eccentricity():
     assert _traced_peak(burning_number_exact, g) < 3 * table
 
 
+def test_exact_set_up_holds_two_radii_of_masks():
+    """On a 400-vertex path (D = 399) the masks of every radius up to D
+    would take about 13 MB; the set-up grows them two radii at a time,
+    within a few times one radius's mask set (about 35 KB)."""
+    g = path_graph(400)
+    one_radius = [(1 << 400) - 1] * 400
+    size = sys.getsizeof(one_radius) + 400 * sys.getsizeof(one_radius[0])
+    assert solvers._root_and_components(g.adj) == (399, 0, [0] * 400)
+    assert _traced_peak(solvers._root_and_components, g.adj) < 5 * size
+
+
 def test_exact_holds_less_than_a_distance_table():
     """On 2,000 vertices the n-by-n table of BFS rows alone takes about
-    32 MB; a budget stop on that graph, with its one BFS per vertex, its
-    ball masks and its ball-cover bound, stays below it."""
+    32 MB; a budget stop on that graph, with its ball masks and its
+    ball-cover bound, stays below it."""
     g = random_cubic(2000, 1)
 
     def stop():
@@ -563,11 +593,11 @@ def _search_states(draw):
 def test_branches_match_the_table_oracle(state):
     g, balls, radii, covered, chosen = state
     dist = _distance_table(g)
-    ecc, comp = solvers._eccentricities(g)
-    assert ecc == [max(d for d in row if d >= 0) for row in dist]
+    ecc = [max(row) for row in dist]
+    diameter, root, comp = solvers._root_and_components(g.adj)
+    assert (diameter, root) == (max(ecc), ecc.index(max(ecc)))
     assert comp == [min(u for u, d in enumerate(row) if d >= 0) for row in dist]
     expected = list(reference_branches(dist, ecc, balls, radii, covered, chosen))
-    root = ecc.index(max(ecc))
     assert list(solvers._branches(balls, comp, root, radii, covered, chosen)) == expected
 
 
