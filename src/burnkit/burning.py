@@ -10,28 +10,28 @@ One step-wise frontier kernel runs that process on the graph's adjacency
 columns, one ``graph._advance`` (the step ``Graph.bfs`` takes per level)
 per step.  Besides each vertex's burn step it holds only the current
 frontier, sorted into index order, and counts the vertices it burns.
-``frontier_burn_times`` (by step, then by label), ``is_burning_sequence``,
-``simulate`` and the sequence repair used by the solvers and the lift all
-drive it.  A second walk, forward from the sources, gives each vertex's
-responsible sources as an int mask (bit i: the source placed at step
-i + 1), which the cyclic collector never tracks; ``simulate`` makes one
-frozenset per distinct mask and keys its schedule by label.  The CLI's
-``burn`` report and ``reduction.audit_sequence`` read both passes by vertex
-index (``_schedule``) and take BL and UB from them.  The kernel only stops
-at an invalid placement; the functions that raise
-:class:`InvalidSequenceError` take its ``cause`` from the masks, and
-``is_burning_sequence`` never does.  The repair reports whether its own
-fire burned every vertex, which is the verdict of ``is_burning_sequence``
-on the sequence it returns, so its callers validate that sequence without
-a second run.  The test suite cross-checks the kernel against the closed
-form ``min_i (i + d(b_i, v))`` over per-source BFS distances.
+``is_burning_sequence`` and the sequence repair used by the solvers and the
+lift drive it.  A schedule (``_schedule``) is one forward walk of the same
+steps that also gives each vertex's responsible sources as an int mask
+(bit i: the source placed at step i + 1), which the cyclic collector never
+tracks; it raises :class:`InvalidSequenceError` at an invalid placement,
+with a ``cause`` read off the masks it holds at that step.
+``frontier_burn_times`` (by step, then by label) and ``simulate`` read it;
+``simulate`` makes one frozenset per distinct mask and keys its schedule by
+label.  The CLI's ``burn`` report and ``reduction.audit_sequence`` read it
+by vertex index and take BL and UB from it.  The repair reports whether its
+own fire burned every vertex, which is the verdict of
+``is_burning_sequence`` on the sequence it returns, so its callers validate
+that sequence without a second run.  The test suite cross-checks the
+schedule against the closed form ``min_i (i + d(b_i, v))`` over per-source
+BFS distances, and the kernel against the schedule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import eq
+from operator import ge
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph import _UNBURNED, Graph, UnknownVertexError, _advance, _data_lines, _gather, _label_ok
@@ -126,7 +126,8 @@ def _burn(
     choose: Callable[[int, list[int]], int | None],
     time: list[int] | None = None,
 ) -> tuple[list[int], int, list[int]]:
-    """The burning process itself, the one frontier loop of the package.
+    """The burning process itself, without responsible sources: the frontier
+    loop of ``is_burning_sequence`` and the sequence repair.
 
     At step ``t`` the fire spreads one hop, then ``choose(t, time)`` names the
     vertex ignited at ``t``; ``None`` ends the process early, and so does a
@@ -166,81 +167,15 @@ def _burn(
     return time, burned, placed
 
 
-def _burn_sequence(g: Graph, sources: list[int]) -> tuple[list[int], int, list[int]]:
-    """:func:`_burn` of a fixed source list; it stopped at an invalid
-    placement exactly when fewer than ``len(sources)`` sources are placed."""
-    return _burn(g, len(sources), lambda t, _time: sources[t - 1])
-
-
-def _responsible(g: Graph, time: list[int], placed: list[int]) -> list[int]:
-    """Each vertex's responsible sources as a mask, walking the steps
-    forward from the sources: bit i is set when the source placed at step
-    i + 1 reaches the vertex at its burn time; 0 for a vertex not burned.
-
-    A source's fire reaches ``w`` at its burn time exactly when it reaches a
-    neighbour burned one step earlier, so each vertex burned at step
-    ``t - 1`` passes its mask on to its neighbours burned at ``t``, and a
-    placed vertex starts with its own bit.  Step ``t``'s vertices are those
-    neighbours plus the source placed at ``t`` (every placed vertex burned
-    at its own step, which the process checked), so only one step is held
-    at a time, and it is sorted into index order for the column walk, as in
-    :func:`_burn`.  The step's entries of a column and their burn times are
-    gathered at C level; only the neighbours burned at ``t`` reach Python.
-    """
-    cols, over = g.cols, g.over
-    resp = [0] * g.vertex_count
-    for i, b in enumerate(placed):
-        resp[b] = 1 << i
-    step: list[int] = []
-    for t, b in enumerate(placed, 1):
-        new = []
-        if step:
-            # (vertices, their neighbours) per column, then per overflow row
-            groups = [(step, ws) for ws in map(_gather(step), cols)]
-            if over:
-                groups += [(repeat(u), over[u]) for u in step if u in over]
-            for us, ws in groups:
-                reached = map(eq, map(time.__getitem__, ws), repeat(t))
-                for u, w in compress(zip(us, ws), reached):
-                    r, s = resp[w], resp[u]
-                    if not r:
-                        resp[w] = s
-                        new.append(w)
-                    elif r != s:
-                        resp[w] = r | s
-        new.append(b)
-        new.sort()
-        step = new
-    return resp
-
-
-def _valid_burn(
-    g: Graph, sequence: BurningSequence | Sequence[str]
-) -> tuple[list[int], list[int]]:
-    """``time`` and ``placed`` of :func:`_burn_sequence` of a sequence; at an
-    invalid placement it raises :class:`InvalidSequenceError` naming the
-    earliest-placed responsible source: the lowest bit of the source's
-    mask."""
-    sources = _source_indices(g, sequence)
-    time, _, placed = _burn_sequence(g, sources)
-    if len(placed) < len(sources):
-        b = sources[len(placed)]
-        mask = _responsible(g, time, placed)[b]
-        cause = g.labels[placed[(mask & -mask).bit_length() - 1]]
-        raise InvalidSequenceError(len(placed) + 1, g.labels[b], time[b], cause)
-    return time, placed
-
-
 def frontier_burn_times(
     g: Graph, sequence: BurningSequence | Sequence[str]
 ) -> dict[str, int]:
     """Map vertex -> burn step for all vertices burned within ``len(sequence)``
-    steps, in burn order: by step, then by label.  Raises
-    :class:`InvalidSequenceError` exactly when a source is burned strictly
-    before its own step.
+    steps, in burn order: by step, then by label.  The steps are those of
+    :func:`_schedule`, which raises :class:`InvalidSequenceError` exactly
+    when a source is burned strictly before its own step.
     """
-    time, placed = _valid_burn(g, sequence)
-    k = len(placed)
+    k, time, _ = _schedule(g, sequence)
     # a stable sort keeps index (label) order within a step
     by_step = sorted(range(g.vertex_count), key=time.__getitem__)
     labels = tuple(g.labels)  # a view's labels made once, not per vertex
@@ -250,14 +185,59 @@ def frontier_burn_times(
 def _schedule(
     g: Graph, sequence: BurningSequence | Sequence[str]
 ) -> tuple[int, list[int], list[int]]:
-    """The schedule of :func:`simulate` by vertex index: the step count ``k``,
-    each vertex's burn step (``_UNBURNED`` if never reached; one entry more,
-    the padding sentinel's 0, as :func:`_burn` gives it) and each vertex's
-    responsible-source mask from :func:`_responsible` (0 if not burned).
-    Besides ``time`` and the masks, neither pass holds more than one step's
-    vertices."""
-    time, placed = _valid_burn(g, sequence)
-    return len(placed), time, _responsible(g, time, placed)
+    """The schedule of :func:`simulate` by vertex index, in one forward walk:
+    the step count ``k``, each vertex's burn step (``_UNBURNED`` if never
+    reached; one entry more, the padding sentinel's 0, as :func:`_burn`
+    gives it) and each vertex's responsible-source mask (0 if not burned):
+    bit i is set when the source placed at step i + 1 reaches the vertex at
+    its burn time.
+
+    A source's fire reaches ``w`` at its burn time exactly when it reaches a
+    neighbour burned one step earlier, so at step ``t`` each vertex burned
+    at ``t - 1`` passes its mask on to each neighbour that burns at ``t``:
+    the first such pair burns ``w`` and gives it the mask, later ones OR
+    theirs in.  Then the step's source is placed with its own bit; one
+    burned strictly before ``t`` raises :class:`InvalidSequenceError` naming
+    the earliest-placed responsible source, the lowest bit of its mask.
+    Besides ``time`` and the masks only one step's vertices are held, sorted
+    into index order for the column walk, as in :func:`_burn`.  The step's
+    entries of a column and their burn times are gathered at C level; only
+    the neighbours that burn at ``t`` reach Python.
+    """
+    sources = _source_indices(g, sequence)
+    cols, over = g.cols, g.over
+    time = [_UNBURNED] * g.vertex_count
+    time.append(0)
+    resp = [0] * g.vertex_count
+    step: list[int] = []
+    for t, b in enumerate(sources, 1):
+        new = []
+        if step:
+            # (vertices, their neighbours) per column, then per overflow row
+            groups = [(step, ws) for ws in map(_gather(step), cols)]
+            if over:
+                groups += [(repeat(u), over[u]) for u in step if u in over]
+            for us, ws in groups:
+                # read lazily, so a vertex burned earlier in this step reads t
+                reached = map(ge, map(time.__getitem__, ws), repeat(t))
+                for u, w in compress(zip(us, ws), reached):
+                    if time[w] > t:
+                        time[w] = t
+                        resp[w] = resp[u]
+                        new.append(w)
+                    else:
+                        resp[w] |= resp[u]
+        if time[b] < t:
+            mask = resp[b]
+            cause = g.labels[sources[(mask & -mask).bit_length() - 1]]
+            raise InvalidSequenceError(t, g.labels[b], time[b], cause)
+        if time[b] > t:
+            time[b] = t
+            new.append(b)
+        resp[b] |= 1 << (t - 1)
+        new.sort()
+        step = new
+    return len(sources), time, resp
 
 
 def _last_and_unique(k: int, time: list[int], resp: list[int]) -> tuple[list[int], list[int]]:
@@ -353,7 +333,7 @@ def is_burning_sequence(g: Graph, sequence: BurningSequence | Sequence[str]) -> 
         indices = _source_indices(g, sources)
     except (UnknownVertexError, MalformedSequenceError):
         return False
-    _, burned, placed = _burn_sequence(g, indices)
+    _, burned, placed = _burn(g, len(indices), lambda t, _time: indices[t - 1])
     return len(placed) == len(indices) and burned == g.vertex_count
 
 

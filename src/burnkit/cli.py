@@ -366,6 +366,14 @@ def _output(args) -> tuple:
     return (args.output,)
 
 
+def _file_output(args) -> tuple:
+    """A required output, which must name a file: '', '.' or '/' is a usage
+    error, also as the stem of the default meta path."""
+    if not Path(args.output).name:
+        raise _UsageError(f"the output names no file: {args.output!r}")
+    return (args.output,)
+
+
 _COMMANDS = {
     "gen-gadget": _Command(
         "emit a gadget graph and its landmarks", _gen_gadget, "generate", (),
@@ -386,7 +394,7 @@ _COMMANDS = {
             _arg("-l", "--landmarks", help="landmark/domain sidecar file"),
             _arg("--meta", help="meta file (default: output stem + .meta)"),
         ),
-        outputs=lambda args: (args.output, _meta_path(args), args.landmarks),
+        outputs=lambda args: (*_file_output(args), _meta_path(args), args.landmarks),
     ),
     "witness": _Command(
         "constructive witness from a reduce meta file", _witness, "witness", ("meta",),
@@ -420,7 +428,7 @@ _COMMANDS = {
     "lift": _Command(
         "build the d-regular lift of a cubic graph", _lift, "lift", ("graph",),
         (_GRAPH, _arg("--d", type=int, required=True), _arg("-o", "--output", required=True)),
-        outputs=_output,
+        outputs=_file_output,
     ),
     "project": _Command(
         "project an H_d sequence onto H_d'", _project, "project", ("graph", "sequence"),

@@ -148,7 +148,6 @@ def _root_and_components(adj: list[tuple[int, ...]]) -> tuple[int, int, list[int
     held at once: a ball grows at radius r exactly when its center's
     eccentricity is at least r, so D is the number of radii at which one
     grows, and a final ball is its center's component."""
-    adj = tuple(adj)  # rows made once, not per radius
     masks = _ball_masks(adj, None)
     diameter = root = 0
     while (grown := _ball_masks(adj, masks)) != masks:
@@ -203,7 +202,8 @@ def burning_number_exact(g: Graph, node_budget: int = 10_000_000) -> SolveResult
     if n > _MAX_EXACT_VERTICES:
         raise TooLargeError(f"{n} vertices exceeds the exact solver's guard of {_MAX_EXACT_VERTICES}")
     start = time.monotonic()
-    diameter, root, comp = _root_and_components(g.adj)
+    adj = tuple(g.adj)  # rows made once, not per radius
+    diameter, root, comp = _root_and_components(adj)
     full = (1 << n) - 1
     budget = _Budget(node_budget)
     prunes = volume = 0
@@ -213,7 +213,7 @@ def burning_number_exact(g: Graph, node_budget: int = 10_000_000) -> SolveResult
     try:
         for k in range(1, n + 1):
             if k - 1 <= diameter:  # past the diameter a ball is its component
-                masks = _ball_masks(g.adj, balls[-1] if balls else None)
+                masks = _ball_masks(adj, balls[-1] if balls else None)
                 size = max(m.bit_count() for m in masks)
             balls.append(masks)
             biggest.append(size)

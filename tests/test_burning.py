@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burnkit import burning, lift, reduction, solvers
+from burnkit import burning, cli, lift, reduction, solvers
 from burnkit.burning import (
     _UNBURNED,
     BurningSequence,
@@ -585,18 +585,18 @@ def _row_major_error(g, src):
 def _assert_step_order_only_changed(g, sources):
     """The column kernel burns the same vertices at the same steps as the
     row-major one and counts them, ``frontier_burn_times`` lists each step's
-    vertices in index order, and the responsible sets are the same."""
+    vertices in index order, and the schedule walk gives the kernel's burn
+    steps and the row-major responsible sets."""
     src = [g._at(v) for v in sources]
-    time, burned, placed = burning._burn_sequence(g, src)
+    time, burned, placed = burning._burn(g, len(src), lambda t, _time: src[t - 1])
     ref_time, ref_order, ref_placed = _row_major_burn(g, len(src), lambda t, _time: src[t - 1])
     assert (time, burned, placed) == (ref_time, len(ref_order), ref_placed)
     by_step = sorted(ref_order, key=lambda v: (time[v], v))
     assert list(frontier_burn_times(g, sources)) == [g.labels[v] for v in by_step]
+    k, schedule_time, masks = burning._schedule(g, sources)
+    assert (k, schedule_time) == (len(placed), time)
     labels = [g.labels[b] for b in placed]
-    resp = [
-        frozenset(b for i, b in enumerate(labels) if m >> i & 1) if m else None
-        for m in burning._responsible(g, time, placed)
-    ]
+    resp = [frozenset(b for i, b in enumerate(labels) if m >> i & 1) if m else None for m in masks]
     assert resp == _row_major_responsible(g, ref_time, ref_order, ref_placed)
 
 
@@ -633,6 +633,63 @@ def test_step_order_only_changed_on_h(k4_instance):
     inst = k4_instance
     cover = solvers.vertex_cover_exact(inst.g_prime).witness
     _assert_step_order_only_changed(inst.h_graph, list(reduction.vc_to_witness(inst, cover)))
+
+
+def _schedule_readers(inst, seq, tmp_path, capsys):
+    """What each reader of a schedule makes of ``seq`` on ``inst``'s H: the
+    value, or the ``InvalidSequenceError`` fields, of ``_schedule``,
+    ``simulate`` and ``frontier_burn_times``, the audit report, and the CLI
+    ``burn`` report."""
+    g = inst.h_graph
+    outcomes = []
+    for engine in (burning._schedule, simulate, frontier_burn_times):
+        try:
+            outcomes.append(engine(g, seq))
+        except InvalidSequenceError as exc:
+            outcomes.append((exc.step, exc.source, exc.burned_step, exc.cause))
+    outcomes.append(reduction.audit_sequence(inst, seq))
+    (tmp_path / "s.seq").write_text(write_sequence(seq), encoding="utf-8")
+    assert cli.main(["burn", str(tmp_path / "h.g"), str(tmp_path / "s.seq")]) == 0
+    outcomes.append(capsys.readouterr().out)
+    return outcomes
+
+
+def test_a_schedule_runs_no_kernel_walk(k4_instance, tmp_path, capsys):
+    """A schedule is one walk of its own: with the kernel ``_burn`` made to
+    raise, every reader of a schedule gives what it gives with the kernel,
+    on the K4 H witness (complete) and on it with one more source (invalid:
+    that source burned before its step)."""
+    inst = k4_instance
+    (tmp_path / "h.g").write_text(write_graph(inst.h_graph), encoding="utf-8")
+    witness = list(reduction.vc_to_witness(inst, solvers.vertex_cover_exact(inst.g_prime).witness))
+    extra = random.Random(5).choice(sorted(set(inst.h_graph.labels) - set(witness)))
+    reports = []
+    for seq in (witness, witness + [extra]):
+        want = _schedule_readers(inst, seq, tmp_path, capsys)
+        with mock.patch.object(burning, "_burn", side_effect=AssertionError("kernel walk")):
+            assert _schedule_readers(inst, seq, tmp_path, capsys) == want
+        reports.append(want[-1])
+    assert "valid\ttrue\ncomplete\ttrue\n" in reports[0]
+    assert "valid\tfalse\n" in reports[1]
+
+
+def test_schedule_holds_burn_times_masks_and_one_step():
+    """A schedule keeps each vertex's burn step and responsible mask and one
+    step's vertices: on P_200000 with its ceil(sqrt n)-source witness, whose
+    steps hold at most 2 vertices per source, it peaks below 1.25 times the
+    two 8-byte-per-vertex lists (1.14 measured).  A burn-order list would
+    add about 32 bytes per vertex, a second copy of either list 8."""
+    n = 200_000
+    g = path_graph(n)
+    seq = list(path_cycle_witness(n, "path"))
+    tracemalloc.start()
+    try:
+        k, time, resp = burning._schedule(g, seq)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (k, time.count(_UNBURNED), resp.count(0)) == (len(seq), 0, 0)
+    assert peak < 1.25 * 8 * (2 * n + 1)
 
 
 def test_kernel_holds_burn_times_and_one_frontier():

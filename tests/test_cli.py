@@ -657,6 +657,32 @@ def test_output_naming_an_input_is_a_usage_error(tmp_path, monkeypatch, capsys, 
     assert after == before  # the input is unchanged and nothing is written
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "k4.g", "-o", ""],
+        ["reduce", "k4.g", "-o", "."],
+        ["reduce", "k4.g", "-o", "/"],
+        ["reduce", "k4.g", "-o", "", "--meta", "h.meta"],
+        ["reduce", "k4.g", "-o", ".", "--meta", "h.meta"],
+        ["lift", "k4.g", "--d", "4", "-o", ""],
+        ["lift", "k4.g", "--d", "4", "-o", "."],
+    ],
+)
+@pytest.mark.usefixtures("k4_file")  # writes k4.g into tmp_path
+def test_a_required_output_naming_no_file_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    """A required ``-o`` with no file name ('', '.' or '/'), which is also
+    the stem of reduce's default meta path, is a usage error raised before
+    anything is written: no traceback, and no run that exits 0 with no
+    graph written."""
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"usage error: the output names no file: {argv[argv.index('-o') + 1]!r}\n")
+    assert sorted(tmp_path.rglob("*")) == before  # nothing written
+
+
 @pytest.mark.parametrize("kind, param", [("path", "5"), ("cycle", "5"), ("cubic", "8")])
 def test_landmarks_of_a_plain_generator_are_a_usage_error(tmp_path, capsys, kind, param):
     argv = ["gen-gadget", kind, param, "-o", str(tmp_path / "g.g"), "-l", str(tmp_path / "g.l")]
