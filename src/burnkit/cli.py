@@ -18,7 +18,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import gadgets
 from .burning import (
@@ -61,7 +61,7 @@ def _text(path: str) -> str:
 
 
 def _write_file(path: str | None, text: str):
-    if path:
+    if path is not None:
         Path(path).write_text(text, encoding="utf-8")
 
 
@@ -146,7 +146,7 @@ def _gen_gadget(args):
         params = [int(p) for p in args.params]
     except ValueError:
         raise _UsageError(f"gadget parameters must be integers: {args.params}") from None
-    if args.landmarks and args.kind in _GENERATORS:
+    if args.landmarks is not None and args.kind in _GENERATORS:
         raise _UsageError(f"gen-gadget {args.kind} has no landmarks to write")
     g = make(params, args.seed)
     if isinstance(g, GadgetHandle):
@@ -195,14 +195,14 @@ def _parse_meta(text: str) -> dict:
 
 
 def _meta_path(args) -> str:
-    return args.meta or str(Path(args.output).with_suffix(".meta"))
+    return args.meta if args.meta is not None else str(Path(args.output).with_suffix(".meta"))
 
 
 def _reduce(args):
     inst = build_H(read_graph(_text(args.graph)))
     _write_file(args.output, write_graph(inst.h_graph))
     _write_file(_meta_path(args), _meta_text(inst))
-    if args.landmarks:
+    if args.landmarks is not None:
         marks: dict = {
             "x": inst.core_label(inst.x),
             "y": inst.core_label(inst.y),
@@ -334,7 +334,7 @@ def _dot(args):
                 name, _, value = line.partition("\t")
                 landmarks[name] = tuple(value.split() if "\t" in value else value.split(","))
     text = export_dot(g, landmarks)
-    if args.output:
+    if args.output is not None:
         _write_file(args.output, text)
     else:
         sys.stdout.write(text)
@@ -347,9 +347,10 @@ class _Command(NamedTuple):
     timing: str  # key of the --timings line
     inputs: tuple  # input file arguments, digested into `input` lines in order
     args: tuple  # argparse arguments as (flags, keywords) pairs
-    # the output paths; one that names an input file, or two that name one
+    # the output paths given or implied, None for one not given; one that
+    # names no file, one that names an input file, or two that name one
     # file, are a usage error
-    outputs: Callable[[argparse.Namespace], tuple] = lambda args: ()
+    outputs: Callable[[argparse.Namespace], Iterable] = lambda args: ()
     sidecars: tuple = ()  # further input file arguments, read but not digested
 
 
@@ -366,12 +367,12 @@ def _output(args) -> tuple:
     return (args.output,)
 
 
-def _file_output(args) -> tuple:
-    """A required output, which must name a file: '', '.' or '/' is a usage
-    error, also as the stem of the default meta path."""
-    if not Path(args.output).name:
-        raise _UsageError(f"the output names no file: {args.output!r}")
-    return (args.output,)
+def _reduce_outputs(args) -> Iterator:
+    """reduce's outputs, yielded one by one: the graph file is checked
+    before it is the stem of the default meta path."""
+    yield args.output
+    yield _meta_path(args)
+    yield args.landmarks
 
 
 _COMMANDS = {
@@ -394,7 +395,7 @@ _COMMANDS = {
             _arg("-l", "--landmarks", help="landmark/domain sidecar file"),
             _arg("--meta", help="meta file (default: output stem + .meta)"),
         ),
-        outputs=lambda args: (*_file_output(args), _meta_path(args), args.landmarks),
+        outputs=_reduce_outputs,
     ),
     "witness": _Command(
         "constructive witness from a reduce meta file", _witness, "witness", ("meta",),
@@ -428,7 +429,7 @@ _COMMANDS = {
     "lift": _Command(
         "build the d-regular lift of a cubic graph", _lift, "lift", ("graph",),
         (_GRAPH, _arg("--d", type=int, required=True), _arg("-o", "--output", required=True)),
-        outputs=_file_output,
+        outputs=_output,
     ),
     "project": _Command(
         "project an H_d sequence onto H_d'", _project, "project", ("graph", "sequence"),
@@ -479,7 +480,11 @@ def main(argv: list[str] | None = None) -> int:
             if (path := getattr(args, attr))
         }
         seen = set()
-        for path in filter(None, command.outputs(args)):
+        for path in command.outputs(args):
+            if path is None:
+                continue
+            if not Path(path).name:  # '', '.' or '/'
+                raise _UsageError(f"the output names no file: {path!r}")
             real = os.path.realpath(path)
             if real in reads:
                 raise _UsageError(f"an output names an input file: {path}")

@@ -72,8 +72,9 @@ class GraphFormatError(GraphError):
 class Graph:
     """Immutable simple undirected graph over string-labeled vertices.
 
-    ``labels`` is the strictly increasing label table: a tuple, or for a
-    lifted graph a read-only view that makes each label when it is read.
+    ``labels`` is the strictly increasing label table: a tuple, or for H
+    and a lifted graph a read-only view that makes each label when it is
+    read (``_BlockLabels``).
     ``cols`` is the tuple of W adjacency columns and ``over`` the overflow
     map, as the module docstring describes; ``adj`` is their rows as sorted
     tuples, made on read.  No self-loops, no parallel edges, symmetric
@@ -238,6 +239,53 @@ class _Rows(Sequence):
     def __eq__(self, other) -> bool:
         if isinstance(other, (list, tuple, _Rows)):
             return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+class _BlockLabels(Sequence):
+    """A label table without most of its strings: entry k·n + i, for block k
+    of n = ``len(suffixes)`` labels, is ``prefixes[k] + suffixes[i]``, made
+    when it is read, and the labels of ``tail`` follow the blocks as they
+    are.  H_d's table is the copies' prefixes over the base's labels, with
+    no tail; H's is the BTP heads over the BTP template's suffixes, with the
+    rest of H as the tail.  Read-only; slices are tuples, and it equals a
+    tuple of the same labels.  It has no hash: one equal to that tuple's
+    would need every label made."""
+
+    __slots__ = ("prefixes", "suffixes", "tail", "_blocks")
+
+    def __init__(self, prefixes: tuple[str, ...], suffixes: Sequence[str], tail: Sequence[str] = ()):
+        self.prefixes = prefixes
+        self.suffixes = suffixes
+        self.tail = tail
+        self._blocks = len(prefixes) * len(suffixes)
+
+    def __len__(self) -> int:
+        return self._blocks + len(self.tail)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
+        blocks = self._blocks
+        if i < 0:
+            i += blocks + len(self.tail)
+            if i < 0:
+                raise IndexError("label index out of range")
+        if i >= blocks:
+            return self.tail[i - blocks]  # IndexError one past the end
+        k, i = divmod(i, len(self.suffixes))
+        return self.prefixes[k] + self.suffixes[i]
+
+    def __iter__(self) -> Iterator[str]:
+        suffixes = self.suffixes
+        blocks = chain.from_iterable(map(prefix.__add__, suffixes) for prefix in self.prefixes)
+        return chain(blocks, self.tail)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, _BlockLabels)):
+            return tuple(self) == tuple(other)
         return NotImplemented
 
     __hash__ = None  # type: ignore[assignment]

@@ -29,13 +29,13 @@ already known, as graphs are immutable; any other input is checked.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 from operator import add
 
 from .burning import BurningSequence, _repair_sequence, is_burning_sequence
-from .graph import Graph, _from_core, is_connected, is_regular
+from .graph import Graph, _BlockLabels, _from_core, is_connected, is_regular
 
 _MAX_HD_EDGES = 10_000_000
 
@@ -91,45 +91,6 @@ def _kept_blocks(lifted: LiftedGraph, d_prime: int) -> list[tuple[int, int]]:
     n = lifted.base.vertex_count
     order = _block_order(lifted.d - 2)
     return [(k * n, k * n + n) for k, j in enumerate(order) if j <= d_prime - 2]
-
-
-class _BlockLabels(Sequence):
-    """H_d's label table without its strings: entry k·n + i, for block k of
-    n = ``len(base_labels)`` labels, is ``prefixes[k] + base_labels[i]``,
-    made when it is read.  Read-only; slices are tuples, and it equals a
-    tuple of the same labels.  It has no hash: one equal to that tuple's
-    would need every label made."""
-
-    __slots__ = ("prefixes", "base_labels")
-
-    def __init__(self, prefixes: tuple[str, ...], base_labels: Sequence[str]):
-        self.prefixes = prefixes
-        self.base_labels = base_labels
-
-    def __len__(self) -> int:
-        return len(self.prefixes) * len(self.base_labels)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
-        n = len(self.base_labels)
-        if not n:  # divmod would raise ZeroDivisionError
-            raise IndexError("label index out of range")
-        # a negative i gives a negative k: the tuple's negative indexing, and
-        # its IndexError one past either end
-        k, i = divmod(i, n)
-        return self.prefixes[k] + self.base_labels[i]
-
-    def __iter__(self) -> Iterator[str]:
-        labels = self.base_labels
-        return chain.from_iterable(map(prefix.__add__, labels) for prefix in self.prefixes)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (tuple, _BlockLabels)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
 
 
 def _from_blocks(base: Graph, copies: int) -> Graph:

@@ -23,25 +23,31 @@ with the ``GraphFormatError`` that ``Graph`` would raise for H's edge list.
 
 Layout of H (build_H).  The BTPs are about 97% of H and differ only in their
 head ``btp:<u>:<v>:``, so one template, the BTP with the empty head, is
-built through ``Graph`` and gives the sorted label suffixes and a local
-adjacency.  Every label that starts with ``btp:`` sorts before every other,
-so H's label table is one block per G' edge, in head order (``btp:v10:``
-before ``btp:v1:``, unlike G' edge order), then the tail: the C- and
-Y-gadgets and the cores, built through ``Graph`` as one block.  A block's
-labels are its head joined to each suffix, and its part of H's three
-adjacency columns is the template's shifted to the block's start, its two
-roots taking their core as third neighbour.  Where one head extends another (``btp:a:b:`` and
-``btp:a:b:c:``) the blocks interleave, and one sort of the label table
+built through ``Graph`` and gives the sorted label suffixes, a local
+adjacency and the landmarks by suffix.  Every label that starts with
+``btp:`` sorts before every other, so H's label table is one block per G'
+edge, in head order (``btp:v10:`` before ``btp:v1:``, unlike G' edge
+order), then the tail: the C- and Y-gadgets and the cores, built through
+``Graph`` as one block.  A block's labels are its head joined to each
+suffix, and its part of H's three adjacency columns is the template's
+shifted to the block's start, its two roots taking their core as third
+neighbour.  H holds no BTP label string: its label table is a
+``graph._BlockLabels`` view over the sorted heads, the suffixes and the
+tail's labels, which makes a block's label when it is read, and a BTP's
+landmarks are a view over its head and the template's landmarks, made on
+read too.  Where one sorted head extends the next (``btp:a:b:`` and
+``btp:a:b:c:``) the blocks interleave: that is decided from the heads
+alone, and then the label table is made as a tuple and one sort of it
 permutes H into order.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import islice
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -58,6 +64,7 @@ from .gadgets import _y_parts, _y_size, check_btp_inequalities
 from .graph import (
     Graph,
     GraphFormatError,
+    _BlockLabels,
     _edge_ends,
     _from_core,
     _label_order,
@@ -229,7 +236,7 @@ class ReductionInstance:
     subdivided_edge: tuple[str, str]
     x: str
     y: str
-    btp_landmarks: dict[tuple[str, str], dict[str, Landmark]]
+    btp_landmarks: dict[tuple[str, str], Mapping[str, Landmark]]
     y_landmarks: dict[str, Landmark]
     c_landmarks: dict[str, Landmark]
 
@@ -269,25 +276,48 @@ class ReductionInstance:
         return frozenset(v for v in self.h_graph.labels if self._decode_owner(v) is None)
 
 
+class _HeadMarks(Mapping):
+    """A BTP's landmarks under its head: the template's landmark ``name`` is
+    a suffix or a tuple of them, and entry ``name`` is ``head`` joined to
+    each, made when it is read.  Read-only, in the template's key order; it
+    equals, and has the ``repr`` of, the dict of the same landmarks, and
+    has no hash, as that dict has none."""
+
+    __slots__ = ("head", "marks")
+
+    def __init__(self, head: str, marks: dict[str, Landmark]):
+        self.head = head
+        self.marks = marks
+
+    def __getitem__(self, name: str) -> Landmark:
+        mark = self.marks[name]
+        if isinstance(mark, str):
+            return self.head + mark
+        return tuple(map(self.head.__add__, mark))
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.marks)
+
+    def __len__(self) -> int:
+        return len(self.marks)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 def _btp_template(h: int, l1: int, l2: int):
     """The BTP with the empty head, as :func:`build_H` lays it out.
 
     Returns its sorted label suffixes; its three adjacency columns as
     itemgetters over a block's indices, where each root's third entry (its
     core neighbour in H) is the template's padding; the positions of its two
-    roots; the positions of its landmarks; its edge count; and its first
-    edge.
+    roots; its landmarks, by suffix; its edge count; and its first edge.
     """
     ends, marks = _btp_parts(h, l1, l2, "")
     template = Graph(_edge_ends(ends))
-    at = template._at
-    roots = (at(marks["r_ab"]), at(marks["r_ba"]))
-    positions = {
-        name: at(value) if isinstance(value, str) else tuple(map(at, value))
-        for name, value in marks.items()
-    }
+    roots = (template._at(marks["r_ab"]), template._at(marks["r_ba"]))
     columns = [itemgetter(*col) for col in template.cols]
-    return template.labels, columns, roots, positions, template.edge_count, ends[:2]
+    return template.labels, columns, roots, marks, template.edge_count, ends[:2]
 
 
 def build_H(g: Graph, edge: tuple[str, str] | None = None) -> ReductionInstance:
@@ -295,7 +325,11 @@ def build_H(g: Graph, edge: tuple[str, str] | None = None) -> ReductionInstance:
 
     H is laid out on integers, one block per G' edge, as the module
     docstring describes, straight into its three adjacency columns; no
-    edge list of H is built.  When the closed form
+    edge list of H is built.  Its label table is a view over the sorted
+    BTP heads, the template's suffixes and the tail's labels, and each G'
+    edge's BTP landmarks are a view over its head and the template's
+    landmarks: H holds no BTP label string.  Where one head extends
+    another the label table is made and H permuted.  When the closed form
     :func:`expected_vertex_count` gives H more than ``_MAX_H_VERTICES``
     vertices, :class:`ReductionTooLargeError` is raised before any gadget
     is built.
@@ -319,7 +353,7 @@ def build_H(g: Graph, edge: tuple[str, str] | None = None) -> ReductionInstance:
     tail_ends = y_ends + c_ends
     tail_ends += (core[x], y_marks["x_a"], core[y], y_marks["y_a"], y_marks["z_b"], c_marks["v_m2"])
     tail = Graph(_edge_ends(tail_ends, core.values()))
-    suffixes, columns, roots, positions, btp_edges, (a, b) = _btp_template(
+    suffixes, columns, roots, marks, btp_edges, (a, b) = _btp_template(
         params.h, params.l1, params.l2
     )
     heads: dict[str, tuple[str, str]] = {}
@@ -329,20 +363,13 @@ def build_H(g: Graph, edge: tuple[str, str] | None = None) -> ReductionInstance:
             raise GraphFormatError(f"duplicate edge {head + a!r} {head + b!r}")
         heads[head] = (u, v)
 
+    prefixes = tuple(sorted(heads))
     size = len(suffixes)
     n_btp = len(heads) * size
     n = n_btp + tail.vertex_count
     cols = [array("i", [n]) * n for _ in columns]  # sized once: a grown array keeps spare slots
-    table: list[str] = []
-    marks_of: dict[str, dict[str, Landmark]] = {}
     core_roots: dict[int, list[int]] = {tail._at(label): [] for label in core.values()}
-    for start, head in zip(range(0, n_btp, size), sorted(heads)):
-        block = list(map(head.__add__, suffixes))
-        marks_of[head] = {
-            name: block[p] if isinstance(p, int) else tuple(map(block.__getitem__, p))
-            for name, p in positions.items()
-        }
-        table += block
+    for start, head in zip(range(0, n_btp, size), prefixes):
         local = list(range(start, start + size + 1))  # with the template's padding
         for col, column in zip(cols, columns):
             col[start : start + size] = array("i", column(local))
@@ -350,7 +377,6 @@ def build_H(g: Graph, edge: tuple[str, str] | None = None) -> ReductionInstance:
             at = tail._at(core[owner])
             cols[2][start + r] = n_btp + at  # the core sorts after every BTP vertex
             core_roots[at].append(start + r)
-    table += tail.labels
     # the tail's rows: a core's BTP roots, then its tail neighbours shifted
     # into H; H is cubic, so each row fills the three columns
     for at, nbrs in enumerate(tail.adj):
@@ -358,16 +384,17 @@ def build_H(g: Graph, edge: tuple[str, str] | None = None) -> ReductionInstance:
         for col, w in zip(cols, row):
             col[n_btp + at] = w
 
+    labels: Sequence[str] = _BlockLabels(prefixes, suffixes, tail.labels)
     # The blocks are in label order unless one head extends another
     # (btp:a:b: and btp:a:b:c:): then they interleave, and H is permuted.
-    if not all(map(str.__lt__, table, islice(table, 1, None))):
-        order, rank = _label_order(list(range(len(table))), table)
+    if any(map(str.startswith, prefixes[1:], prefixes)):
+        table = list(labels)
+        order, rank = _label_order(list(range(n)), table)
         rows = [sorted(map(rank.__getitem__, row)) for row in zip(*cols)]
         cols = [array("i", col) for col in zip(*map(rows.__getitem__, order))]
         del rows
-        table = list(map(table.__getitem__, order))
-    labels = tuple(table)
-    del table
+        labels = tuple(map(table.__getitem__, order))
+        del table
     h_graph = _from_core(labels, cols, {}, len(heads) * (btp_edges + 2) + tail.edge_count)
 
     return ReductionInstance(
@@ -378,7 +405,7 @@ def build_H(g: Graph, edge: tuple[str, str] | None = None) -> ReductionInstance:
         subdivided_edge=sub_edge,
         x=x,
         y=y,
-        btp_landmarks={edge: marks_of[head] for head, edge in heads.items()},
+        btp_landmarks={edge: _HeadMarks(head, marks) for head, edge in heads.items()},
         y_landmarks=y_marks,
         c_landmarks=c_marks,
     )
@@ -505,7 +532,7 @@ def audit_sequence(inst: ReductionInstance, sequence: BurningSequence | Sequence
     else:
         complete = _UNBURNED not in time
         if complete:
-            labels = inst.h_graph.labels
+            labels = tuple(inst.h_graph.labels)  # a view's labels made once, not per vertex
             last, unique = _last_and_unique(k, time, resp)
             bl = frozenset(map(labels.__getitem__, last))
             ub = frozenset(map(labels.__getitem__, unique))

@@ -683,6 +683,44 @@ def test_a_required_output_naming_no_file_is_a_usage_error(tmp_path, monkeypatch
     assert sorted(tmp_path.rglob("*")) == before  # nothing written
 
 
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        ("witness h.meta -o", ""),
+        ("solve-vc k4.g -o", ""),
+        ("solve-burn k4.g -o", "."),
+        ("dot k4.g -o", ""),
+        ("dot k4.g -o", "/"),
+        ("project k4.g w.seq --d 4 --dprime 3 -o", ""),
+        ("gen-gadget C 4 -o", ""),
+        ("gen-gadget C 4 -o c.g -l", "."),
+        ("reduce k4.g -o h.g --meta", ""),
+        ("reduce k4.g -o h.g --meta", "/"),
+        ("reduce k4.g -o h.g -l", ""),
+    ],
+)
+@pytest.mark.usefixtures("k4_file")  # writes k4.g into tmp_path
+def test_an_optional_output_naming_no_file_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, bad):
+    """An optional output (``-o``, ``-l`` or ``--meta``) given as '', '.'
+    or '/' is a usage error raised before any input is read or anything is
+    written, as a required one is: not taken as no output, not the default
+    meta path, not stdout, and not an ``OSError``."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "h.meta").write_text(_META, encoding="utf-8")
+    (tmp_path / "w.seq").write_text("copy1:v1\ncopy1:v2\n", encoding="utf-8")
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*")}
+
+    def unread(path, *args, **kwargs):
+        raise AssertionError(f"input read: {path}")
+
+    for read in ("read_bytes", "read_text"):
+        monkeypatch.setattr(Path, read, unread)
+    assert main(argv.split() + [bad]) == 2
+    monkeypatch.undo()
+    assert capsys.readouterr() == ("", f"usage error: the output names no file: {bad!r}\n")
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*")} == before
+
+
 @pytest.mark.parametrize("kind, param", [("path", "5"), ("cycle", "5"), ("cubic", "8")])
 def test_landmarks_of_a_plain_generator_are_a_usage_error(tmp_path, capsys, kind, param):
     argv = ["gen-gadget", kind, param, "-o", str(tmp_path / "g.g"), "-l", str(tmp_path / "g.l")]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import tracemalloc
 from array import array
@@ -20,10 +21,12 @@ from burnkit.generators import complete_bipartite, complete_graph, prism_graph, 
 from burnkit.graph import (
     Graph,
     GraphFormatError,
+    _from_core,
     bfs_distances,
     degree_histogram,
     is_connected,
     is_regular,
+    write_graph,
 )
 from burnkit.reduction import (
     EdgeNotFoundError,
@@ -516,6 +519,85 @@ def test_build_h_matches_reference(case):
         assert labels.index("btp:a:b:c:bt:ab:0:0") < labels.index("btp:a:b:t:0:l:1")
 
 
+_VIEW_CASES = ("K4", "prism", "colon_k4", "random_cubic(8, 1)", "interleaving_k4")
+
+
+@pytest.mark.parametrize("case", _VIEW_CASES)
+def test_h_label_view_reads_as_the_reference_tuple(case):
+    """H's label table behaves as the reference's label tuple wherever
+    callers read it: length, every index both ways, IndexError one past
+    either end, slices as tuples (across the last block and the tail too),
+    iteration, ``==`` both ways, no hash.  Interleaving blocks are
+    permuted into a tuple.  Each BTP's landmarks equal the reference's
+    dict both ways, in its key order and with its ``repr``, and have no
+    hash."""
+    g, edge = _ORACLE_CASES[case]
+    inst = build_H(g, edge)
+    want = reference_build_H(g, edge)
+    ref = want.h_graph.labels
+    labels = inst.h_graph.labels
+    assert (type(labels) is tuple) == (case == "interleaving_k4")
+    n = len(ref)
+    assert len(labels) == n
+    assert [labels[i] for i in range(-n, n)] == list(ref + ref)
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            labels[i]
+    cuts = (slice(None), slice(1, None), slice(-3), slice(3, n // 2, 2), slice(None, None, -5))
+    tail = sum(label.startswith("btp:") for label in ref)  # the first label after the blocks
+    for cut in cuts + (slice(tail - 5, tail + 5), slice(tail + 3, tail - 40, -3)):
+        assert labels[cut] == ref[cut] and type(labels[cut]) is tuple
+    assert list(labels) == list(ref)
+    assert labels == ref and ref == labels
+    assert labels != ref[:-1] and ref[1:] != labels
+    if case != "interleaving_k4":  # a view has no hash
+        with pytest.raises(TypeError):
+            hash(labels)
+    assert list(inst.btp_landmarks) == list(want.btp_landmarks)
+    for key, marks in inst.btp_landmarks.items():
+        wanted = want.btp_landmarks[key]
+        assert marks == wanted and wanted == marks
+        assert list(marks.items()) == list(wanted.items())
+        assert repr(marks) == repr(wanted)
+        with pytest.raises(TypeError):
+            hash(marks)
+
+
+def test_whole_h_walks_read_the_label_view_once(k4_instance, monkeypatch):
+    """``write_graph``, ``edges``, ``simulate``, ``frontier_burn_times`` and
+    ``audit_sequence`` make H's labels once, not once per edge end or
+    vertex: each indexes the view only to find its sources, far fewer
+    times than H has vertices (UB alone is 97% of them).  Each gives what
+    it gives on the reference's label tuple."""
+    inst = k4_instance
+    g = inst.h_graph
+    witness = vc_to_witness(inst, vertex_cover_exact(inst.g_prime).witness)
+    walks = {
+        "write_graph": lambda h, instance: write_graph(h),
+        "edges": lambda h, instance: list(h.edges()),
+        "simulate": lambda h, instance: simulate(h, witness),
+        "frontier_burn_times": lambda h, instance: frontier_burn_times(h, witness),
+        "audit_sequence": lambda h, instance: audit_sequence(instance, witness),
+    }
+    view = type(g.labels)
+    read = view.__getitem__
+    calls = dict.fromkeys(walks, 0)
+    got = {}
+    for name, walk in walks.items():
+
+        def counted(self, i, name=name):
+            calls[name] += 1
+            return read(self, i)
+
+        monkeypatch.setattr(view, "__getitem__", counted)
+        got[name] = walk(g, inst)
+        monkeypatch.undo()
+    assert max(calls.values()) < g.vertex_count // 10, calls
+    ref = _from_core(tuple(g.labels), g.cols, g.over, g.edge_count)
+    plain = dataclasses.replace(inst, h_graph=ref)
+    assert got == {name: walk(ref, plain) for name, walk in walks.items()}
+
+
 def test_build_h_adjacency_is_three_int_columns(k4_instance):
     """H is cubic, so its adjacency is three ``array('i')`` columns of one
     entry per vertex, with no padding and no overflow row: H holds no
@@ -549,3 +631,14 @@ def test_build_h_memory_is_no_worse_than_reference(k4):
     ref_retained, ref_peak = _traced(reference_build_H, k4)
     assert retained <= ref_retained
     assert peak < ref_peak
+
+
+def test_build_h_keeps_a_third_of_the_reference(k4):
+    """H holds no BTP label string: its label table is a view over the
+    heads and the template's suffixes, and its BTP landmarks are read off
+    the template.  Label strings are most of the reference's H, so a
+    relapse to one string per vertex, in the table or in the landmarks,
+    keeps more than a third of what the reference keeps."""
+    retained, _ = _traced(build_H, k4)
+    ref_retained, _ = _traced(reference_build_H, k4)
+    assert 3 * retained <= ref_retained
