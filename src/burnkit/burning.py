@@ -6,25 +6,31 @@ is ignited, provided ``b_t`` was still unburned at the end of step ``t-1``.
 A source reached by older fire exactly at its own step is a valid placement;
 strictly earlier is not.
 
-One step-wise frontier kernel runs that process on the graph's adjacency
-columns, one ``graph._advance`` (the step ``Graph.bfs`` takes per level)
-per step.  Besides each vertex's burn step it holds only the current
-frontier, sorted into index order, and counts the vertices it burns.
-``is_burning_sequence`` and the sequence repair used by the solvers and the
-lift drive it.  A schedule (``_schedule``) is one forward walk of the same
-steps that also gives each vertex's responsible sources as an int mask
-(bit i: the source placed at step i + 1), which the cyclic collector never
-tracks; it raises :class:`InvalidSequenceError` at an invalid placement,
-with a ``cause`` read off the masks it holds at that step.
-``frontier_burn_times`` (by step, then by label) and ``simulate`` read it;
-``simulate`` makes one frozenset per distinct mask and keys its schedule by
-label.  The CLI's ``burn`` report and ``reduction.audit_sequence`` read it
-by vertex index and take BL and UB from it.  The repair reports whether its
-own fire burned every vertex, which is the verdict of
-``is_burning_sequence`` on the sequence it returns, so its callers validate
-that sequence without a second run.  The test suite cross-checks the
-schedule against the closed form ``min_i (i + d(b_i, v))`` over per-source
-BFS distances, and the kernel against the schedule.
+One step-wise frontier kernel, ``_burn``, runs that process on the graph's
+adjacency columns, one ``graph._advance`` (the step ``Graph.bfs`` takes per
+level) per step.  Besides each vertex's burn step it holds only the current
+frontier, sorted into index order, and counts the vertices it burns.  It
+takes a list of intended sources and has one step policy: the intended
+source if it is still placeable, else the smallest unburned vertex, else
+the smallest vertex burned at that step.  ``is_burning_sequence`` is its
+run on the sequence itself (true when every source is kept and every
+vertex burns); the sequence repair used by the solvers and the lift is its
+run on an intended list, and reports whether its fire burned every vertex,
+which is the verdict of ``is_burning_sequence`` on the sequence it
+returns, so its callers validate that sequence without a second run.
+
+A schedule (``_schedule``) is one forward walk of the same steps that also
+gives each vertex's responsible sources as an int mask (bit i: the source
+placed at step i + 1), which the cyclic collector never tracks; it raises
+:class:`InvalidSequenceError` at an invalid placement, with a ``cause``
+read off the masks it holds at that step.  ``frontier_burn_times`` (by
+step, then by label) and ``simulate`` read it; ``simulate`` makes one
+frozenset per distinct mask and keys its schedule by label.  The CLI's
+``burn`` report and ``reduction.audit_sequence`` read its outcome, the
+unburned count, BL and UB by vertex index, from ``_outcome``.  The test
+suite cross-checks the schedule against the closed form
+``min_i (i + d(b_i, v))`` over per-source BFS distances, and the kernel
+against the schedule.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import ge
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graph import _UNBURNED, Graph, UnknownVertexError, _advance, _data_lines, _gather, _label_ok
 
@@ -121,23 +127,22 @@ def _source_indices(g: Graph, sequence: BurningSequence | Sequence[str]) -> list
 
 
 def _burn(
-    g: Graph,
-    steps: int,
-    choose: Callable[[int, list[int]], int | None],
-    time: list[int] | None = None,
+    g: Graph, want: Sequence[int | None], horizon: int, time: list[int] | None = None
 ) -> tuple[list[int], int, list[int]]:
     """The burning process itself, without responsible sources: the frontier
     loop of ``is_burning_sequence`` and the sequence repair.
 
-    At step ``t`` the fire spreads one hop, then ``choose(t, time)`` names the
-    vertex ignited at ``t``; ``None`` ends the process early, and so does a
-    vertex that burned before ``t``, which is then not placed.  Returns
-    ``time`` (vertex -> burn step, ``_UNBURNED`` if never reached), the number
-    of vertices burned at the steps whose source was placed, and the ignited
-    vertex of each step.  ``time`` has one entry more than ``g`` has
-    vertices: the padding sentinel's, 0.  A given ``time`` of that length is
-    the starting state, updated in place: a vertex marked 0 there never
-    enters a frontier, so the fire spreads only through the others.
+    At step ``t`` the fire spreads one hop, then one vertex is ignited: the
+    intended ``want[t - 1]`` (a vertex index, or ``None`` for no preference)
+    if it is not burned before ``t``, else the smallest unburned vertex,
+    else the smallest vertex burned exactly at ``t``.  If there is none, the
+    process ends before ``horizon``.  Returns ``time`` (vertex -> burn
+    step, ``_UNBURNED`` if never reached), the number of vertices burned at
+    the steps run, and the ignited vertex of each step.  ``time`` has one
+    entry more than ``g`` has vertices: the padding sentinel's, 0.  A given
+    ``time`` of that length is the starting state, updated in place: a
+    vertex marked 0 there never enters a frontier, so the fire spreads only
+    through the others.
 
     Besides ``time`` the process holds only the current frontier, the
     vertices burned at the last step; no list of every burned vertex is
@@ -152,11 +157,18 @@ def _burn(
     burned = 0
     placed: list[int] = []
     frontier: list[int] = []
-    for t in range(1, steps + 1):
+    for t in range(1, horizon + 1):
         new = _advance(cols, over, frontier, time, t) if frontier else []
-        b = choose(t, time)
+        b = want[t - 1] if t <= len(want) else None
         if b is None or time[b] < t:
-            break
+            # index order equals lexicographic label order
+            try:
+                b = time.index(_UNBURNED)
+            except ValueError:
+                try:
+                    b = time.index(t)
+                except ValueError:
+                    break
         if time[b] > t:
             time[b] = t
             new.append(b)
@@ -240,11 +252,16 @@ def _schedule(
     return len(sources), time, resp
 
 
-def _last_and_unique(k: int, time: list[int], resp: list[int]) -> tuple[list[int], list[int]]:
-    """The indices of BL (burned at step ``k``) and of UB (a mask of one
-    bit: one responsible source) in a complete index schedule."""
+def _outcome(k: int, time: list[int], resp: list[int]) -> tuple[int, list[int], list[int]]:
+    """What an index schedule of ``k`` steps comes to: the number of
+    unburned vertices and, if there are none, the indices of BL (burned at
+    step ``k``) and of UB (a mask of one bit: one responsible source); both
+    lists are empty for an incomplete schedule."""
+    unburned = time.count(_UNBURNED)
+    if unburned:
+        return unburned, [], []
     last = [v for v, t in enumerate(time) if t == k]
-    return last, [v for v, r in enumerate(resp) if not r & (r - 1)]
+    return 0, last, [v for v, r in enumerate(resp) if not r & (r - 1)]
 
 
 def simulate(g: Graph, sequence: BurningSequence | Sequence[str]) -> BurningSchedule:
@@ -280,15 +297,13 @@ def _repair_sequence(
     list (``None`` or a missing entry means no preference) whose fire, placed
     or not, reaches every vertex by the horizon, and whether it burns ``g``.
 
-    At each step the intended source is kept if it is still placeable;
-    otherwise the smallest unburned vertex is ignited, else the smallest
-    vertex burned exactly at that step.  Coverage is preserved because the
-    fire that burned a skipped source is ahead of its schedule.  The sequence
-    ends early once every vertex burned before the current step.
-
-    The verdict equals :func:`is_burning_sequence` of the returned sequence:
-    every vertex chosen is placeable, so this run is the burning process of
-    that sequence, and it ends early only at a step where no vertex burns.
+    This is :func:`_burn`'s run on the intended indices: a source is kept if
+    it is still placeable, else replaced as the kernel's step policy says.
+    Coverage is preserved because the fire that burned a skipped source is
+    ahead of its schedule.  The sequence ends early once every vertex burned
+    before the current step.  Every vertex ignited is placeable, so the run
+    is the burning process of the returned sequence, and the verdict equals
+    :func:`is_burning_sequence` of it.
 
     With ``within``, a list of ``(start, stop)`` index ranges of ``g``, the
     repair runs on the subgraph induced on those ranges without building it,
@@ -304,28 +319,15 @@ def _repair_sequence(
         time = [0] * (g.vertex_count + 1)  # the padding sentinel's 0 included
         for start, stop in within:
             time[start:stop] = [_UNBURNED] * (stop - start)
-
-    def choose(t: int, time: list[int]) -> int | None:
-        b = want[t - 1] if t <= len(want) else None
-        if b is not None and time[b] >= t:
-            return b
-        # index order equals lexicographic label order
-        try:
-            return time.index(_UNBURNED)
-        except ValueError:
-            pass
-        try:
-            return time.index(t)
-        except ValueError:
-            return None
-
     size = g.vertex_count if time is None else time.count(_UNBURNED)
-    _, burned, placed = _burn(g, horizon, choose, time)
+    _, burned, placed = _burn(g, want, horizon, time)
     return [g.labels[b] for b in placed], bool(placed) and burned == size
 
 
 def is_burning_sequence(g: Graph, sequence: BurningSequence | Sequence[str]) -> bool:
-    """True iff the sequence is valid and burns every vertex by step ``len(sequence)``."""
+    """True iff the sequence is valid and burns every vertex by step
+    ``len(sequence)``: :func:`_burn` on its sources keeps every one of them
+    and burns every vertex."""
     sources = list(sequence)
     if len(set(sources)) != len(sources):
         return False
@@ -333,8 +335,8 @@ def is_burning_sequence(g: Graph, sequence: BurningSequence | Sequence[str]) -> 
         indices = _source_indices(g, sources)
     except (UnknownVertexError, MalformedSequenceError):
         return False
-    _, burned, placed = _burn(g, len(indices), lambda t, _time: indices[t - 1])
-    return len(placed) == len(indices) and burned == g.vertex_count
+    _, burned, placed = _burn(g, indices, len(indices))
+    return placed == indices and burned == g.vertex_count
 
 
 def last_step_set(schedule: BurningSchedule) -> frozenset[str]:

@@ -21,15 +21,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import gadgets
-from .burning import (
-    _UNBURNED,
-    BurnError,
-    InvalidSequenceError,
-    _last_and_unique,
-    _schedule,
-    read_sequence,
-    write_sequence,
-)
+from .burning import BurnError, InvalidSequenceError, _outcome, _schedule
+from .burning import read_sequence, write_sequence
 from .gadgets import GadgetError, GadgetHandle, InvalidParamsError, check_vertex_count
 from .generators import cycle_graph, path_graph, random_cubic
 from .graph import Graph, GraphError, degree_histogram, is_connected, read_graph, write_graph
@@ -240,13 +233,12 @@ def _burn(args):
         yield "valid", "false"
         yield "reason", str(exc)
         return
-    del g  # free H before the BL and UB sets: the report needs only the schedule
-    unburned = time.count(_UNBURNED)
+    del g  # free H before the BL and UB lists: the report needs only the schedule
+    unburned, bl, ub = _outcome(k, time, resp)
     yield "valid", "true"
     yield "complete", "false" if unburned else "true"
     yield "unburned", unburned
     if not unburned:
-        bl, ub = _last_and_unique(k, time, resp)
         yield "complete_at", k
         yield "last_step_size", len(bl)
         yield "uniquely_burned_size", len(ub)
@@ -328,7 +320,7 @@ def _stats(args):
 def _dot(args):
     g = read_graph(_text(args.graph))
     landmarks = {}
-    if args.landmarks:
+    if args.landmarks is not None:
         for line in _text(args.landmarks).splitlines():
             if line.strip():
                 name, _, value = line.partition("\t")
@@ -477,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
         reads = {
             os.path.realpath(path)
             for attr in command.inputs + command.sidecars
-            if (path := getattr(args, attr))
+            if (path := getattr(args, attr)) is not None
         }
         seen = set()
         for path in command.outputs(args):

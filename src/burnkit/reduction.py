@@ -51,14 +51,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .burning import (
-    _UNBURNED,
-    BurningSequence,
-    InvalidSequenceError,
-    _last_and_unique,
-    _schedule,
-    is_burning_sequence,
-)
+from .burning import BurningSequence, InvalidSequenceError, _outcome, _schedule, is_burning_sequence
 from .gadgets import Landmark, _btp_half, _btp_parts, _btp_size, _c_middles, _c_parts, _c_size
 from .gadgets import _y_parts, _y_size, check_btp_inequalities
 from .graph import (
@@ -530,10 +523,10 @@ def audit_sequence(inst: ReductionInstance, sequence: BurningSequence | Sequence
     except InvalidSequenceError:
         valid = False
     else:
-        complete = _UNBURNED not in time
+        unburned, last, unique = _outcome(k, time, resp)
+        complete = not unburned
         if complete:
             labels = tuple(inst.h_graph.labels)  # a view's labels made once, not per vertex
-            last, unique = _last_and_unique(k, time, resp)
             bl = frozenset(map(labels.__getitem__, last))
             ub = frozenset(map(labels.__getitem__, unique))
 

@@ -241,7 +241,9 @@ def test_engines_agree(seed):
 def test_engines_agree_on_invalidity(seed):
     """Appending a vertex that is already burned, or drawing sources at
     random (repeats allowed), makes both engines raise exactly when the
-    closed form does, with the same error fields."""
+    closed form does, with the same error fields, and
+    ``is_burning_sequence`` false then; otherwise it is the closed form's
+    completeness."""
     import random
 
     r = random.Random(seed)
@@ -260,10 +262,12 @@ def test_engines_agree_on_invalidity(seed):
             fields = (exc.step, exc.source, exc.burned_step, exc.cause)
             assert _error_fields(simulate, g, bad) == fields
             assert _error_fields(frontier_burn_times, g, bad) == fields
+            assert is_burning_sequence(g, bad) is False
         else:
             assert bad is candidates[0]  # an appended burned vertex is invalid
             assert simulate(g, bad).burn_time == burn_time
             assert frontier_burn_times(g, bad) == burn_time
+            assert is_burning_sequence(g, bad) is (len(burn_time) == g.vertex_count)
 
 
 @given(st.integers(min_value=0, max_value=500))
@@ -435,15 +439,9 @@ def test_unburned_sentinel_is_one_digit_and_above_every_step():
         Graph([("a", "b"), ("c", "d")], vertices=["e"]),
     ]
     for g in graphs:
-        steps = []
-
-        def choose(t, time):
-            steps.append(t)
-            return time.index(_UNBURNED) if _UNBURNED in time else None
-
-        time, _, _ = burning._burn(g, _UNBURNED + 10, choose)
+        time, _, placed = burning._burn(g, [], _UNBURNED + 10)
         assert _UNBURNED not in time
-        assert max(steps) <= g.vertex_count + 1
+        assert len(placed) <= g.vertex_count  # so no step run passes n + 1
         assert max(time) <= g.vertex_count
 
 
@@ -485,8 +483,9 @@ def _queue_distances(rows, src):
 def test_skewed_graphs_match_the_oracles(case, rnd):
     """On padded rows, overflow rows and isolated vertices, the column
     readers agree with the edge list: BFS distances with a queue BFS, burn
-    times, responsible sets and invalid placements with the closed form,
-    degrees, regularity, rows and edges, and write/read round trips."""
+    times, responsible sets, invalid placements and the verdict of
+    ``is_burning_sequence`` with the closed form, degrees, regularity, rows
+    and edges, and write/read round trips."""
     g, edges = case
     rows = {v: set() for v in g.vertices}
     for u, v in edges:
@@ -509,10 +508,12 @@ def test_skewed_graphs_match_the_oracles(case, rnd):
         fields = (exc.step, exc.source, exc.burned_step, exc.cause)
         assert _error_fields(simulate, g, seq) == fields
         assert _error_fields(frontier_burn_times, g, seq) == fields
+        assert is_burning_sequence(g, seq) is False
     else:
         assert frontier_burn_times(g, seq) == burn_time
         sch = simulate(g, seq)
         assert (sch.burn_time, sch.responsible, sch.unburned) == (burn_time, responsible, unburned)
+        assert is_burning_sequence(g, seq) is not unburned
 
     if edges:  # edge-list text cannot hold the isolated vertices
         linked = Graph(edges)
@@ -563,11 +564,21 @@ def _row_major_responsible(g, time, order, placed):
     return resp
 
 
-def _row_major_count(g, steps, choose, time=None):
-    """:func:`_row_major_burn` with its burn order replaced by its length,
-    as the kernel returns it."""
-    time, order, placed = _row_major_burn(g, steps, choose, time)
-    return time, len(order), placed
+def _repair_policy(want):
+    """The kernel's step policy as a ``choose`` of :func:`_row_major_burn`:
+    ``want[t - 1]`` if given and not burned before ``t``, else the smallest
+    unburned vertex, else the smallest vertex burned exactly at ``t``."""
+
+    def choose(t, time):
+        b = want[t - 1] if t <= len(want) else None
+        if b is not None and time[b] >= t:
+            return b
+        for mark in (_UNBURNED, t):
+            if mark in time:
+                return time.index(mark)
+        return None
+
+    return choose
 
 
 def _row_major_error(g, src):
@@ -588,7 +599,7 @@ def _assert_step_order_only_changed(g, sources):
     vertices in index order, and the schedule walk gives the kernel's burn
     steps and the row-major responsible sets."""
     src = [g._at(v) for v in sources]
-    time, burned, placed = burning._burn(g, len(src), lambda t, _time: src[t - 1])
+    time, burned, placed = burning._burn(g, src, len(src))
     ref_time, ref_order, ref_placed = _row_major_burn(g, len(src), lambda t, _time: src[t - 1])
     assert (time, burned, placed) == (ref_time, len(ref_order), ref_placed)
     by_step = sorted(ref_order, key=lambda v: (time[v], v))
@@ -622,9 +633,10 @@ def test_burn_order_within_a_step_is_index_order(seed):
         assert _error_fields(simulate, g, bad) == want_error
     intended = [r.choice([None, *g.vertices]) for _ in range(r.randint(0, g.vertex_count))]
     horizon = r.randint(1, g.vertex_count)
-    with mock.patch.object(burning, "_burn", _row_major_count):
-        want = _repair_sequence(g, intended, horizon)
-    assert _repair_sequence(g, intended, horizon) == want
+    want = [None if v is None else g._at(v) for v in intended]
+    _, order, placed = _row_major_burn(g, horizon, _repair_policy(want))
+    verdict = bool(placed) and len(order) == g.vertex_count
+    assert _repair_sequence(g, intended, horizon) == ([g.labels[b] for b in placed], verdict)
 
 
 def test_step_order_only_changed_on_h(k4_instance):

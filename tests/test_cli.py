@@ -540,6 +540,16 @@ def test_stats(capsys, k4_file):
     assert report["connected"] == "true"
 
 
+def test_an_empty_sidecar_path_is_read_like_any_input(capsys, k4_file):
+    """``dot -l ''`` reads the empty path as ``stats ''`` does, and fails on
+    the directory it names instead of styling nothing."""
+    err = "error\tOSError\t[Errno 21] Is a directory: '.'\n"
+    assert main(["stats", ""]) == 1
+    assert capsys.readouterr().err == err
+    assert main(["dot", k4_file, "-l", ""]) == 1
+    assert capsys.readouterr() == ("", err)
+
+
 def test_dot_export_deterministic():
     t = make_T(2, 6)
     a = export_dot(t.graph, t.landmarks)
