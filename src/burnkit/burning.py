@@ -14,10 +14,12 @@ takes a list of intended sources and has one step policy: the intended
 source if it is still placeable, else the smallest unburned vertex, else
 the smallest vertex burned at that step.  ``is_burning_sequence`` is its
 run on the sequence itself (true when every source is kept and every
-vertex burns); the sequence repair used by the solvers and the lift is its
-run on an intended list, and reports whether its fire burned every vertex,
-which is the verdict of ``is_burning_sequence`` on the sequence it
-returns, so its callers validate that sequence without a second run.
+vertex burns), and ``_burn_times`` that run's burn steps, which the lift
+reads its result off; the sequence repair used by the solvers and the
+projection is its run on an intended list, and reports whether its fire
+burned every vertex, which is the verdict of ``is_burning_sequence`` on
+the sequence it returns, so its callers validate that sequence without a
+second run.
 
 A schedule (``_schedule``) is one forward walk of the same steps that also
 gives each vertex's responsible sources as an int mask (bit i: the source
@@ -130,7 +132,7 @@ def _burn(
     g: Graph, want: Sequence[int | None], horizon: int, time: list[int] | None = None
 ) -> tuple[list[int], int, list[int]]:
     """The burning process itself, without responsible sources: the frontier
-    loop of ``is_burning_sequence`` and the sequence repair.
+    loop of ``_burn_times`` and the sequence repair.
 
     At step ``t`` the fire spreads one hop, then one vertex is ignited: the
     intended ``want[t - 1]`` (a vertex index, or ``None`` for no preference)
@@ -324,19 +326,26 @@ def _repair_sequence(
     return [g.labels[b] for b in placed], bool(placed) and burned == size
 
 
-def is_burning_sequence(g: Graph, sequence: BurningSequence | Sequence[str]) -> bool:
-    """True iff the sequence is valid and burns every vertex by step
-    ``len(sequence)``: :func:`_burn` on its sources keeps every one of them
-    and burns every vertex."""
+def _burn_times(g: Graph, sequence: BurningSequence | Sequence[str]) -> list[int] | None:
+    """Each vertex's burn step under the sequence, as :func:`_burn` gives
+    ``time``, if the sequence burns ``g``; else ``None``.  That is when
+    :func:`_burn` on its sources keeps every one of them and burns every
+    vertex."""
     sources = list(sequence)
     if len(set(sources)) != len(sources):
-        return False
+        return None
     try:
         indices = _source_indices(g, sources)
     except (UnknownVertexError, MalformedSequenceError):
-        return False
-    _, burned, placed = _burn(g, indices, len(indices))
-    return placed == indices and burned == g.vertex_count
+        return None
+    time, burned, placed = _burn(g, indices, len(indices))
+    return time if placed == indices and burned == g.vertex_count else None
+
+
+def is_burning_sequence(g: Graph, sequence: BurningSequence | Sequence[str]) -> bool:
+    """True iff the sequence is valid and burns every vertex by step
+    ``len(sequence)``: :func:`_burn_times` of it is not ``None``."""
+    return _burn_times(g, sequence) is not None
 
 
 def last_step_set(schedule: BurningSchedule) -> frozenset[str]:

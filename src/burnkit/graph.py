@@ -280,6 +280,9 @@ class _BlockLabels(Sequence):
 
     def __iter__(self) -> Iterator[str]:
         suffixes = self.suffixes
+        if isinstance(suffixes, _BlockLabels):
+            # a view's labels made once, not once per block
+            suffixes = tuple(suffixes)
         blocks = chain.from_iterable(map(prefix.__add__, suffixes) for prefix in self.prefixes)
         return chain(blocks, self.tail)
 

@@ -13,12 +13,13 @@ copy 1; for d' = 3 the result lives on the base graph itself.  Projection builds
 is the subgraph of H_d induced on the kept copies' blocks, so it is burned
 inside H_d, with every other vertex marked burned before the first step.
 
-Lifting and projection are each one :func:`~burnkit.burning._repair_sequence`
-call: the repair keeps every intended source it can still place and fills a
-missing or unplaceable step with the smallest vertex left unburned, so
-appending a leftover vertex and dropping a trailing duplicate are both cases
-of it.  The repair reports whether its fire burned every vertex, so a lift
-runs the burning process once on the base and once on H_d.
+Projection is one :func:`~burnkit.burning._repair_sequence` call: the
+repair keeps every intended source it can still place and fills a missing
+or unplaceable step with the smallest vertex left unburned, so dropping a
+trailing duplicate is a case of it.  The lift runs the burning process
+once, on the base, for its input check: those burn steps say when each
+vertex of H_d burns, so the lift's one extra source is read off them and
+H_d is not burned.
 
 A :class:`LiftedGraph` remembers the last sequence known to burn its graph:
 the lift's result, or an input that ``project_sequence`` validated.
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add
 
-from .burning import BurningSequence, _repair_sequence, is_burning_sequence
+from .burning import BurningSequence, _burn_times, _repair_sequence, is_burning_sequence
 from .graph import Graph, _BlockLabels, _from_core, is_connected, is_regular
 
 _MAX_HD_EDGES = 10_000_000
@@ -98,19 +99,21 @@ def _from_blocks(base: Graph, copies: int) -> Graph:
     whose blocks of ``base.vertex_count`` labels are copies 1..copies in
     ``_block_order``, each in base order."""
     n = base.vertex_count
+    if not n:
+        # no label to prefix and no column: nothing to lay out, at any d
+        return _from_core(_BlockLabels((), ()), [], {}, 0)
     labels = _BlockLabels(tuple(_copy_label(j, "") for j in _block_order(copies)), base.labels)
     # Vertex i of block k: its clique twins in earlier blocks, its base
     # neighbours shifted into block k, its twins in later blocks; that is
     # sorted.  The base is cubic, so it has three columns, and H_d has
     # copies + 2 = d: block k's part of them is the twin blocks before k,
-    # the base's columns shifted by k·n, then the twin blocks after k.  The
-    # empty base has no column, nor has its lift.
+    # the base's columns shifted by k·n, then the twin blocks after k.
     # The shift makes one int at a time; looking the entries up in a list
     # of the block's indices is faster but holds n ints at once, 5 MB more
     # peak RSS on regular-lift.
     twins = [array("i", range(k * n, k * n + n)) for k in range(copies)]
     # sized once: a grown array keeps spare slots
-    cols = [array("i", [0]) * (copies * n) for _ in range(copies + 2)] if n else []
+    cols = [array("i", [0]) * (copies * n) for _ in range(copies + 2)]
     for k in range(copies):
         own = [array("i", map(add, col, repeat(k * n))) for col in base.cols]
         for col, part in zip(cols, twins[:k] + own + twins[k + 1 :]):
@@ -169,24 +172,27 @@ def project_vertex(label: str, d_prime: int) -> str:
 
 
 def lift_sequence(lifted: LiftedGraph, sequence: BurningSequence | Sequence[str]) -> BurningSequence:
-    """Play a base sequence of length k inside copy 1 and repair it with a
-    horizon of k + 1 steps.
+    """Play a base sequence of length k inside copy 1 and add one source at
+    step k + 1: the result burns H_d, so b(H_d) <= b(H) + 1.
 
-    Distances within copy 1 are the base's, so the k copy-1 sources stay
-    placeable and burn copy 1 by step k; every clique twin burns one step
-    after its copy-1 vertex, so all of H_d burns by step k + 1.  At step
-    k + 1 the repair therefore ignites the smallest vertex burned exactly at
-    that step, which is the smallest vertex unburned after step k: the one
-    extra source of the lift.
+    Let T be the base's burn steps under the sequence, which its input check
+    computes.  Distances within copy 1 are the base's, and a path out of
+    copy 1 takes at least one clique edge, so copy-1 vertex v burns at T(v)
+    and each of its twins at T(v) + 1 <= k + 1: the k copy-1 sources stay
+    placeable, and all of H_d burns by step k + 1.  The extra source is the
+    one the repair with a horizon of k + 1 steps ignites: with no vertex
+    unburned after the spread of step k + 1, the smallest vertex burned
+    exactly then.  That is, in the first block of the label table that is
+    not copy 1's (copy 2's, or copy 10's once d >= 12), the twin of the
+    smallest base vertex v with T(v) = k; b_k is one.  H_d is not burned.
     """
     sources = list(sequence)
-    if not is_burning_sequence(lifted.base, sources):
+    time = _burn_times(lifted.base, sources)
+    if time is None:
         raise InputNotValidError("sequence does not burn the base graph")
-    lifted_sources = [_copy_label(1, v) for v in sources]
-    repaired, burns_all = _repair_sequence(lifted.graph, lifted_sources, len(sources) + 1)
-    result = BurningSequence.of(repaired)
-    if not burns_all:
-        raise LiftError("internal: lifted sequence failed validation")
+    j = next(j for j in _block_order(lifted.d - 2) if j != 1)
+    last = _copy_label(j, lifted.base.labels[time.index(len(sources))])
+    result = BurningSequence.of([*(_copy_label(1, v) for v in sources), last])
     _remember(lifted, result.sources)
     return result
 

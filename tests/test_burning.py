@@ -403,15 +403,21 @@ def _failing_repair(truncate):
 
 
 def test_callers_still_check_the_repair_verdict(monkeypatch):
-    """A repair that reports a failed burn makes each caller raise its own
-    internal error, so reading the verdict keeps the checks live."""
-    k4 = complete_graph(4)
-    lifted = lift.build_Hd(k4, 4)
-    monkeypatch.setattr(lift, "_repair_sequence", _failing_repair(True))
-    with pytest.raises(lift.LiftError) as exc:
-        lift.lift_sequence(lifted, ["v1", "v2"])
-    assert type(exc.value) is lift.LiftError
-    assert str(exc.value) == "internal: lifted sequence failed validation"
+    """A repair that reports a failed burn makes each solver raise its own
+    internal error, so reading the verdict keeps the checks live.  The lift
+    has no verdict to read: it burns only the base, never H_d."""
+    lifted = lift.build_Hd(complete_graph(4), 4)
+    burned = []
+    burn = burning._burn
+
+    def recorded(g, *args):
+        burned.append(g)
+        return burn(g, *args)
+
+    monkeypatch.setattr(burning, "_burn", recorded)
+    lift.lift_sequence(lifted, ["v1", "v2"])
+    monkeypatch.undo()
+    assert burned == [lifted.base]
 
     c4 = Graph([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
     monkeypatch.setattr(solvers, "_repair_sequence", _failing_repair(False))

@@ -254,6 +254,43 @@ def test_lift_refuses_an_oversized_h_d_before_allocating(tmp_path, k4_file, comm
 
 
 @pytest.mark.parametrize(
+    "command, code, stdout, stderr",
+    [
+        (
+            "lift",
+            0,
+            "command\tlift\ninput\te3b0c44298fc1c14\nbase_vertices\t0\nd\t1000000\nvertices\t0\nedges\t0\n",
+            "",
+        ),
+        ("project", 1, "", "error\tInputNotValidError\tsequence does not burn the lifted graph\n"),
+    ],
+)
+def test_lift_of_an_empty_base_is_immediate_at_any_d(tmp_path, command, code, stdout, stderr):
+    """The empty base passes the edge cap at any d, and its lift is the empty
+    graph, made at once: ``lift`` writes it and ``project`` rejects the
+    sequence, each with its usual line, within the child's time limit."""
+    import os
+    import subprocess
+    import sys
+
+    import burnkit
+
+    graph_file = tmp_path / "empty.g"
+    graph_file.write_text("", encoding="utf-8")
+    seq_file = tmp_path / "h.seq"
+    seq_file.write_text("copy1:v1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    args = {"lift": [], "project": [str(seq_file), "--dprime", "3"]}[command]
+    env = dict(os.environ, PYTHONPATH=str(Path(burnkit.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "burnkit.cli", command, str(graph_file), *args, "--d", "1000000", "-o", str(out)],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr)
+    assert out.exists() == (command == "lift")
+
+
+@pytest.mark.parametrize(
     "kind, param, error",
     [
         ("BT", "60", "BT(60) has 2305843009213693951 vertices"),

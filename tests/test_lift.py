@@ -6,6 +6,7 @@ import itertools
 from array import array
 import random
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -22,7 +23,7 @@ from burnkit.burning import (
     uniquely_burned_set,
 )
 from burnkit.generators import random_cubic
-from burnkit.graph import Graph, bfs_distances, is_connected, is_regular, write_graph
+from burnkit.graph import Graph, _BlockLabels, bfs_distances, is_connected, is_regular, write_graph
 from burnkit.lift import (
     BadDegreeError,
     InputNotValidError,
@@ -135,6 +136,42 @@ def test_whole_graph_walks_read_the_label_view_once(monkeypatch):
     ref = reference_hd(base, 5)
     assert text == write_graph(ref)
     assert edges == list(ref.edges())
+
+
+def test_an_empty_base_lifts_at_once():
+    """The edge cap reads 0 edges for the empty base at any d, so its lift
+    makes no prefix and lays out no column: H_d is empty, still a label
+    view (with no hash), however large d is."""
+    start = time.perf_counter()
+    g = build_Hd(Graph([]), 10**6).graph
+    assert time.perf_counter() - start < 1
+    assert (g.vertex_count, g.edge_count, g.cols, g.over) == (0, 0, (), {})
+    assert type(g.labels) is _BlockLabels and g.labels.prefixes == ()
+    assert g.labels == () and list(g.edges()) == []
+
+
+def test_nested_label_view_reads_its_inner_view_once(k4_instance):
+    """H_d of an in-memory H is a label view over H's label view: iterating
+    it makes the inner view's labels once, not once per copy."""
+    h = k4_instance.h_graph.labels
+    reads = []
+
+    class Counted(_BlockLabels):
+        __slots__ = ()
+
+        def __iter__(self):
+            reads.append("iter")
+            return super().__iter__()
+
+        def __getitem__(self, i):
+            reads.append("item")
+            return super().__getitem__(i)
+
+    inner = Counted(h.prefixes, h.suffixes, h.tail)
+    prefixes = ("copy10:", "copy1:", "copy2:")
+    labels = tuple(_BlockLabels(prefixes, inner))
+    assert reads == ["iter"]
+    assert labels == tuple(p + v for p in prefixes for v in h)
 
 
 def test_projection_does_not_build_hd(k4, monkeypatch):
@@ -406,8 +443,9 @@ def test_project_random_cubic_bases():
 
 # -- oracle: the three-branch construction -------------------------------------
 #
-# The projection and the lift as they were built before each became one
-# repair call, kept as the reference the library is compared with.
+# The projection and the lift as they were built before the projection
+# became one repair call and the lift a read of the base's burn steps, kept
+# as the reference the library is compared with.
 
 
 def _reference_first_unburned(g, sequence):
@@ -538,6 +576,36 @@ def test_lift_and_project_match_the_reference(k4, k33, prism):
     assert min(shapes.values()) >= 50, shapes
 
 
+@pytest.mark.parametrize("d", [12, 13])
+def test_lift_matches_the_reference_and_the_repair_when_copy10_sorts_first(k4, k33, prism, d):
+    """At d >= 12, copy10: sorts before copy1:, so the extra source is in
+    copy 10.  Over exact and random valid base sequences, the lift gives the
+    reference's sequence and that of the repair of the copy-1 sources on
+    H_d with one more step; invalid inputs raise the reference's type with
+    its message."""
+    r = random.Random(d)
+    lifts = 0
+    for base in (k4, k33, prism):
+        b = burning_number_exact(base)
+        lifted = build_Hd(base, d)
+        seqs = [list(b.witness)] + _random_sequences(base, r, 8, (b.value, b.value + 1))
+        seqs += [[r.choice(base.vertices) for _ in range(b.value)] for _ in range(4)]
+        seqs += [[], ["nowhere"], list(b.witness)[:-1], list(b.witness) * 2]
+        for seq in seqs:
+            expected = _outcome(reference_lift_sequence, lifted, seq)
+            got = _outcome(lift_sequence, lifted, seq)
+            assert got == expected
+            if isinstance(got, tuple):
+                assert got == (InputNotValidError, "sequence does not burn the base graph")
+                continue
+            copy1 = [f"copy1:{v}" for v in seq]
+            repaired, burns_all = _repair_sequence(lifted.graph, copy1, len(seq) + 1)
+            assert burns_all and list(got) == repaired
+            assert got[-1].startswith("copy10:")
+            lifts += 1
+    assert lifts >= 15, lifts
+
+
 # -- the remembered sequence ---------------------------------------------------
 
 
@@ -546,16 +614,16 @@ def _reduction_witness(inst):
 
 
 def test_one_kernel_run_per_lifted_sequence(k4_instance, monkeypatch):
-    """Lifting runs the burning process twice (the base check and the
-    repair), projecting the lift's own result runs only the repair, and a
-    fresh valid input costs one more run, for its check."""
+    """Lifting runs the burning process once, the base check on the base,
+    projecting the lift's own result runs only the repair, and a fresh valid
+    input costs one more run, for its check."""
     lifted = build_Hd(k4_instance.h_graph, 5)
     witness = _reduction_witness(k4_instance)
     runs = []
     burn = burning._burn
 
     def counted(*args):
-        runs.append(args[1])
+        runs.append(args[0])
         return burn(*args)
 
     def runs_of(call, *args):
@@ -565,7 +633,7 @@ def test_one_kernel_run_per_lifted_sequence(k4_instance, monkeypatch):
 
     monkeypatch.setattr(burning, "_burn", counted)
     lifted_seq, count = runs_of(lift_sequence, lifted, witness)
-    assert count == 2
+    assert count == 1 and runs[-1] is lifted.base
     for dp in (4, 3):
         assert runs_of(project_sequence, lifted, lifted_seq, dp)[1] == 1
 
