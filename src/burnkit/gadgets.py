@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .burning import BurningSequence
-from .graph import Graph, _edge_ends
+from .graph import Graph, _edge_ends, _int_text
 
 Landmark = str | tuple[str, ...]
 
@@ -67,7 +67,8 @@ def check_vertex_count(name: str, vertices: int):
     vertices from its closed form, is over the cap; called before building."""
     if vertices > _MAX_GADGET_VERTICES:
         raise GadgetTooLargeError(
-            f"{name} has {vertices} vertices, over the gadget cap of {_MAX_GADGET_VERTICES}"
+            f"{name} has {_int_text(vertices)} vertices,"
+            f" over the gadget cap of {_MAX_GADGET_VERTICES}"
         )
 
 

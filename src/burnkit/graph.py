@@ -41,6 +41,7 @@ its lines a block at a time.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict, deque
@@ -67,6 +68,16 @@ class UnknownVertexError(GraphError):
 
 class GraphFormatError(GraphError):
     """Edge-list text is malformed (bad line, self-loop, duplicate edge)."""
+
+
+def _int_text(v: int) -> str:
+    """``str(v)``, or ``at least 2**k`` for a non-negative int with more
+    digits than ``str`` prints (``sys.get_int_max_str_digits``), so that an
+    error message about a closed-form count never fails to format."""
+    try:
+        return str(v)
+    except ValueError:
+        return f"at least 2**{v.bit_length() - 1}"
 
 
 class Graph:
@@ -348,6 +359,38 @@ def _from_core(
     g.over = over
     g._edge_count = edge_count
     return g
+
+
+# Entries per chunk of :func:`_shift_into`: 64 KB of int32, so a call holds
+# a few hundred KB at most, whatever the length it writes.
+_SHIFT_CHUNK = 1 << 14
+
+
+def _shift_into(dst: array, at: int, src: array | memoryview, s: int):
+    """Write ``src[i] + s`` into ``dst[at + i]`` for every i, at C level.
+
+    ``dst`` and ``src`` hold ``array('i')`` entries.  Each chunk of
+    ``_SHIFT_CHUNK`` entries of ``src`` is read as one int in native byte
+    order; adding the int with s in every lane of ``dst.itemsize`` bytes (s
+    times the int whose every lane is 1) adds s to every entry at once, and
+    the sum's bytes go straight into ``dst``.  That holds only while no lane
+    carries into the next: every entry and every sum must be non-negative
+    and below 2**31.  Callers shift vertex indices, which the caps keep
+    below 5M (H_d) and 2M (H).  The lane int is made per call: one kept
+    between calls would pin the allocator's heap, 0.5 MB more peak RSS on
+    reduce-pipeline."""
+    size = dst.itemsize
+    step = _SHIFT_CHUNK * size
+    raw = memoryview(src).cast("B")
+    out = memoryview(dst).cast("B")[at * size :]
+    width = min(len(raw), step)  # bytes of the first, and widest, chunk
+    lanes = int.from_bytes(array(dst.typecode, [s]) * (width // size), sys.byteorder)
+    for lo in range(0, len(raw), step):
+        chunk = raw[lo : lo + step]
+        if len(chunk) < width:  # the last chunk, with fewer lanes
+            lanes >>= 8 * (width - len(chunk))
+        total = int.from_bytes(chunk, sys.byteorder) + lanes
+        out[lo : lo + len(chunk)] = total.to_bytes(len(chunk), sys.byteorder)
 
 
 def _width(n: int, edge_count: int) -> int:

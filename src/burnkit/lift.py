@@ -32,11 +32,10 @@ from __future__ import annotations
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import add
 
 from .burning import BurningSequence, _burn_times, _repair_sequence, is_burning_sequence
-from .graph import Graph, _BlockLabels, _from_core, is_connected, is_regular
+from .graph import _SHIFT_CHUNK, Graph, _BlockLabels, _from_core, _int_text, _shift_into
+from .graph import is_connected, is_regular
 
 _MAX_HD_EDGES = 10_000_000
 
@@ -106,18 +105,26 @@ def _from_blocks(base: Graph, copies: int) -> Graph:
     # Vertex i of block k: its clique twins in earlier blocks, its base
     # neighbours shifted into block k, its twins in later blocks; that is
     # sorted.  The base is cubic, so it has three columns, and H_d has
-    # copies + 2 = d: block k's part of them is the twin blocks before k,
-    # the base's columns shifted by k·n, then the twin blocks after k.
-    # The shift makes one int at a time; looking the entries up in a list
-    # of the block's indices is faster but holds n ints at once, 5 MB more
-    # peak RSS on regular-lift.
-    twins = [array("i", range(k * n, k * n + n)) for k in range(copies)]
+    # copies + 2 = d: block k's part of column c is twin block c for c < k,
+    # base column c - k shifted by k·n for c < k + 3, else twin block c - 2.
+    # Each part is written in place by ``_shift_into``, one big-int add per
+    # chunk of 32-bit lanes; twin block j is an identity chunk shifted by j·n
+    # plus the chunk's start.  No lane carries: every entry is an index
+    # below (d - 2)·n <= 5M under the edge cap.  No entry becomes a Python
+    # int and a few chunks are in flight at most: on the K4 H this layout
+    # takes about 25 ms at d = 5, where a shift of one int per entry took
+    # 85-95 ms and held each block's three shifted columns at once.
+    steps = memoryview(array("i", range(min(n, _SHIFT_CHUNK))))
     # sized once: a grown array keeps spare slots
     cols = [array("i", [0]) * (copies * n) for _ in range(copies + 2)]
     for k in range(copies):
-        own = [array("i", map(add, col, repeat(k * n))) for col in base.cols]
-        for col, part in zip(cols, twins[:k] + own + twins[k + 1 :]):
-            col[k * n : k * n + n] = part
+        for c, col in enumerate(cols):
+            if k <= c < k + 3:
+                _shift_into(col, k * n, base.cols[c - k], k * n)
+            else:
+                j = c if c < k else c - 2
+                for lo in range(0, n, _SHIFT_CHUNK):
+                    _shift_into(col, k * n + lo, steps[: n - lo], j * n + lo)
     edge_count = copies * base.edge_count + n * copies * (copies - 1) // 2
     return _from_core(labels, cols, {}, edge_count)
 
@@ -137,7 +144,9 @@ def build_Hd(base: Graph, d: int) -> LiftedGraph:
         raise BadDegreeError(f"lift needs d >= 4 (H_3 is the base itself), got {d}")
     edges = (d - 2) * base.vertex_count * d // 2
     if edges > _MAX_HD_EDGES:
-        raise LiftTooLargeError(f"H_{d} has {edges} edges, over the lift's cap of {_MAX_HD_EDGES}")
+        raise LiftTooLargeError(
+            f"H_{_int_text(d)} has {_int_text(edges)} edges, over the lift's cap of {_MAX_HD_EDGES}"
+        )
     if not is_connected(base):
         raise NotCubicBaseError("base graph must be connected")
     if not is_regular(base, 3):

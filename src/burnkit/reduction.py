@@ -48,7 +48,6 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .burning import BurningSequence, InvalidSequenceError, _outcome, _schedule, is_burning_sequence
@@ -61,6 +60,7 @@ from .graph import (
     _edge_ends,
     _from_core,
     _label_order,
+    _shift_into,
     is_connected,
     is_regular,
 )
@@ -301,16 +301,15 @@ class _HeadMarks(Mapping):
 def _btp_template(h: int, l1: int, l2: int):
     """The BTP with the empty head, as :func:`build_H` lays it out.
 
-    Returns its sorted label suffixes; its three adjacency columns as
-    itemgetters over a block's indices, where each root's third entry (its
-    core neighbour in H) is the template's padding; the positions of its two
-    roots; its landmarks, by suffix; its edge count; and its first edge.
+    Returns its sorted label suffixes; its three adjacency columns, where
+    each root's third entry (its core neighbour in H) is the template's
+    padding index, its vertex count; the positions of its two roots; its
+    landmarks, by suffix; its edge count; and its first edge.
     """
     ends, marks = _btp_parts(h, l1, l2, "")
     template = Graph(_edge_ends(ends))
     roots = (template._at(marks["r_ab"]), template._at(marks["r_ba"]))
-    columns = [itemgetter(*col) for col in template.cols]
-    return template.labels, columns, roots, marks, template.edge_count, ends[:2]
+    return template.labels, template.cols, roots, marks, template.edge_count, ends[:2]
 
 
 def build_H(g: Graph, edge: tuple[str, str] | None = None) -> ReductionInstance:
@@ -363,9 +362,9 @@ def build_H(g: Graph, edge: tuple[str, str] | None = None) -> ReductionInstance:
     cols = [array("i", [n]) * n for _ in columns]  # sized once: a grown array keeps spare slots
     core_roots: dict[int, list[int]] = {tail._at(label): [] for label in core.values()}
     for start, head in zip(range(0, n_btp, size), prefixes):
-        local = list(range(start, start + size + 1))  # with the template's padding
+        # the template's padding, index size, lands on start + size
         for col, column in zip(cols, columns):
-            col[start : start + size] = array("i", column(local))
+            _shift_into(col, start, column, start)
         for r, owner in zip(roots, heads[head]):
             at = tail._at(core[owner])
             cols[2][start + r] = n_btp + at  # the core sorts after every BTP vertex

@@ -333,6 +333,35 @@ def test_gen_gadget_refuses_an_oversized_graph_before_allocating(tmp_path, kind,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (
+            ["lift", "K4", "--d", "1" + "0" * 2200],
+            "LiftTooLargeError\tH_1" + "0" * 2200
+            + " has at least 2**14617 edges, over the lift's cap of 10000000",
+        ),
+        (
+            ["gen-gadget", "BT", "14300"],
+            "GadgetTooLargeError\tBT(14300) has at least 2**14300 vertices, over the gadget cap of 2000000",
+        ),
+    ],
+)
+def test_a_count_too_long_to_print_still_gets_its_error_line(tmp_path, k4_file, capsys, argv, error):
+    """A closed-form count past the digits ``str`` prints (4,300 by default)
+    is given as a power of two it reaches: one error line, exit 1, no
+    traceback, at once."""
+    import time
+
+    out = tmp_path / "out.g"
+    argv = [k4_file if a == "K4" else a for a in argv] + ["-o", str(out)]
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == ("", f"error\t{error}\n")
+    assert not out.exists()
+
+
 def test_gen_gadget_generator_cap_admits_exactly_the_cap(tmp_path, capsys, monkeypatch):
     """A generator's n is its vertex count: n equal to the cap is built, and
     the next even n is refused before the generator runs."""

@@ -18,9 +18,11 @@ from hypothesis import strategies as st
 from burnkit import graph as graph_module
 from burnkit.burning import _UNBURNED, _schedule, is_burning_sequence
 from burnkit.graph import (
+    _SHIFT_CHUNK,
     Graph,
     GraphFormatError,
     UnknownVertexError,
+    _shift_into,
     bfs_distances,
     degree_histogram,
     is_connected,
@@ -914,3 +916,23 @@ def test_adj_is_a_read_only_view_of_the_rows(g):
         hash(adj)
     with pytest.raises(TypeError):
         adj[0] = ()
+
+
+@pytest.mark.parametrize("s", [0, 1, 4_999_999])
+@pytest.mark.parametrize(
+    "length", [0, 1, _SHIFT_CHUNK - 1, _SHIFT_CHUNK, _SHIFT_CHUNK + 1, 3 * _SHIFT_CHUNK + 5]
+)
+def test_shift_into_adds_s_to_every_entry_in_place(length, s):
+    """``_shift_into`` writes ``src[i] + s`` at ``dst[at + i]`` and nothing
+    else, across chunk boundaries and a last partial chunk, for entries from
+    0 up to the largest whose sum stays below 2**31, from an array or a
+    memoryview of one, at any offset into the destination."""
+    top = 2**31 - 1 - s
+    values = [0, top, 1, top - 1, 123_456, 2**24]
+    src = array("i", (values[i] if i < 6 else (i * 7919) % (top + 1) for i in range(length)))
+    expected = [x + s for x in src]
+    for at in (0, 1, 3):
+        for view in (src, memoryview(src)):
+            dst = array("i", [-1]) * (at + length + 2)
+            _shift_into(dst, at, view, s)
+            assert dst.tolist() == [-1] * at + expected + [-1, -1]

@@ -89,6 +89,27 @@ def test_build_hd_matches_reference(k4, k33, prism, d):
         assert all(g.neighbors(v) == ref.neighbors(v) for v in ref.vertices)
 
 
+@pytest.mark.parametrize("d", [4, 5, 12])
+def test_build_hd_columns_match_a_per_entry_shift(k4_instance, d):
+    """On the K4 H (80,294 vertices, several chunks of ``_shift_into`` and a
+    last partial one), block k's part of column c is twin block c for c < k,
+    base column c - k shifted by k·n for c < k + 3, else twin block c - 2:
+    checked entry by entry against that shift made one int at a time."""
+    base = k4_instance.h_graph
+    n = base.vertex_count
+    assert n % lift._SHIFT_CHUNK
+    g = build_Hd(base, d).graph
+    assert len(g.cols) == d
+    for k in range(d - 2):
+        for c, col in enumerate(g.cols):
+            if k <= c < k + 3:
+                ref = array("i", (w + k * n for w in base.cols[c - k]))
+            else:
+                j = c if c < k else c - 2
+                ref = array("i", range(j * n, j * n + n))
+            assert col[k * n : k * n + n] == ref, (k, c)
+
+
 @pytest.mark.parametrize("d", [4, 5, 12, 13])
 def test_label_view_reads_as_the_reference_tuple(k4, prism, d):
     """The label table of H_d behaves as the reference's label tuple wherever
@@ -255,6 +276,11 @@ def test_build_hd_cap_is_on_the_closed_form_edge_count(k4, prism, monkeypatch):
     # refused before the base is looked at
     with pytest.raises(LiftTooLargeError):
         build_Hd(path_graph(4), 10**6)
+    # d and the edge count have more digits than str prints: the message
+    # gives each as a power of two it reaches
+    message = "^H_at least 2\\*\\*16609 has at least 2\\*\\*33220 edges, over the lift's cap"
+    with pytest.raises(LiftTooLargeError, match=message):
+        build_Hd(k4, 10**5000)
 
 
 def test_projection_definitions():
