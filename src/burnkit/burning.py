@@ -128,9 +128,7 @@ def _source_indices(g: Graph, sequence: BurningSequence | Sequence[str]) -> list
     return indices
 
 
-def _burn(
-    g: Graph, want: Sequence[int | None], horizon: int, time: list[int] | None = None
-) -> tuple[list[int], int, list[int]]:
+def _burn(g: Graph, want: Sequence[int | None], horizon: int) -> tuple[list[int], int, list[int]]:
     """The burning process itself, without responsible sources: the frontier
     loop of ``_burn_times`` and the sequence repair.
 
@@ -141,10 +139,7 @@ def _burn(
     process ends before ``horizon``.  Returns ``time`` (vertex -> burn
     step, ``_UNBURNED`` if never reached), the number of vertices burned at
     the steps run, and the ignited vertex of each step.  ``time`` has one
-    entry more than ``g`` has vertices: the padding sentinel's, 0.  A given
-    ``time`` of that length is the starting state, updated in place: a
-    vertex marked 0 there never enters a frontier, so the fire spreads only
-    through the others.
+    entry more than ``g`` has vertices: the padding sentinel's, 0.
 
     Besides ``time`` the process holds only the current frontier, the
     vertices burned at the last step; no list of every burned vertex is
@@ -153,9 +148,8 @@ def _burn(
     so the next step walks the columns in order.
     """
     cols, over = g.cols, g.over
-    if time is None:
-        time = [_UNBURNED] * g.vertex_count
-        time.append(0)
+    time = [_UNBURNED] * g.vertex_count
+    time.append(0)
     burned = 0
     placed: list[int] = []
     frontier: list[int] = []
@@ -290,10 +284,7 @@ def simulate(g: Graph, sequence: BurningSequence | Sequence[str]) -> BurningSche
 
 
 def _repair_sequence(
-    g: Graph,
-    intended: Sequence[str | None],
-    horizon: int,
-    within: Sequence[tuple[int, int]] | None = None,
+    g: Graph, intended: Sequence[str | None], horizon: int
 ) -> tuple[list[str], bool]:
     """Valid sequence of at most ``horizon`` sources from an intended source
     list (``None`` or a missing entry means no preference) whose fire, placed
@@ -306,24 +297,10 @@ def _repair_sequence(
     before the current step.  Every vertex ignited is placeable, so the run
     is the burning process of the returned sequence, and the verdict equals
     :func:`is_burning_sequence` of it.
-
-    With ``within``, a list of ``(start, stop)`` index ranges of ``g``, the
-    repair runs on the subgraph induced on those ranges without building it,
-    and every intended source must lie in them.  Every other vertex is
-    marked burned at step 0: it never spreads fire, never takes it, and is
-    neither unburned nor burned at a step ``t >= 1``.  The subgraph's index
-    order is ``g``'s restricted to the ranges, so the result and the verdict
-    are those of the repair on the subgraph built as a graph.
     """
     want = [None if v is None else g._at(v) for v in intended]
-    time = None
-    if within is not None:
-        time = [0] * (g.vertex_count + 1)  # the padding sentinel's 0 included
-        for start, stop in within:
-            time[start:stop] = [_UNBURNED] * (stop - start)
-    size = g.vertex_count if time is None else time.count(_UNBURNED)
-    _, burned, placed = _burn(g, want, horizon, time)
-    return [g.labels[b] for b in placed], bool(placed) and burned == size
+    _, burned, placed = _burn(g, want, horizon)
+    return [g.labels[b] for b in placed], bool(placed) and burned == g.vertex_count
 
 
 def _burn_times(g: Graph, sequence: BurningSequence | Sequence[str]) -> list[int] | None:

@@ -138,6 +138,14 @@ def _gen_gadget(args):
     try:
         params = [int(p) for p in args.params]
     except ValueError:
+        limit = sys.get_int_max_str_digits()
+        for p in args.params:
+            digits = p.strip().replace("_", "")
+            digits = digits[1:] if digits[:1] in ("+", "-") else digits
+            if digits.isdigit() and 0 < limit < len(digits):  # int refuses so many digits
+                raise _UsageError(
+                    f"gadget parameter has too many digits: {len(digits)}, over int's limit of {limit}"
+                ) from None
         raise _UsageError(f"gadget parameters must be integers: {args.params}") from None
     if args.landmarks is not None and args.kind in _GENERATORS:
         raise _UsageError(f"gen-gadget {args.kind} has no landmarks to write")

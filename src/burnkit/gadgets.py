@@ -66,10 +66,36 @@ def check_vertex_count(name: str, vertices: int):
     """Raise :class:`GadgetTooLargeError` when ``name``, of ``vertices``
     vertices from its closed form, is over the cap; called before building."""
     if vertices > _MAX_GADGET_VERTICES:
-        raise GadgetTooLargeError(
-            f"{name} has {_int_text(vertices)} vertices,"
-            f" over the gadget cap of {_MAX_GADGET_VERTICES}"
-        )
+        raise _too_large(name, _int_text(vertices))
+
+
+def _too_large(name: str, vertices: str) -> GadgetTooLargeError:
+    return GadgetTooLargeError(
+        f"{name} has {vertices} vertices, over the gadget cap of {_MAX_GADGET_VERTICES}"
+    )
+
+
+# Past this height a count ``(y << h) - c`` is not built: at 2^20 bits it
+# has far more digits than ``str`` prints (4,300 by default), so
+# ``_int_text`` gives it as a power of two, read off its bit length instead.
+_MAX_BUILT_HEIGHT = 1 << 20
+
+
+def _check_shifted_count(name: str, y: int, h: int, c: int):
+    """:func:`check_vertex_count` of ``(y << h) - c`` vertices, for y >= 2
+    and c in (1, 2), without a shift past ``_MAX_BUILT_HEIGHT``: such a count
+    is over the cap, and (y - 1)·2^h + 2^h - c has h + bit_length(y - 1)
+    bits, so its text is ``_int_text``'s wherever ``str`` prints at most
+    315,000 digits."""
+    if h < _MAX_BUILT_HEIGHT:
+        check_vertex_count(name, (y << h) - c)
+    else:
+        raise _too_large(name, f"at least 2**{_int_text(h + (y - 1).bit_length() - 1)}")
+
+
+def _params_text(*params: int) -> str:
+    """``(p1, p2, ...)`` with each parameter as ``_int_text`` gives it."""
+    return f"({', '.join(map(_int_text, params))})"
 
 
 def _pairs(us: list[str], vs: list[str]) -> list[str]:
@@ -130,9 +156,10 @@ def _t_parts(l1: int, l2: int, name: str, p_hook: str, q_hook: str):
 
 def make_T(l1: int, l2: int) -> GadgetHandle:
     """T-gadget with hooks p, q: 4*l1 + 2*l2 internal vertices."""
+    params = _params_text(l1, l2)
     if l1 < 1 or l2 < 2:
-        raise InvalidParamsError(f"T-gadget needs l1 >= 1 and l2 >= 2, got ({l1}, {l2})")
-    check_vertex_count(f"T({l1}, {l2})", 4 * l1 + 2 * l2 + 2)
+        raise InvalidParamsError(f"T-gadget needs l1 >= 1 and l2 >= 2, got {params}")
+    check_vertex_count(f"T{params}", 4 * l1 + 2 * l2 + 2)
     ends, landmarks = _t_parts(l1, l2, "", "p", "q")
     landmarks["p"] = "p"
     landmarks["q"] = "q"
@@ -159,8 +186,8 @@ def _bt_parts(h: int, name: str):
 def make_BT(h: int) -> GadgetHandle:
     """Perfect binary tree of height h: 2^(h+1) - 1 vertices, 2^h leaves."""
     if h < 1:
-        raise InvalidParamsError(f"BT-gadget needs h >= 1, got {h}")
-    check_vertex_count(f"BT({h})", (2 << h) - 1)
+        raise InvalidParamsError(f"BT-gadget needs h >= 1, got {_int_text(h)}")
+    _check_shifted_count(f"BT{_params_text(h)}", 2, h, 1)
     ends, levels = _bt_parts(h, "bt:")
     root, leaves = levels[0][0], tuple(levels[-1])
     return GadgetHandle(
@@ -175,10 +202,15 @@ def make_BT(h: int) -> GadgetHandle:
 
 def check_btp_inequalities(h: int, l1: int, l2: int) -> list[str]:
     violated = []
-    if not l1 + l2 < (1 << (h - 2) if h >= 2 else 0):
-        violated.append(f"inequality 1 violated: l1 + l2 = {l1 + l2} must be < 2^(h-2)")
+    s = l1 + l2
+    # 2^(h-2) past 2^bit_length(s) compares with s as that power does, so
+    # no larger power is built
+    if not s < (1 << min(h - 2, s.bit_length()) if h >= 2 else 0):
+        violated.append(f"inequality 1 violated: l1 + l2 = {_int_text(s)} must be < 2^(h-2)")
     if not l2 > l1 + h + 1:
-        violated.append(f"inequality 2 violated: l2 = {l2} must be > l1 + h + 1 = {l1 + h + 1}")
+        violated.append(
+            f"inequality 2 violated: l2 = {_int_text(l2)} must be > l1 + h + 1 = {_int_text(l1 + h + 1)}"
+        )
     return violated
 
 
@@ -224,18 +256,21 @@ def _btp_half(label: str, l1: int) -> tuple[str, bool]:
 
 
 def _btp_size(h: int, l1: int, l2: int) -> int:
-    """|V(BTP(h, l1, l2))|: two BT(h) trees and 2^h T-gadgets between their leaves."""
-    return 2 * ((2 << h) - 1) + (1 << h) * (4 * l1 + 2 * l2)
+    """|V(BTP(h, l1, l2))|: two BT(h) trees, 2^(h+1) - 1 vertices each, and
+    2^h T-gadgets of 4*l1 + 2*l2 vertices between their leaves."""
+    return ((4 * l1 + 2 * l2 + 4) << h) - 2
 
 
 def make_BTP(h: int, l1: int, l2: int) -> GadgetHandle:
     """Two BT(h) trees whose paired leaves are joined by 2^h T-gadgets."""
+    params = _params_text(h, l1, l2)
     if h < 1 or l1 < 1 or l2 < 2:
-        raise InvalidParamsError(f"BTP-gadget params out of range: ({h}, {l1}, {l2})")
+        raise InvalidParamsError(f"BTP-gadget params out of range: {params}")
     violated = check_btp_inequalities(h, l1, l2)
     if violated:
         raise ParamInequalityError(violated)
-    check_vertex_count(f"BTP({h}, {l1}, {l2})", _btp_size(h, l1, l2))
+    # |V| is _btp_size's closed form
+    _check_shifted_count(f"BTP{params}", 4 * l1 + 2 * l2 + 4, h, 2)
     ends, landmarks = _btp_parts(h, l1, l2, "")
     return GadgetHandle(Graph(_edge_ends(ends)), landmarks)
 
@@ -266,8 +301,8 @@ def _p_parts(d: int, name: str):
 def make_P(d: int) -> GadgetHandle:
     """Double path on 2d - 2 vertices: d majors rung-tied to d - 2 minors."""
     if d < 3:
-        raise InvalidParamsError(f"P-gadget needs d >= 3, got {d}")
-    check_vertex_count(f"P({d})", 2 * d - 2)
+        raise InvalidParamsError(f"P-gadget needs d >= 3, got {_int_text(d)}")
+    check_vertex_count(f"P{_params_text(d)}", 2 * d - 2)
     ends, landmarks = _p_parts(d, "")
     return GadgetHandle(Graph(_edge_ends(ends)), landmarks)
 
@@ -306,9 +341,10 @@ def _y_size(d1: int, d2: int) -> int:
 
 def make_Y(d1: int, d2: int) -> GadgetHandle:
     """Three P-gadgets joined at a central vertex: 4*d1 + 2*d2 - 5 vertices."""
+    params = _params_text(d1, d2)
     if d1 < 3 or d2 < 3:
-        raise InvalidParamsError(f"Y-gadget needs d1, d2 >= 3, got ({d1}, {d2})")
-    check_vertex_count(f"Y({d1}, {d2})", _y_size(d1, d2))
+        raise InvalidParamsError(f"Y-gadget needs d1, d2 >= 3, got {params}")
+    check_vertex_count(f"Y{params}", _y_size(d1, d2))
     ends, landmarks = _y_parts(d1, d2, "")
     return GadgetHandle(Graph(_edge_ends(ends)), landmarks)
 
@@ -352,7 +388,7 @@ def _c_middles(m: int, name: str) -> tuple[str, ...]:
     """C(m)'s length-m witness from labels alone: the middle majors of P_m
     (2m - 2 majors: a_(m-1)), P_(m-1) .. P_4 (a_i), then PT3, PT2, PT1."""
     if m < 4:
-        raise InvalidParamsError(f"C-gadget needs m >= 4, got {m}")
+        raise InvalidParamsError(f"C-gadget needs m >= 4, got {_int_text(m)}")
     middles = [f"{name}p{i}:a{min(i, m - 1)}" for i in range(m, 3, -1)]
     return tuple(middles + [f"{name}tail:v{j}" for j in (7, 3, 1)])
 
@@ -402,7 +438,7 @@ def _c_size(m: int) -> int:
 def _check_C_size(m: int):
     """Refuse C(m) over the cap from its closed form."""
     if m >= 4:  # _c_middles refuses a smaller m
-        check_vertex_count(f"C({m})", _c_size(m))
+        check_vertex_count(f"C{_params_text(m)}", _c_size(m))
 
 
 def make_C(m: int) -> GadgetHandle:

@@ -71,13 +71,15 @@ class GraphFormatError(GraphError):
 
 
 def _int_text(v: int) -> str:
-    """``str(v)``, or ``at least 2**k`` for a non-negative int with more
-    digits than ``str`` prints (``sys.get_int_max_str_digits``), so that an
-    error message about a closed-form count never fails to format."""
+    """``str(v)``, or for an int with more digits than ``str`` prints
+    (``sys.get_int_max_str_digits``) the power of two it reaches, ``at least
+    2**k`` or ``at most -2**k``, so that an error message about a caller's
+    integer or a closed-form count never fails to format."""
     try:
         return str(v)
     except ValueError:
-        return f"at least 2**{v.bit_length() - 1}"
+        k = v.bit_length() - 1
+        return f"at least 2**{k}" if v > 0 else f"at most -2**{k}"
 
 
 class Graph:

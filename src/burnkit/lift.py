@@ -9,11 +9,10 @@ label, made when it is read, so a lifted graph is the base's labels, one
 prefix per copy and the adjacency's d int columns, each laid out block by
 block from the base's columns and the copies' index ranges.  Projection
 onto H_d' keeps vertices of the first d' - 2 copies and folds the rest onto
-copy 1; for d' = 3 the result lives on the base graph itself.  Projection builds no H_d': H_d'
-is the subgraph of H_d induced on the kept copies' blocks, so it is burned
-inside H_d, with every other vertex marked burned before the first step.
+copy 1; for d' = 3 the result lives on the base graph itself, and for
+d' >= 4 on H_d', laid out from the base as ``build_Hd`` lays out H_d.
 
-Projection is one :func:`~burnkit.burning._repair_sequence` call: the
+Projection is one :func:`~burnkit.burning._repair_sequence` call on H_d': the
 repair keeps every intended source it can still place and fills a missing
 or unplaceable step with the smallest vertex left unburned, so dropping a
 trailing duplicate is a case of it.  The lift runs the burning process
@@ -85,18 +84,12 @@ def _block_order(copies: int) -> list[int]:
     return sorted(range(1, copies + 1), key=lambda j: _copy_label(j, ""))
 
 
-def _kept_blocks(lifted: LiftedGraph, d_prime: int) -> list[tuple[int, int]]:
-    """Index ranges of the blocks of copies 1..d' - 2 in H_d's label table, in
-    table order, which is their order in the table of H_d' too."""
-    n = lifted.base.vertex_count
-    order = _block_order(lifted.d - 2)
-    return [(k * n, k * n + n) for k, j in enumerate(order) if j <= d_prime - 2]
-
-
 def _from_blocks(base: Graph, copies: int) -> Graph:
     """``copies`` clique-joined copies of a cubic base, on the label table
     whose blocks of ``base.vertex_count`` labels are copies 1..copies in
-    ``_block_order``, each in base order."""
+    ``_block_order``, each in base order.  ``build_Hd`` calls it after it
+    checks the base, and ``project_sequence`` on the base of a lifted
+    graph, which that check has passed, for H_d' with d' >= 4."""
     n = base.vertex_count
     if not n:
         # no label to prefix and no column: nothing to lay out, at any d
@@ -141,7 +134,7 @@ def build_Hd(base: Graph, d: int) -> LiftedGraph:
     :class:`LiftTooLargeError` is raised before anything is built.
     """
     if d < 4:
-        raise BadDegreeError(f"lift needs d >= 4 (H_3 is the base itself), got {d}")
+        raise BadDegreeError(f"lift needs d >= 4 (H_3 is the base itself), got {_int_text(d)}")
     edges = (d - 2) * base.vertex_count * d // 2
     if edges > _MAX_HD_EDGES:
         raise LiftTooLargeError(
@@ -171,7 +164,7 @@ def project_vertex(label: str, d_prime: int) -> str:
     """Projection onto H_d': keep vertices of the first d' - 2 copies, fold
     the rest onto copy 1.  For d' = 3 the result is a base-graph label."""
     if d_prime < 3:
-        raise BadDegreeError(f"d' must be at least 3, got {d_prime}")
+        raise BadDegreeError(f"d' must be at least 3, got {_int_text(d_prime)}")
     j, v = split_label(label)
     if d_prime == 3:
         return v
@@ -210,9 +203,9 @@ def project_sequence(
     lifted: LiftedGraph, sequence: BurningSequence | Sequence[str], d_prime: int
 ) -> BurningSequence:
     """Collapse a valid H_d sequence of length p onto H_d' (3 <= d' < d): the
-    projection, duplicates dropped, repaired with a horizon of p steps.  For
-    d' >= 4 the repair runs on H_d within the kept copies' blocks, which is
-    the repair on H_d' without building it.
+    projection, duplicates dropped, repaired on H_d' with a horizon of p
+    steps.  For d' >= 4, H_d' is built from ``lifted.base``; for d' = 3 it
+    is that base.
 
     Projection never increases a distance, so the projected fires reach every
     vertex of H_d' by step p and the repair returns a burning sequence of at
@@ -233,18 +226,16 @@ def project_sequence(
       or a duplicate broke.
     """
     if not 3 <= d_prime < lifted.d:
-        raise BadDegreeError(f"d' must be in [3, {lifted.d - 1}], got {d_prime}")
+        raise BadDegreeError(f"d' must be in [3, {lifted.d - 1}], got {_int_text(d_prime)}")
     sources = tuple(sequence)
     if sources != lifted._burns:
         if not is_burning_sequence(lifted.graph, sources):
             raise InputNotValidError("sequence does not burn the lifted graph")
         _remember(lifted, sources)
-    if d_prime == 3:
-        target, within = lifted.base, None
-    else:
-        target, within = lifted.graph, _kept_blocks(lifted, d_prime)
+    # build_Hd checked the base when it built ``lifted``
+    target = lifted.base if d_prime == 3 else _from_blocks(lifted.base, d_prime - 2)
     projected = [project_vertex(v, d_prime) for v in sources]
     deduped = list(dict.fromkeys(projected))
-    repaired, _ = _repair_sequence(target, deduped, len(projected), within)
+    repaired, _ = _repair_sequence(target, deduped, len(projected))
     return BurningSequence.of(repaired)
 

@@ -362,6 +362,26 @@ def test_a_count_too_long_to_print_still_gets_its_error_line(tmp_path, k4_file, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "param, error",
+    [
+        ("7" * 5000, "gadget parameter has too many digits: 5000, over int's limit of 4300"),
+        ("-" + "7" * 4301, "gadget parameter has too many digits: 4301, over int's limit of 4300"),
+        (" +1_" + "0" * 4400 + " ", "gadget parameter has too many digits: 4401, over int's limit of 4300"),
+        ("x" * 5000, f"gadget parameters must be integers: ['{'x' * 5000}']"),
+        ("1__0", "gadget parameters must be integers: ['1__0']"),
+    ],
+)
+def test_a_gadget_parameter_int_cannot_read_is_a_usage_error(tmp_path, capsys, param, error):
+    """``int`` reads at most ``sys.get_int_max_str_digits()`` digits (4,300 by
+    default): a longer gadget parameter is a usage error that says it has
+    too many digits, and one that is no integer is still called that."""
+    out = tmp_path / "c.g"
+    assert main(["gen-gadget", "C", param, "-o", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"usage error: {error}\n")
+    assert not out.exists()
+
+
 def test_gen_gadget_generator_cap_admits_exactly_the_cap(tmp_path, capsys, monkeypatch):
     """A generator's n is its vertex count: n equal to the cap is built, and
     the next even n is refused before the generator runs."""

@@ -168,6 +168,100 @@ def test_gadget_cap_refuses_before_building(monkeypatch):
     assert str(c.value) == f"C(1000000) has 1999997999999 vertices, {cap}"
 
 
+_BIG = "10**5000"  # 5,001 digits, past the 4,300 that str prints by default
+_CAP = "over the gadget cap of 2000000"
+
+# (call, error type, its message or None), run in the child below
+_HUGE_CASES = [
+    (f"build_Hd(K4, -{_BIG})", "BadDegreeError",
+     "lift needs d >= 4 (H_3 is the base itself), got at most -2**16609"),
+    (f"project_vertex('copy1:a', -{_BIG})", "BadDegreeError",
+     "d' must be at least 3, got at most -2**16609"),
+    (f"project_sequence(build_Hd(K4, 5), ['copy1:v1'], {_BIG})", "BadDegreeError",
+     "d' must be in [3, 4], got at least 2**16609"),
+    (f"make_C({_BIG})", "GadgetTooLargeError",
+     f"C(at least 2**16609) has at least 2**33220 vertices, {_CAP}"),
+    (f"make_C(-{_BIG})", "InvalidParamsError", "C-gadget needs m >= 4, got at most -2**16609"),
+    (f"make_C_witness({_BIG})", "GadgetTooLargeError", None),
+    (f"make_BT({_BIG})", "GadgetTooLargeError", None),
+    (f"make_BT(-{_BIG})", "InvalidParamsError", "BT-gadget needs h >= 1, got at most -2**16609"),
+    (f"make_P({_BIG})", "GadgetTooLargeError",
+     f"P(at least 2**16609) has at least 2**16610 vertices, {_CAP}"),
+    (f"make_P(-{_BIG})", "InvalidParamsError", None),
+    (f"make_T(1, {_BIG})", "GadgetTooLargeError", None),
+    (f"make_T(-{_BIG}, 5)", "InvalidParamsError",
+     "T-gadget needs l1 >= 1 and l2 >= 2, got (at most -2**16609, 5)"),
+    (f"make_Y(3, {_BIG})", "GadgetTooLargeError", None),
+    (f"make_Y(-{_BIG}, 3)", "InvalidParamsError", None),
+    (f"make_BTP(-{_BIG}, 1, 2)", "InvalidParamsError", None),
+    (f"make_BTP({_BIG}, 1, 2)", "ParamInequalityError",
+     "inequality 2 violated: l2 = 2 must be > l1 + h + 1 = at least 2**16609"),
+    (f"make_BTP(3, {_BIG}, {_BIG})", "ParamInequalityError", None),
+    (f"make_BTP({_BIG}, 1, 3 * {_BIG})", "GadgetTooLargeError", None),
+    # counts that would not fit in memory: 2 << 10**12 is about 125 GB
+    ("make_BT(10**12)", "GadgetTooLargeError",
+     f"BT(1000000000000) has at least 2**1000000000000 vertices, {_CAP}"),
+    ("make_BTP(10**12, 1, 3 * 10**12)", "GadgetTooLargeError", None),
+    # a count of 125 MB, once built to give this message in about 1 s
+    ("make_BTP(10**9, 1, 3 * 10**9)", "GadgetTooLargeError",
+     f"BTP(1000000000, 1, 3000000000) has at least 2**1000000032 vertices, {_CAP}"),
+    # the last height whose count is built, and the first that is not
+    ("make_BTP(2**20 - 1, 1, 2**20 + 3)", "GadgetTooLargeError",
+     f"BTP(1048575, 1, 1048579) has at least 2**1048596 vertices, {_CAP}"),
+    ("make_BTP(2**20, 1, 2**20 + 3)", "GadgetTooLargeError",
+     f"BTP(1048576, 1, 1048579) has at least 2**1048597 vertices, {_CAP}"),
+    ("make_BT(2**20)", "GadgetTooLargeError",
+     f"BT(1048576) has at least 2**1048576 vertices, {_CAP}"),
+]
+
+
+def test_huge_parameters_get_their_domain_errors_at_once():
+    """A gadget or lift parameter of thousands of digits, or a tree height
+    whose count would not fit in memory, gets its domain error, with any
+    integer too long to print given as the power of two it passes, within
+    1 s each.  The cases run in a child process whose address space is
+    capped at 1 GiB and CPU time at 60 s, so a size built before the cap
+    compares it fails this test instead of exhausting the machine."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import burnkit
+
+    child = (
+        "import json, resource, sys, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "resource.setrlimit(resource.RLIMIT_CPU, (60, 60))\n"
+        "from burnkit.gadgets import *\n"
+        "from burnkit.generators import complete_graph\n"
+        "from burnkit.lift import build_Hd, project_sequence, project_vertex\n"
+        "K4 = complete_graph(4)\n"
+        "for call in json.loads(sys.argv[1]):\n"
+        "    start = time.perf_counter()\n"
+        "    try:\n"
+        "        eval(call)\n"
+        "        error = None\n"
+        "    except Exception as exc:\n"
+        "        error = [type(exc).__name__, str(exc)]\n"
+        "    print(json.dumps([call, time.perf_counter() - start, error]), flush=True)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(burnkit.__file__).parents[1]))
+    calls = [call for call, _, _ in _HUGE_CASES]
+    proc = subprocess.run(
+        [sys.executable, "-c", child, json.dumps(calls)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [call for call, _, _ in results] == calls
+    for (call, kind, message), (_, elapsed, error) in zip(_HUGE_CASES, results):
+        assert error is not None and error[0] == kind, (call, error)
+        assert message is None or error[1] == message, (call, error)
+        assert elapsed < 1.0, (call, elapsed)
+
+
 def test_c_witness_is_refused_where_make_c_is(monkeypatch):
     """make_C_witness(m) refuses every m that make_C refuses, with the same
     error and before it makes a label; it admits C(m) at exactly the cap."""

@@ -675,30 +675,45 @@ def test_one_kernel_run_per_lifted_sequence(k4_instance, monkeypatch):
     assert runs_of(project_sequence, lifted, lifted_seq, 3)[1] == 2
 
 
-def test_projection_builds_no_graph(k4_instance, monkeypatch):
-    """Projecting onto H_4 and onto the base builds no graph: H_4 is burned
-    inside H_5, and the base is the lifted graph's own.  The counters do see
-    a build, as ``build_Hd`` and ``Graph`` at the end show."""
-    lifted = build_Hd(k4_instance.h_graph, 5)
+def test_projection_builds_h_dprime_once_and_burns_no_h_d(k4_instance, monkeypatch):
+    """Projecting the lift's remembered result onto H_4 lays out H_4 from the
+    base with one ``_from_blocks`` call, and projecting it onto the base
+    builds nothing; neither runs ``Graph.__init__``, and the one burning run
+    of each is the repair's, on H_4 or on the base, never on H_5.  The
+    counters do see a build, as ``build_Hd`` and ``Graph`` at the end show."""
+    base = k4_instance.h_graph
+    lifted = build_Hd(base, 5)
     seq = lift_sequence(lifted, _reduction_witness(k4_instance))
-    built = []
-    init, from_blocks = Graph.__init__, lift._from_blocks
+    built, burned = [], []
+    init, from_blocks, burn = Graph.__init__, lift._from_blocks, burning._burn
 
     def counted_init(self, *args, **kwargs):
         built.append("Graph")
         init(self, *args, **kwargs)
 
-    def counted_from_blocks(*args):
-        built.append("_from_blocks")
-        return from_blocks(*args)
+    def counted_from_blocks(g, copies):
+        built.append(("_from_blocks", g, copies))
+        return from_blocks(g, copies)
+
+    def counted_burn(g, *args):
+        burned.append(g.vertex_count if g is not base else "base")
+        return burn(g, *args)
 
     monkeypatch.setattr(Graph, "__init__", counted_init)
     monkeypatch.setattr(lift, "_from_blocks", counted_from_blocks)
-    projected = {dp: project_sequence(lifted, seq, dp) for dp in (4, 3)}
-    assert built == []
-    build_Hd(k4_instance.h_graph, 4)
+    monkeypatch.setattr(burning, "_burn", counted_burn)
+    projected = {}
+    for dp, want_built, want_burned in (
+        (4, [("_from_blocks", base, 2)], [2 * base.vertex_count]),
+        (3, [], ["base"]),
+    ):
+        projected[dp] = project_sequence(lifted, seq, dp)
+        assert (built, burned) == (want_built, want_burned)
+        built.clear()
+        burned.clear()
+    build_Hd(base, 4)
     Graph([("a", "b")])
-    assert built == ["_from_blocks", "Graph"]
+    assert built == [("_from_blocks", base, 2), "Graph"]
     monkeypatch.undo()
     for dp in (4, 3):
         assert projected[dp] == reference_project_sequence(lifted, seq, dp)
@@ -706,10 +721,10 @@ def test_projection_builds_no_graph(k4_instance, monkeypatch):
 
 @pytest.mark.parametrize("d", [12, 13])
 def test_projection_matches_the_reference_when_blocks_are_not_a_prefix(k4, prism, d):
-    """At d >= 12, copy10: sorts before copy1:, so the kept blocks of H_d'
-    are not a prefix of H_d's label table: the projection burned inside H_d
-    still gives the reference's sequence or error, which burns a standalone
-    H_d' built by ``build_Hd``, onto every d' < d."""
+    """At d >= 12, copy10: sorts before copy1:, so the blocks of H_d' are
+    not a prefix of H_d's label table: the projection still gives the
+    reference's sequence or error, which burns a standalone H_d' built by
+    ``build_Hd``, onto every d' < d."""
     r = random.Random(d)
     repaired = 0
     for base in (k4, prism, random_cubic(10, 1)):

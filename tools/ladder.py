@@ -5,13 +5,13 @@
 G is ``random_cubic(n, 1)``: the default is the rung whose H has 740,164
 vertices, ``--n 14`` gives the 998,210-vertex one and ``--n 4`` gives K4.
 The script writes G as an edge list, then runs ``reduce``, ``witness``,
-``burn``, ``audit``, ``stats``, ``lift --d 4`` and ``project --d 4 --dprime
-3`` through ``python -m burnkit.cli``.  No command writes a sequence on H_4,
-so the one ``project`` reads is made by a library step between them
-(``lift_sequence`` of ``build_Hd(H, 4)`` and the witness), also a child
-process.  For each step it records the wall time and the maximum resident
-set size that ``os.wait4`` reports, and it prints the record as JSON.  A
-step that exits non-zero stops the run with exit status 1.
+``burn``, ``audit``, ``stats``, ``lift --d 4``, ``project --d 4 --dprime
+3`` and ``project --d 5 --dprime 4`` through ``python -m burnkit.cli``.  No
+command writes a sequence on H_d, so the one each ``project`` reads is made
+by a library step before it (``lift_sequence`` of ``build_Hd(H, d)`` and the
+witness), also a child process.  For each step it records the wall time and
+the maximum resident set size that ``os.wait4`` reports, and it prints the
+record as JSON.  A step that exits non-zero stops the run with exit status 1.
 
 Linux counts the parent's memory into a child's maximum when the child
 starts, so this script does no graph work of its own beyond writing G: the
@@ -33,15 +33,15 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# argv: read H and the witness, write the witness lifted to H_4
+# argv: read H and the witness, write the witness lifted to H_d
 _LIFT_SEQUENCE = """
 import sys
 from pathlib import Path
 from burnkit.burning import read_sequence, write_sequence
 from burnkit.graph import read_graph
 from burnkit.lift import build_Hd, lift_sequence
-h_path, seq_path, out_path = sys.argv[1:]
-lifted = build_Hd(read_graph(Path(h_path).read_text(encoding="utf-8")), 4)
+h_path, seq_path, d, out_path = sys.argv[1:]
+lifted = build_Hd(read_graph(Path(h_path).read_text(encoding="utf-8")), int(d))
 seq = read_sequence(Path(seq_path).read_text(encoding="utf-8"))
 Path(out_path).write_text(write_sequence(lift_sequence(lifted, seq)), encoding="utf-8")
 """
@@ -58,8 +58,10 @@ _STEPS = [
     ("audit", _CLI + ["audit", "g.g", "w.seq"]),
     ("stats", _CLI + ["stats", "h.g"]),
     ("lift", _CLI + ["lift", "h.g", "--d", "4", "-o", "h4.g"]),
-    ("lift_sequence", ["-c", _LIFT_SEQUENCE, "h.g", "w.seq", "w4.seq"]),
+    ("lift_sequence", ["-c", _LIFT_SEQUENCE, "h.g", "w.seq", "4", "w4.seq"]),
     ("project", _CLI + ["project", "h.g", "w4.seq", "--d", "4", "--dprime", "3", "-o", "p.seq"]),
+    ("lift_sequence_5", ["-c", _LIFT_SEQUENCE, "h.g", "w.seq", "5", "w5.seq"]),
+    ("project_5_4", _CLI + ["project", "h.g", "w5.seq", "--d", "5", "--dprime", "4", "-o", "p4.seq"]),
 ]
 
 
